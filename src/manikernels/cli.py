@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,21 +31,13 @@ from .errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
-    EmptySetError,
     FrameMismatchError,
     ManiKernelsError,
     NoConvergenceError,
-    NonSymmetricError,
-    NoPositivesError,
     NotPsdError,
-    NotSpdError,
     NumericalError,
-    OneClassError,
-    RankDeficientError,
-    RectOutOfBoundsError,
     SingularScatterError,
-    TooFewPixelsError,
-    TooSmallError,
+    TrainMismatchError,
     UnsupportedMetricError,
 )
 from .features import (
@@ -61,9 +55,11 @@ from .kernels import (
     KernelSpec,
     cross_gram,
     definiteness_search,
+    gram_from_squared_distances,
     gram_matrix,
     gram_to_csv,
     gram_to_json,
+    squared_distance_matrix,
 )
 from .learn import (
     MulticlassSvmModel,
@@ -91,24 +87,9 @@ _NUMERIC_ERRORS = (
     NotPsdError,
     SingularScatterError,
 )
-_DATA_ERRORS = (
-    BadShapeError,
-    DimMismatchError,
-    EmptySetError,
-    NonSymmetricError,
-    NotSpdError,
-    RankDeficientError,
-    OneClassError,
-    NoPositivesError,
-    RectOutOfBoundsError,
-    TooFewPixelsError,
-    TooSmallError,
-    FrameMismatchError,
-    OSError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
-)
+# Every other library error is a data error, as are unreadable or
+# malformed input files.
+_DATA_ERRORS = (ManiKernelsError, OSError, KeyError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,6 +260,26 @@ def _svm_model_payload(model: SvmModel) -> dict:
     }
 
 
+def _svm_model_from_payload(raw: dict, spec: KernelSpec) -> SvmModel:
+    """Inverse of :func:`_svm_model_payload`."""
+    return SvmModel(
+        dual_coefs=np.array(raw["dual_coefs"], dtype=float),
+        bias=float(raw["bias"]),
+        support_indices=np.array(raw["support_indices"], dtype=int),
+        C=float(raw["C"]),
+        spec=spec,
+        kkt_violation=float(raw.get("kkt_violation", 0.0)),
+    )
+
+
+def _items_digest(items) -> str:
+    """SHA-256 of the items as one C-ordered float64 array, shape included."""
+    stack = np.ascontiguousarray(np.stack(items), dtype=np.float64)
+    digest = hashlib.sha256(repr(stack.shape).encode())
+    digest.update(stack.tobytes())
+    return digest.hexdigest()
+
+
 def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     assignment = np.arange(m) % folds
@@ -286,22 +287,18 @@ def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _cv_select(points, labels, manifold, args):
-    """Seeded grid search over gamma and C; returns (gamma, C)."""
+def _cv_select(d2, labels, spec, args):
+    """Seeded grid search over gamma and C on one squared-distance matrix;
+    returns (spec, C)."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
-    gammas = _gamma_list(args.gamma_grid) if args.gamma_grid else [args.gamma]
+    gammas = _gamma_list(args.gamma_grid) if args.gamma_grid else [spec.gamma]
     cs = [float(t) for t in args.c_grid.split(",")] if args.c_grid else [args.C]
-    folds = _cv_folds(len(points), args.cv, args.seed)
+    folds = _cv_folds(len(labels), args.cv, args.seed)
     best = None
     for gamma in gammas:
-        spec = KernelSpec(
-            manifold=manifold,
-            metric=_metric_for(args, manifold),
-            gamma=gamma,
-            alpha=args.alpha,
-        )
-        full = gram_matrix(spec, points).entries
+        candidate = replace(spec, gamma=gamma)
+        full = gram_from_squared_distances(candidate, d2).entries
         for c_val in cs:
             correct = 0
             total = 0
@@ -328,7 +325,7 @@ def _cv_select(points, labels, manifold, args):
                 total += int(test.sum())
             score = correct / total if total else 0.0
             if best is None or score > best[0]:
-                best = (score, gamma, c_val)
+                best = (score, candidate, c_val)
     return best[1], best[2]
 
 
@@ -336,18 +333,23 @@ def _cmd_svm_train(args) -> int:
     points, labels, manifold = _dataset_points(args.input)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
-    gamma, c_val = args.gamma, args.C
-    if args.cv:
-        gamma, c_val = _cv_select(points, labels, manifold, args)
     spec = KernelSpec(
         manifold=manifold,
         metric=_metric_for(args, manifold),
-        gamma=gamma,
+        gamma=args.gamma,
         alpha=args.alpha,
     )
-    gram = gram_matrix(spec, points)
+    d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
+    c_val = args.C
+    if args.cv:
+        spec, c_val = _cv_select(d2, labels, spec, args)
+    gram = gram_from_squared_distances(spec, d2)
     classes = np.unique(labels)
-    payload = {"spec": spec.to_dict(), "provenance": _provenance("svm-train", args)}
+    payload = {
+        "spec": spec.to_dict(),
+        "provenance": _provenance("svm-train", args),
+        "train_sha256": _items_digest(points),
+    }
     if len(classes) == 2:
         y = _binary_labels(labels)
         model = svm_train(gram, y, c_val, kkt_tol=args.kkt_tol, spec=spec)
@@ -370,31 +372,11 @@ def _cmd_svm_train(args) -> int:
 def _model_from_payload(payload):
     spec = KernelSpec.from_dict(payload["spec"])
     if payload["type"] == "svm":
-        raw = payload["model"]
-        model = SvmModel(
-            dual_coefs=np.array(raw["dual_coefs"], dtype=float),
-            bias=float(raw["bias"]),
-            support_indices=np.array(raw["support_indices"], dtype=int),
-            C=float(raw["C"]),
-            spec=spec,
-            kkt_violation=float(raw.get("kkt_violation", 0.0)),
-        )
-        return spec, model, payload.get("classes")
-    models = [
-        SvmModel(
-            dual_coefs=np.array(raw["dual_coefs"], dtype=float),
-            bias=float(raw["bias"]),
-            support_indices=np.array(raw["support_indices"], dtype=int),
-            C=float(raw["C"]),
-            spec=spec,
-            kkt_violation=float(raw.get("kkt_violation", 0.0)),
-        )
-        for raw in payload["models"]
-    ]
+        return spec, _svm_model_from_payload(payload["model"], spec), payload.get("classes")
     multi = MulticlassSvmModel(
         mode=payload["mode"],
         classes=np.array(payload["classes"]),
-        models=models,
+        models=[_svm_model_from_payload(raw, spec) for raw in payload["models"]],
         pair_indices=[np.array(v, dtype=int) for v in payload.get("pair_indices", [])] or None,
         pairs=[tuple(p) for p in payload.get("pairs", [])] or None,
     )
@@ -406,6 +388,8 @@ def _cmd_svm_predict(args) -> int:
         payload = json.load(fh)
     spec, model, classes = _model_from_payload(payload)
     train_points, _, train_manifold = _dataset_points(args.train)
+    if payload.get("train_sha256") != _items_digest(train_points):
+        raise TrainMismatchError(f"{args.train} is not the dataset the model was trained on")
     test_points, _, test_manifold = _dataset_points(args.test)
     if train_manifold != test_manifold:
         raise DimMismatchError("train/test dataset kinds differ")
@@ -446,7 +430,8 @@ def _cmd_mkl_train(args) -> int:
             )
             for g in gammas
         ]
-        grams = [gram_matrix(s, points) for s in specs]
+        d2 = squared_distance_matrix(manifold, _metric_for(args, manifold), points, alpha=args.alpha)
+        grams = [gram_from_squared_distances(s, d2) for s in specs]
         manifold_spec = [s.to_dict() for s in specs]
     else:
         manifold_spec = []
@@ -721,9 +706,6 @@ def run(argv=None) -> int:
         return EXIT_NUMERIC
     except _DATA_ERRORS as exc:
         print(f"manikernels: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ManiKernelsError as exc:
-        print(f"manikernels: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import BadParamError, BadShapeError, DimMismatchError
+from .errors import BadParamError, BadShapeError, DimMismatchError, NonFiniteError
 from .grassmann import make_grassmann
 from .matrixops import spd_exp
 
@@ -51,7 +51,8 @@ def load_dataset(path) -> dict:
     """Read a dataset written by :func:`save_dataset`.
 
     Returns a dict with ``kind``, ``items`` (list of float arrays) and
-    ``labels`` (int array or None).
+    ``labels`` (int array or None). Items holding NaN or infinite values
+    are rejected.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -60,9 +61,11 @@ def load_dataset(path) -> dict:
         raise BadParamError(f"unknown dataset kind {kind!r} in {path}")
     shape = tuple(payload["shape"])
     items = [np.asarray(x, dtype=float) for x in payload["items"]]
-    for a in items:
+    for index, a in enumerate(items):
         if a.shape != shape:
             raise BadShapeError(f"item shape {a.shape} contradicts metadata {shape}")
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(f"item {index} in {path} holds a NaN or infinite value")
     labels = payload.get("labels")
     if labels is not None:
         labels = np.asarray(labels, dtype=int)

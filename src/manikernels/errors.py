@@ -49,6 +49,14 @@ class RankDeficientError(ManiKernelsError):
     """Matrix does not have the column rank the operation requires."""
 
 
+class NonFiniteError(ManiKernelsError):
+    """Input holds a NaN or an infinite value."""
+
+
+class TrainMismatchError(ManiKernelsError):
+    """Dataset differs from the one a model was trained on."""
+
+
 class BadParamError(ManiKernelsError):
     """Hyperparameter out of its valid range (k, l, dims, grid, C, p, ...)."""
 

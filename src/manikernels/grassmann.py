@@ -63,49 +63,57 @@ def make_grassmann(raw) -> np.ndarray:
 def _check_pair(y1, y2):
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if y1.shape != y2.shape:
+    if y1.ndim != 2 or y2.shape[-2:] != y1.shape:
         raise DimMismatchError(f"shape mismatch: {y1.shape} vs {y2.shape}")
     return y1, y2
 
 
 def principal_angles(y1, y2) -> np.ndarray:
-    """Principal angles between span(y1) and span(y2), ascending in [0, pi/2]."""
+    """Principal angles between span(y1) and span(y2), ascending in [0, pi/2].
+
+    ``y2`` is one basis or a stack of them; the angles run along the last axis.
+    """
     y1, y2 = _check_pair(y1, y2)
     s = np.linalg.svd(y1.T @ y2, compute_uv=False)
-    if s.size and s[0] > 1.0 + _COS_CLAMP:
-        raise NumericalError(f"principal-angle cosine {s[0]:.12f} exceeds 1 beyond roundoff")
+    if s.size and np.max(s[..., 0]) > 1.0 + _COS_CLAMP:
+        raise NumericalError(
+            f"principal-angle cosine {np.max(s[..., 0]):.12f} exceeds 1 beyond roundoff"
+        )
     s = np.clip(s, 0.0, 1.0)
     # cosines come out non-increasing, so the angles are already ascending
     return np.arccos(s)
 
 
-def grassmann_distance(metric: str, y1, y2) -> float:
-    """Distance between two subspaces under the selected metric."""
+def grassmann_distance(metric: str, y1, y2):
+    """Distance between two subspaces under the selected metric.
+
+    ``y2`` is one basis or a stack of them; a stack gives one distance each.
+    """
     if metric not in GRASSMANN_METRICS:
         raise UnsupportedMetricError(f"unknown Grassmann metric {metric!r}")
     theta = principal_angles(y1, y2)
     if metric == "projection":
-        return float(np.sqrt(np.sum(np.sin(theta) ** 2)))
+        return np.sqrt(np.sum(np.sin(theta) ** 2, axis=-1))
     if metric == "arc-length":
-        return float(np.sqrt(np.sum(theta**2)))
+        return np.sqrt(np.sum(theta**2, axis=-1))
     if metric == "fubini-study":
-        prod = float(np.prod(np.cos(theta)))
-        return float(np.arccos(np.clip(prod, 0.0, 1.0)))
+        return np.arccos(np.clip(np.prod(np.cos(theta), axis=-1), 0.0, 1.0))
     if metric == "chordal-2norm":
-        return float(2.0 * np.max(np.sin(theta / 2.0)))
+        return 2.0 * np.max(np.sin(theta / 2.0), axis=-1)
     # chordal-fnorm
-    return float(2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2)))
+    return 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
 
 
-def projection_dist_sq_fast(y1, y2) -> float:
+def projection_dist_sq_fast(y1, y2):
     """Squared projection distance r - ||Y1^T Y2||_F^2 (clamped at 0).
 
-    Only needs the r x r cross-Gram, never the n x n projectors.
+    ``y2`` is one basis or a stack of them. Only needs the r x r
+    cross-Gram, never the n x n projectors.
     """
     y1, y2 = _check_pair(y1, y2)
     r = y1.shape[1]
-    val = r - float(np.sum((y1.T @ y2) ** 2))
-    return max(val, 0.0)
+    cross = np.tensordot(y2, y1, axes=([-2], [0]))  # (..., r, r): Y2^T Y1
+    return np.maximum(r - np.sum(cross**2, axis=(-2, -1)), 0.0)
 
 
 def subspace_from_vectors(f, r: int) -> np.ndarray:

@@ -6,15 +6,30 @@ a kernel is positive definite for every gamma depends on the metric:
 squared distances that embed isometrically in an inner product space
 (log-Euclidean, Cholesky, power-Euclidean on SPD; projection on
 Grassmann; plain Euclidean) give PSD Gram matrices for all gamma, the
-others do not. This module builds Gram matrices, audits their
-eigenvalues, tests conditional negative semi-definiteness of squared
-distance matrices, and searches for indefiniteness witnesses.
+others do not.
+
+Every metric is one entry of :data:`METRICS`, keyed by (manifold,
+metric), of one of two kinds:
+
+* an embedding ``points -> (features, scale)`` with
+  d^2(x, y) = scale * ||phi(x) - phi(y)||^2 (log-Euclidean, Cholesky,
+  power-Euclidean with scale 1/alpha^2, Euclidean), whose distance
+  matrices come from one pass over the feature inner products;
+* a row function ``(x, ys) -> d^2`` from one point to a stack of points
+  (affine-invariant, root-Stein, projection via the r x r cross-Gram,
+  and the four principal-angle Grassmann metrics), whose formulas live
+  in :mod:`~manikernels.spd` and :mod:`~manikernels.grassmann`.
+
+This module builds distance and Gram matrices from the registry, audits
+their eigenvalues, tests conditional negative semi-definiteness of
+squared distance matrices, and searches for indefiniteness witnesses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,11 +39,10 @@ from .errors import (
     BadParamError,
     DimMismatchError,
     EmptySetError,
-    NumericalError,
     UnsupportedMetricError,
 )
 from .matrixops import require_symmetric, spd_exp, spd_log, cholesky_lower, spd_power
-from .spd import DEFAULT_POWER_ALPHA, log_det_spd
+from .spd import DEFAULT_POWER_ALPHA
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
 
@@ -46,6 +60,49 @@ PD_FOR_ALL_GAMMA = {
 }
 
 
+def _mapped(fn, points) -> np.ndarray:
+    return np.stack([fn(p).ravel() for p in points])
+
+
+def _power_features(points, alpha):
+    if alpha == 0:
+        raise BadParamError("alpha must be nonzero")
+    return _mapped(lambda p: spd_power(p, alpha), points), 1.0 / alpha**2
+
+
+def _grassmann_sq(metric, x, ys):
+    return gr.grassmann_distance(metric, x, ys) ** 2
+
+
+#: The metric registry: (manifold, metric) -> ("embed", points, alpha ->
+#: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys).
+#: Entries look their functions up at call time, so a wrapped module
+#: function (a tracer's span, a test double) is the one that runs.
+METRICS = {
+    ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_mapped(spd_log, pts), 1.0)),
+    ("spd", "cholesky"): ("embed", lambda pts, alpha: (_mapped(cholesky_lower, pts), 1.0)),
+    ("spd", "power-euclidean"): ("embed", _power_features),
+    ("euclidean", "euclidean"): ("embed", lambda pts, alpha: (pts.reshape(len(pts), -1), 1.0)),
+    ("spd", "affine-invariant"): ("row", lambda x, ys: sp.affine_invariant_sq(x, ys)),
+    ("spd", "root-stein"): ("row", lambda x, ys: sp.stein_divergence_sq(x, ys)),
+    ("grassmann", "projection"): ("row", lambda x, ys: gr.projection_dist_sq_fast(x, ys)),
+    **{
+        ("grassmann", metric): ("row", partial(_grassmann_sq, metric))
+        for metric in ("arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm")
+    },
+}
+
+
+def _lookup(manifold: str, metric: str):
+    if manifold not in MANIFOLDS:
+        raise BadParamError(f"unknown manifold {manifold!r}")
+    if (manifold, metric) not in METRICS:
+        raise UnsupportedMetricError(
+            f"metric {metric!r} is not defined on manifold {manifold!r}"
+        )
+    return METRICS[manifold, metric]
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian kernel selector: manifold, metric, bandwidth.
@@ -59,21 +116,11 @@ class KernelSpec:
     alpha: float = DEFAULT_POWER_ALPHA
 
     def __post_init__(self):
-        if self.manifold not in MANIFOLDS:
-            raise BadParamError(f"unknown manifold {self.manifold!r}")
-        valid = {
-            "spd": sp.SPD_METRICS,
-            "grassmann": gr.GRASSMANN_METRICS,
-            "euclidean": ("euclidean",),
-        }[self.manifold]
-        if self.metric not in valid:
-            raise UnsupportedMetricError(
-                f"metric {self.metric!r} is not defined on manifold {self.manifold!r}"
-            )
-        if not self.gamma > 0:
-            raise BadParamError(f"gamma must be positive, got {self.gamma}")
-        if self.alpha == 0:
-            raise BadParamError("alpha must be nonzero")
+        _lookup(self.manifold, self.metric)
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise BadParamError(f"gamma must be positive and finite, got {self.gamma}")
+        if not np.isfinite(self.alpha) or self.alpha == 0:
+            raise BadParamError(f"alpha must be finite and nonzero, got {self.alpha}")
 
     def to_dict(self) -> dict:
         return {
@@ -93,30 +140,7 @@ class KernelSpec:
         )
 
 
-def squared_distance(spec: KernelSpec, x, y) -> float:
-    """d^2(x, y) under ``spec.manifold`` and ``spec.metric``."""
-    if spec.manifold == "spd":
-        d = sp.spd_distance(spec.metric, x, y, alpha=spec.alpha)
-        return d * d
-    if spec.manifold == "grassmann":
-        if spec.metric == "projection":
-            return gr.projection_dist_sq_fast(x, y)
-        d = gr.grassmann_distance(spec.metric, x, y)
-        return d * d
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")
-    diff = (x - y).ravel()
-    return float(diff @ diff)
-
-
-def gaussian_kernel_value(spec: KernelSpec, x, y) -> float:
-    """exp(-gamma * d^2(x, y)); equals 1 exactly when the distance is 0."""
-    return float(np.exp(-spec.gamma * squared_distance(spec, x, y)))
-
-
-def _stack_points(points) -> list[np.ndarray]:
+def _stack_points(points) -> np.ndarray:
     pts = [np.asarray(p, dtype=float) for p in points]
     if not pts:
         raise EmptySetError("empty point set")
@@ -124,16 +148,15 @@ def _stack_points(points) -> list[np.ndarray]:
     for p in pts:
         if p.shape != shape:
             raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
-    return pts
+    return np.stack(pts)
 
 
-def _pairwise_sq_euclidean(flat: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances of row vectors, clamped at 0."""
-    sq = np.einsum("ij,ij->i", flat, flat)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
+def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """||fx_i - fy_j||^2 from inner products, clamped at 0."""
+    sq_x = np.einsum("ij,ij->i", fx, fx)
+    sq_y = np.einsum("ij,ij->i", fy, fy)
+    d2 = sq_x[:, None] + sq_y[None, :] - 2.0 * (fx @ fy.T)
     np.maximum(d2, 0.0, out=d2)
-    d2 = (d2 + d2.T) / 2.0
-    np.fill_diagonal(d2, 0.0)
     return d2
 
 
@@ -145,82 +168,23 @@ def squared_distance_matrix(
 ) -> np.ndarray:
     """Symmetric matrix of pairwise squared distances with exact-zero diagonal.
 
-    Metrics that are Euclidean in a mapped space (log, Cholesky, power,
-    flattening) map every point once and use vectorized pairwise
-    distances; the remaining metrics are evaluated pair by pair.
+    An embedding maps every point once and takes all pairs in one pass. A
+    row function fills the upper triangle one row at a time, each point
+    against the stack of later points, and the triangle is mirrored.
     """
     pts = _stack_points(points)
+    kind, fn = _lookup(manifold, metric)
+    if kind == "embed":
+        feats, scale = fn(pts, alpha)
+        d2 = _feature_sq_distances(feats, feats)
+        d2 = (d2 + d2.T) / 2.0
+        np.fill_diagonal(d2, 0.0)
+        return d2 * scale
     m = len(pts)
-    if manifold == "euclidean":
-        return _pairwise_sq_euclidean(np.stack([p.ravel() for p in pts]))
-    if manifold == "spd":
-        if metric == "log-euclidean":
-            feats = np.stack([spd_log(p).ravel() for p in pts])
-            return _pairwise_sq_euclidean(feats)
-        if metric == "cholesky":
-            feats = np.stack([cholesky_lower(p).ravel() for p in pts])
-            return _pairwise_sq_euclidean(feats)
-        if metric == "power-euclidean":
-            if alpha == 0:
-                raise BadParamError("alpha must be nonzero")
-            feats = np.stack([spd_power(p, alpha).ravel() for p in pts])
-            return _pairwise_sq_euclidean(feats) / alpha**2
-        if metric == "root-stein":
-            logdets = [log_det_spd(p) for p in pts]
-            d2 = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    val = log_det_spd((pts[i] + pts[j]) / 2.0) - 0.5 * (
-                        logdets[i] + logdets[j]
-                    )
-                    if val < -1e-12:
-                        raise NumericalError(
-                            f"Stein radicand {val:.3e} negative beyond roundoff"
-                        )
-                    d2[i, j] = d2[j, i] = max(val, 0.0)
-            return d2
-        if metric == "affine-invariant":
-            d2 = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    d = sp.spd_distance("affine-invariant", pts[i], pts[j])
-                    d2[i, j] = d2[j, i] = d * d
-            return d2
-        raise UnsupportedMetricError(f"unknown SPD metric {metric!r}")
-    if manifold == "grassmann":
-        if metric == "projection":
-            stack = np.stack(pts)  # (m, n, r)
-            r = stack.shape[2]
-            cross = np.tensordot(stack, stack, axes=([1], [1]))  # (m, r, m, r)
-            t = np.einsum("iajb->ij", cross**2)
-            d2 = np.maximum(r - t, 0.0)
-            d2 = (d2 + d2.T) / 2.0
-            np.fill_diagonal(d2, 0.0)
-            return d2
-        if metric in gr.GRASSMANN_METRICS:
-            d2 = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    d = gr.grassmann_distance(metric, pts[i], pts[j])
-                    d2[i, j] = d2[j, i] = d * d
-            return d2
-        raise UnsupportedMetricError(f"unknown Grassmann metric {metric!r}")
-    raise BadParamError(f"unknown manifold {manifold!r}")
-
-
-def _mapped_features(manifold: str, metric: str, pts, alpha: float):
-    """(flat features, scale) for metrics Euclidean in a mapped space,
-    where d^2 = scale * ||phi(x) - phi(y)||^2; None otherwise."""
-    if manifold == "euclidean":
-        return np.stack([p.ravel() for p in pts]), 1.0
-    if manifold == "spd":
-        if metric == "log-euclidean":
-            return np.stack([spd_log(p).ravel() for p in pts]), 1.0
-        if metric == "cholesky":
-            return np.stack([cholesky_lower(p).ravel() for p in pts]), 1.0
-        if metric == "power-euclidean":
-            return np.stack([spd_power(p, alpha).ravel() for p in pts]), 1.0 / alpha**2
-    return None
+    d2 = np.zeros((m, m))
+    for i in range(m - 1):
+        d2[i, i + 1 :] = fn(pts[i], pts[i + 1 :])
+    return d2 + d2.T
 
 
 def cross_squared_distances(
@@ -233,30 +197,14 @@ def cross_squared_distances(
     """Rectangular matrix of squared distances d^2(x_i, y_j)."""
     xs = _stack_points(xs)
     ys = _stack_points(ys)
-    if xs[0].shape != ys[0].shape:
-        raise DimMismatchError(f"point shapes differ: {xs[0].shape} vs {ys[0].shape}")
-    mapped_x = _mapped_features(manifold, metric, xs, alpha)
-    if mapped_x is not None:
-        fx, scale = mapped_x
-        fy, _ = _mapped_features(manifold, metric, ys, alpha)
-        sq_x = np.einsum("ij,ij->i", fx, fx)
-        sq_y = np.einsum("ij,ij->i", fy, fy)
-        d2 = sq_x[:, None] + sq_y[None, :] - 2.0 * (fx @ fy.T)
-        np.maximum(d2, 0.0, out=d2)
-        return d2 * scale
-    if manifold == "grassmann" and metric == "projection":
-        sx = np.stack(xs)
-        sy = np.stack(ys)
-        r = sx.shape[2]
-        cross = np.tensordot(sx, sy, axes=([1], [1]))  # (mx, r, my, r)
-        t = np.einsum("iajb->ij", cross**2)
-        return np.maximum(r - t, 0.0)
-    spec = KernelSpec(manifold=manifold, metric=metric, gamma=1.0, alpha=alpha)
-    d2 = np.empty((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            d2[i, j] = squared_distance(spec, x, y)
-    return d2
+    if xs.shape[1:] != ys.shape[1:]:
+        raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
+    kind, fn = _lookup(manifold, metric)
+    if kind == "embed":
+        fx, scale = fn(xs, alpha)
+        fy, _ = fn(ys, alpha)
+        return _feature_sq_distances(fx, fy) * scale
+    return np.stack([fn(x, ys) for x in xs])
 
 
 def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -300,12 +248,7 @@ def gram_matrix(spec: KernelSpec, points, audit: bool = False) -> GramMatrix:
     With ``audit`` the smallest eigenvalue is computed and recorded.
     """
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
-    k = np.exp(-spec.gamma * d2)
-    np.fill_diagonal(k, 1.0)
-    min_eigen = None
-    if audit:
-        min_eigen = float(np.linalg.eigvalsh(k)[0])
-    return GramMatrix(entries=k, spec=spec, min_eigen=min_eigen)
+    return gram_from_squared_distances(spec, d2, audit=audit)
 
 
 def gram_from_squared_distances(spec: KernelSpec, d2, audit: bool = False) -> GramMatrix:
@@ -322,13 +265,11 @@ def projection_linear_gram(points) -> np.ndarray:
     """Gamma-free baseline Gram on subspaces: K_ij = ||Y_i^T Y_j||_F^2.
 
     The linear kernel of the projector embedding Y -> Y Y^T; useful as the
-    linear baseline next to the projection Gaussian kernel.
+    linear baseline next to the projection Gaussian kernel. For orthonormal
+    bases it equals r - d^2 under the projection metric.
     """
     pts = _stack_points(points)
-    stack = np.stack(pts)
-    cross = np.tensordot(stack, stack, axes=([1], [1]))
-    k = np.einsum("iajb->ij", cross**2)
-    return (k + k.T) / 2.0
+    return pts.shape[-1] - squared_distance_matrix("grassmann", "projection", pts)
 
 
 def euclidean_linear_gram(points) -> np.ndarray:

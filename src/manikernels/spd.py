@@ -25,11 +25,13 @@ from .errors import (
     DimMismatchError,
     EmptySetError,
     NoConvergenceError,
+    NonSymmetricError,
     NotSpdError,
     NumericalError,
     UnsupportedMetricError,
 )
 from .matrixops import (
+    SYM_TOL,
     cholesky_lower,
     frob,
     require_symmetric,
@@ -87,20 +89,63 @@ def _check_metric(metric: str) -> None:
         raise UnsupportedMetricError(f"unknown SPD metric {metric!r}")
 
 
-def log_det_spd(s) -> float:
-    """log det(S) via Cholesky: 2 * sum(log diag(L))."""
-    length = cholesky_lower(s)
-    return 2.0 * float(np.sum(np.log(np.diag(length))))
+def _symmetric_operands(x, ys):
+    """``x`` and ``ys`` (one matrix or a stack of them), symmetrized under
+    the tolerance of :func:`~manikernels.matrixops.require_symmetric`."""
+    x = require_symmetric(x)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape[-2:] != x.shape:
+        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
+    yt = np.swapaxes(ys, -1, -2)
+    defect = np.linalg.norm(ys - yt, axis=(-2, -1)) / np.maximum(
+        1.0, np.linalg.norm(ys, axis=(-2, -1))
+    )
+    if np.max(defect) > 10 * SYM_TOL:
+        raise NonSymmetricError(f"asymmetry {np.max(defect):.3e} exceeds tolerance")
+    return x, (ys + yt) / 2.0
 
 
-def stein_divergence_sq(s1, s2) -> float:
-    """Squared root-Stein divergence, with roundoff-scale negatives clamped."""
-    val = log_det_spd((s1 + s2) / 2.0) - 0.5 * (log_det_spd(s1) + log_det_spd(s2))
-    if val < 0:
-        if val < -_STEIN_CLAMP:
-            raise NumericalError(f"Stein radicand {val:.3e} negative beyond roundoff")
-        val = 0.0
-    return val
+def log_det_spd(s):
+    """log det(S) via Cholesky, 2 * sum(log diag(L)), of one matrix or a stack.
+
+    Reads the lower triangle only: S is taken to be symmetric.
+    """
+    try:
+        length = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(f"Cholesky pivot failure: {exc}") from exc
+    return 2.0 * np.sum(np.log(np.diagonal(length, axis1=-2, axis2=-1)), axis=-1)
+
+
+def stein_divergence_sq(x, ys):
+    """Squared root-Stein divergence from ``x`` to one SPD matrix or each
+    of a stack, with roundoff-scale negatives clamped."""
+    x, ys = _symmetric_operands(x, ys)
+    log_det_x = log_det_spd(x)
+    log_det_ys = log_det_spd(ys)
+    val = log_det_spd((x + ys) / 2.0) - 0.5 * (log_det_x + log_det_ys)
+    if np.min(val) < -_STEIN_CLAMP:
+        raise NumericalError(f"Stein radicand {np.min(val):.3e} negative beyond roundoff")
+    return np.maximum(val, 0.0)
+
+
+def affine_invariant_sq(x, ys):
+    """Squared affine-invariant distance from ``x`` to one SPD matrix or
+    each of a stack.
+
+    With x = L L^T, this is the sum of log^2 of the eigenvalues of the
+    whitened L^{-1} Y L^{-T}, which are those of x^{-1} Y.
+    """
+    x, ys = _symmetric_operands(x, ys)
+    inv_length = np.linalg.inv(cholesky_lower(x))
+    whitened = inv_length @ ys @ inv_length.T
+    whitened = (whitened + np.swapaxes(whitened, -1, -2)) / 2.0
+    w = np.linalg.eigvalsh(whitened)
+    # the relative floor of matrixops.spd_floor, for each whitened matrix
+    floor = 1e-12 * np.maximum(1.0, np.trace(whitened, axis1=-2, axis2=-1) / x.shape[0])
+    if np.any(w[..., 0] <= floor):
+        raise NotSpdError(f"min eigenvalue {np.min(w[..., 0]):.3e} at or below SPD floor")
+    return np.sum(np.log(w) ** 2, axis=-1)
 
 
 def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA) -> float:
@@ -113,9 +158,7 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA) -> flo
     if metric == "log-euclidean":
         return frob(spd_log(s1) - spd_log(s2))
     if metric == "affine-invariant":
-        r = spd_inv_sqrt(s1)
-        whitened = require_symmetric(r @ s2 @ r)
-        return frob(spd_log(whitened))
+        return float(np.sqrt(affine_invariant_sq(s1, s2)))
     if metric == "cholesky":
         return frob(cholesky_lower(s1) - cholesky_lower(s2))
     if metric == "power-euclidean":

@@ -377,6 +377,45 @@ def test_reproducibility_byte_identical(tmp_path):
     assert rep1.read_bytes() == rep2.read_bytes()
 
 
+def test_gram_rejects_non_finite_vectors(tmp_path):
+    data = tmp_path / "vectors.json"
+    out = tmp_path / "g.csv"
+    save_dataset(data, "vectors", [np.zeros(2), np.array([np.inf, 1.0])])
+    assert run(["gram", "--input", str(data), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_gram_rejects_nan_spd_item_as_non_finite(tmp_path, capsys):
+    data = tmp_path / "spd.json"
+    save_dataset(data, "spd", [np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])])
+    assert run(["gram", "--input", str(data), "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "NaN or infinite" in err and "eigenvalue" not in err
+
+
+def test_svm_predict_rejects_other_training_set(tmp_path):
+    datasets = []
+    for seed in (0, 1):
+        path = tmp_path / f"blobs{seed}.json"
+        run_ok(
+            [
+                "synth", "--kind", "spd-blobs", "--clusters", "2", "--per-cluster", "40",
+                "--dim", "3", "--seed", str(seed), "--out", str(path),
+            ]
+        )
+        datasets.append(str(path))
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    run_ok(["svm-train", "--input", datasets[0], "--out", str(model)])
+    predict = ["svm-predict", "--model", str(model), "--test", datasets[0], "--out", str(preds)]
+    run_ok(predict + ["--train", datasets[0]])
+    assert run(predict + ["--train", datasets[1]]) == 2
+    payload = json.loads(model.read_text())
+    del payload["train_sha256"]
+    model.write_text(json.dumps(payload))
+    assert run(predict + ["--train", datasets[0]]) == 2
+
+
 def test_exit_codes(tmp_path):
     # usage errors
     assert run(["definiteness", "--manifold", "spd"]) == 1  # missing --metric

@@ -10,7 +10,7 @@ from manikernels.data import (
     synth_spd_blobs,
     synth_two_rings,
 )
-from manikernels.errors import BadParamError, DimMismatchError
+from manikernels.errors import BadParamError, DimMismatchError, NonFiniteError
 
 
 def test_dataset_round_trip(tmp_path):
@@ -33,6 +33,14 @@ def test_dataset_validation(tmp_path):
         save_dataset(tmp_path / "x.json", "spd", [np.eye(2), np.eye(3)])
     with pytest.raises(DimMismatchError):
         save_dataset(tmp_path / "x.json", "spd", [np.eye(2)], labels=[0, 1])
+
+
+def test_load_dataset_rejects_non_finite_items(tmp_path):
+    path = tmp_path / "ds.json"
+    for bad in (np.inf, -np.inf, np.nan):
+        save_dataset(path, "vectors", [np.zeros(3), np.array([1.0, bad, 0.0])])
+        with pytest.raises(NonFiniteError):
+            load_dataset(path)
 
 
 def test_matrix_csv_round_trip(tmp_path):

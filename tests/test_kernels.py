@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
-from manikernels.errors import BadParamError, NonSymmetricError, UnsupportedMetricError
-from manikernels.grassmann import grassmann_distance, make_grassmann
+from manikernels import spd
+from manikernels.errors import (
+    BadParamError,
+    DimMismatchError,
+    NonSymmetricError,
+    NotSpdError,
+    NumericalError,
+    UnsupportedMetricError,
+)
+from manikernels.grassmann import grassmann_distance, projection_dist_sq_fast
 from manikernels.kernels import (
+    METRICS,
+    PD_FOR_ALL_GAMMA,
     KernelSpec,
     cnd_check,
     cross_gram,
+    cross_squared_distances,
     definiteness_search,
-    gaussian_kernel_value,
     gram_from_csv,
     gram_from_json,
     gram_matrix,
@@ -30,6 +40,32 @@ def spd_spec(metric, gamma=1.0, alpha=0.5):
     return KernelSpec(manifold="spd", metric=metric, gamma=gamma, alpha=alpha)
 
 
+def scalar_sq_distance(manifold, metric, x, y, alpha=0.5):
+    """Oracle: d^2(x, y) of one pair from the scalar distance functions."""
+    if manifold == "spd":
+        return spd_distance(metric, x, y, alpha=alpha) ** 2
+    if manifold == "grassmann":
+        if metric == "projection":
+            return float(projection_dist_sq_fast(x, y))
+        return grassmann_distance(metric, x, y) ** 2
+    diff = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).ravel()
+    return float(diff @ diff)
+
+
+def gaussian_kernel_value(spec, x, y):
+    """Oracle: exp(-gamma * d^2(x, y)) of one pair."""
+    d2 = scalar_sq_distance(spec.manifold, spec.metric, x, y, alpha=spec.alpha)
+    return float(np.exp(-spec.gamma * d2))
+
+
+def sample_points(rng, manifold, m):
+    if manifold == "spd":
+        return [sample_spd(rng, 3) for _ in range(m)]
+    if manifold == "grassmann":
+        return [sample_grassmann(rng, 6, 2) for _ in range(m)]
+    return [rng.standard_normal(4) for _ in range(m)]
+
+
 # ---------------------------------------------------------------------------
 # spec validation and kernel values
 # ---------------------------------------------------------------------------
@@ -41,6 +77,15 @@ def test_spec_validation():
         KernelSpec(manifold="flat", metric="euclidean", gamma=1.0)
     with pytest.raises(UnsupportedMetricError):
         KernelSpec(manifold="spd", metric="projection", gamma=1.0)
+
+
+def test_spec_rejects_non_finite_parameters():
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(BadParamError):
+            KernelSpec(manifold="spd", metric="log-euclidean", gamma=gamma)
+    for alpha in (np.inf, -np.inf, np.nan):
+        with pytest.raises(BadParamError):
+            KernelSpec(manifold="spd", metric="power-euclidean", gamma=1.0, alpha=alpha)
 
 
 def test_kernel_value_is_one_at_zero_distance():
@@ -97,21 +142,69 @@ def test_gram_audit_log_euclidean_psd_across_gammas():
 
 
 def test_squared_distance_matrix_matches_pairwise():
+    # every registry entry: an exactly symmetric triangle with a zero
+    # diagonal, agreeing with the rectangle and the scalar distance
     rng = np.random.default_rng(4)
-    spd_points = [sample_spd(rng, 3) for _ in range(8)]
-    for metric in ("log-euclidean", "affine-invariant", "cholesky", "power-euclidean", "root-stein"):
-        d2 = squared_distance_matrix("spd", metric, spd_points)
+    assert len(METRICS) == 11
+    for manifold, metric in METRICS:
+        points = sample_points(rng, manifold, 8)
+        d2 = squared_distance_matrix(manifold, metric, points)
+        rect = cross_squared_distances(manifold, metric, points, points)
+        np.testing.assert_array_equal(d2, d2.T)
+        np.testing.assert_array_equal(np.diag(d2), np.zeros(8))
         for i in range(8):
             for j in range(8):
-                expect = spd_distance(metric, spd_points[i], spd_points[j]) ** 2
-                assert abs(d2[i, j] - expect) <= 1e-9 * max(1.0, expect)
-    gr_points = [sample_grassmann(rng, 6, 2) for _ in range(8)]
-    for metric in ("projection", "arc-length", "chordal-fnorm"):
-        d2 = squared_distance_matrix("grassmann", metric, gr_points)
-        for i in range(8):
-            for j in range(i + 1, 8):
-                expect = grassmann_distance(metric, gr_points[i], gr_points[j]) ** 2
-                assert abs(d2[i, j] - expect) <= 1e-9 * max(1.0, expect)
+                if i == j:
+                    continue
+                expect = scalar_sq_distance(manifold, metric, points[i], points[j])
+                assert expect > 0
+                assert abs(d2[i, j] - expect) <= 1e-12 * expect, (metric, i, j)
+                assert abs(rect[i, j] - expect) <= 1e-12 * expect, (metric, i, j)
+
+
+def assert_both_drivers_raise(error, manifold, metric, good, bad):
+    # bad as the point of a row, and among the stacked points
+    for points in ([bad] + good, good + [bad]):
+        with pytest.raises(error):
+            squared_distance_matrix(manifold, metric, points)
+    for xs, ys in (([bad], good), (good, [bad])):
+        with pytest.raises(error):
+            cross_squared_distances(manifold, metric, xs, ys)
+
+
+def test_registry_checks_fire_through_both_drivers(monkeypatch):
+    rng = np.random.default_rng(12)
+    good = [sample_spd(rng, 3) for _ in range(3)]
+    nonsym = good[0] + np.triu(np.ones((3, 3)), 1)
+    indefinite = np.diag([1.0, -1.0, 1.0])
+    for metric in ("log-euclidean", "affine-invariant", "root-stein"):
+        assert_both_drivers_raise(NonSymmetricError, "spd", metric, good, nonsym)
+        # a Cholesky failure, or an eigenvalue at or below the floor
+        assert_both_drivers_raise(NotSpdError, "spd", metric, good, indefinite)
+    # a positive eigenvalue under the floor passes Cholesky; the floor on
+    # the whitened eigenvalues catches it
+    near_singular = np.diag([1.0, 1.0, 1e-14])
+    assert_both_drivers_raise(NotSpdError, "spd", "affine-invariant", good, near_singular)
+
+    bases = [sample_grassmann(rng, 6, 2) for _ in range(3)]
+    for metric in ("arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm"):
+        assert_both_drivers_raise(NumericalError, "grassmann", metric, bases, 2.0 * bases[0])
+
+    for manifold, metric in METRICS:
+        points = sample_points(rng, manifold, 3)
+        longer = np.concatenate([points[0], points[0][:1]])
+        with pytest.raises(DimMismatchError):
+            squared_distance_matrix(manifold, metric, points + [longer])
+        with pytest.raises(DimMismatchError):
+            cross_squared_distances(manifold, metric, points, [longer])
+
+    # log det plus a strictly convex term is no longer midpoint concave, so
+    # the radicand goes negative
+    real_log_det = spd.log_det_spd
+    monkeypatch.setattr(
+        spd, "log_det_spd", lambda s: real_log_det(s) + np.sum(np.asarray(s) ** 2, axis=(-2, -1))
+    )
+    assert_both_drivers_raise(NumericalError, "spd", "root-stein", good[:2], good[2])
 
 
 def test_cross_gram_matches_scalar_kernel():
@@ -227,15 +320,9 @@ def test_definiteness_search_bad_grid():
 def test_schoenberg_equivalence_on_yes_metrics():
     # CND of squared distances <=> PSD of the Gaussian Gram for every gamma
     rng = np.random.default_rng(8)
-    cases = [
-        ("spd", "log-euclidean", lambda: [sample_spd(rng, 3) for _ in range(12)]),
-        ("spd", "cholesky", lambda: [sample_spd(rng, 3) for _ in range(12)]),
-        ("spd", "power-euclidean", lambda: [sample_spd(rng, 3) for _ in range(12)]),
-        ("grassmann", "projection", lambda: [sample_grassmann(rng, 5, 2) for _ in range(12)]),
-    ]
-    for manifold, metric, sampler in cases:
+    for manifold, metric in sorted(PD_FOR_ALL_GAMMA):
         for _ in range(5):
-            points = sampler()
+            points = sample_points(rng, manifold, 12)
             m = len(points)
             d2 = squared_distance_matrix(manifold, metric, points)
             cnd_ok, _ = cnd_check(d2, 1e-8 * m)
