@@ -148,23 +148,18 @@ def _dataset_points(path, validate: bool = True):
     return ds["items"], ds["labels"], manifold
 
 
-def _metric_for(args, manifold: str) -> str:
-    if manifold == "euclidean":
-        return "euclidean"
-    if args.metric is None:
-        return {"spd": "log-euclidean", "grassmann": "projection"}[manifold]
-    return args.metric
-
-
 def _spec_for(args, manifold: str) -> KernelSpec:
+    """Kernel spec from the kernel flags; ``--manifold``, where the
+    subcommand has it, overrides the manifold of the dataset kind."""
     if getattr(args, "manifold", None):
         manifold = args.manifold
-    return KernelSpec(
-        manifold=manifold,
-        metric=_metric_for(args, manifold),
-        gamma=args.gamma,
-        alpha=args.alpha,
-    )
+    if manifold == "euclidean":
+        metric = "euclidean"
+    elif args.metric is None:
+        metric = {"spd": "log-euclidean", "grassmann": "projection"}[manifold]
+    else:
+        metric = args.metric
+    return KernelSpec(manifold=manifold, metric=metric, gamma=args.gamma, alpha=args.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +200,11 @@ def _cmd_cluster(args) -> int:
     points, _, manifold = _dataset_points(args.input)
     spec = _spec_for(args, manifold)
     gram = gram_matrix(spec, points)
-    result = kernel_kmeans(
-        gram, args.k, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
-    )
+    result = kernel_kmeans(gram, args.k, restarts=args.restarts, seed=args.seed)
     header = _provenance_lines(_provenance("cluster", args))
     header.append(f"energy={result.energy!r}")
     header.append(f"restarts_used={result.restarts_used}")
+    header.append(f"n_moves={result.n_moves}")
     header.append("columns=index,label")
     rows = np.column_stack([np.arange(len(points)), result.labels]).astype(float)
     save_matrix_csv(args.out, rows, header_lines=header)
@@ -333,12 +327,7 @@ def _cmd_svm_train(args) -> int:
     points, labels, manifold = _dataset_points(args.input)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
-    spec = KernelSpec(
-        manifold=manifold,
-        metric=_metric_for(args, manifold),
-        gamma=args.gamma,
-        alpha=args.alpha,
-    )
+    spec = _spec_for(args, manifold)
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
     c_val = args.C
     if args.cv:
@@ -421,16 +410,9 @@ def _cmd_mkl_train(args) -> int:
     manifold_spec = None
     if gammas and len(args.inputs) == 1:
         points, labels, manifold = _dataset_points(args.inputs[0])
-        specs = [
-            KernelSpec(
-                manifold=manifold,
-                metric=_metric_for(args, manifold),
-                gamma=g,
-                alpha=args.alpha,
-            )
-            for g in gammas
-        ]
-        d2 = squared_distance_matrix(manifold, _metric_for(args, manifold), points, alpha=args.alpha)
+        spec = _spec_for(args, manifold)
+        specs = [replace(spec, gamma=g) for g in gammas]
+        d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
         grams = [gram_from_squared_distances(s, d2) for s in specs]
         manifold_spec = [s.to_dict() for s in specs]
     else:
@@ -439,12 +421,7 @@ def _cmd_mkl_train(args) -> int:
             points, lab, manifold = _dataset_points(path)
             if labels is None:
                 labels = lab
-            spec = KernelSpec(
-                manifold=manifold,
-                metric=_metric_for(args, manifold),
-                gamma=args.gamma,
-                alpha=args.alpha,
-            )
+            spec = _spec_for(args, manifold)
             grams.append(gram_matrix(spec, points))
             manifold_spec.append(spec.to_dict())
     if labels is None:
@@ -599,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cluster)

@@ -20,7 +20,8 @@ from .errors import (
     TooFewPixelsError,
     TooSmallError,
 )
-from .spd import dispersion_stat, karcher_mean_log_euclidean, make_spd
+from .matrixops import spd_log
+from .spd import make_spd
 
 DERIV_EPS = 1e-8
 
@@ -242,9 +243,10 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
     n_candidates = len(candidates)
     scores = np.empty(n_candidates)
     for j in range(n_candidates):
-        descs = [np.asarray(descriptors[i][j], dtype=float) for i in pos_idx]
-        mean = karcher_mean_log_euclidean(descs)
-        scores[j] = dispersion_stat("log-euclidean", descs, 1.0, mean)
+        # log of the log-Euclidean mean exp(mean L) is mean L, so one log
+        # per descriptor gives the distances to the mean
+        logs = np.stack([spd_log(np.asarray(descriptors[i][j], dtype=float)) for i in pos_idx])
+        scores[j] = np.mean(np.linalg.norm(logs - logs.mean(axis=0), axis=(1, 2)))
     order = np.argsort(scores, kind="stable")
     selected = []
     for j in order:

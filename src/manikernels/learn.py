@@ -34,6 +34,11 @@ KKT_TOL = 1e-3
 #: Default number of k-means restarts.
 DEFAULT_RESTARTS = 20
 
+#: Safety bound on k-means moves per restart, per point. The descent
+#: strictly lowers the energy over finitely many partitions, so it ends
+#: on its own; this only turns a defect into an error.
+MAX_MOVES_PER_POINT = 100
+
 #: Eigenvalue audit slack per matrix row for PSD preconditions.
 PSD_TOL_FACTOR = 1e-8
 
@@ -61,45 +66,8 @@ class ClusterResult:
     labels: np.ndarray  # (m,) ints in [0, k)
     energy: float  # sum of squared RKHS distances to assigned centroids
     restarts_used: int
-    energy_trace: list = field(default_factory=list)  # per-iteration, winning run
-
-
-def _centroid_sq_dists(k: np.ndarray, labels: np.ndarray, n_clusters: int):
-    """dist2[i, c] = ||phi(x_i) - mu_c||^2 for the centroids implied by labels.
-
-    Empty clusters get +inf columns; caller repairs them.
-    """
-    m = k.shape[0]
-    z = np.zeros((m, n_clusters))
-    z[np.arange(m), labels] = 1.0
-    counts = z.sum(axis=0)
-    sums = k @ z  # sums[i, c] = sum_{j in c} K_ij
-    within = np.einsum("ic,ic->c", z, sums)  # sum_{p,q in c} K_pq
-    dist2 = np.full((m, n_clusters), np.inf)
-    nonempty = counts > 0
-    dist2[:, nonempty] = (
-        np.diag(k)[:, None]
-        - 2.0 * sums[:, nonempty] / counts[nonempty]
-        + within[nonempty] / counts[nonempty] ** 2
-    )
-    np.maximum(dist2, 0.0, out=dist2)
-    return dist2, counts
-
-
-def _repair_empty(k, labels, n_clusters):
-    """Reseed each empty cluster with the point farthest from its centroid."""
-    labels = labels.copy()
-    while True:
-        dist2, counts = _centroid_sq_dists(k, labels, n_clusters)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            return labels, dist2
-        cur = dist2[np.arange(len(labels)), labels]
-        # only points whose cluster keeps >= 1 member stay eligible
-        movable = counts[labels] >= 2
-        cur = np.where(movable, cur, -np.inf)
-        farthest = int(np.argmax(cur))
-        labels[farthest] = empty[0]
+    n_moves: int  # single-point moves made by the winning restart
+    energy_trace: list = field(default_factory=list)  # before each move and at the end, winning run
 
 
 def _kmeanspp_init(k: np.ndarray, n_clusters: int, rng: np.random.Generator):
@@ -122,89 +90,97 @@ def _kmeanspp_init(k: np.ndarray, n_clusters: int, rng: np.random.Generator):
     return np.argmin(center_d2, axis=1)
 
 
-def _lloyd_converge(k, labels, n_clusters, max_iter, trace):
-    m = k.shape[0]
-    for _ in range(max_iter):
-        labels, dist2 = _repair_empty(k, labels, n_clusters)
-        trace.append(float(dist2[np.arange(m), labels].sum()))
-        new_labels = np.argmin(dist2, axis=1)
-        # points move only on strict improvement; ties keep the current
-        # cluster so duplicate points cannot oscillate
-        stay = dist2[np.arange(m), labels] <= dist2[np.arange(m), new_labels]
-        new_labels = np.where(stay, labels, new_labels)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels
+def _cluster_sums(k: np.ndarray, labels: np.ndarray, n_clusters: int):
+    """(counts, sums, within): sums[c, i] = sum_{j in c} K_ij and
+    within[c] = sum_{p,q in c} K_pq, for a symmetric K."""
+    z = np.zeros((n_clusters, k.shape[0]))
+    z[labels, np.arange(k.shape[0])] = 1.0
+    sums = z @ k
+    return z.sum(axis=1), sums, np.einsum("ci,ci->c", z, sums)
 
 
-def _best_single_move(k, labels, n_clusters):
-    """Most energy-reducing single-point reassignment, or None.
+def _local_search(k: np.ndarray, labels: np.ndarray, n_clusters: int):
+    """Best single-point moves until none lowers the energy.
 
-    Moving x from cluster a (size na) to c (size nc) changes the objective
-    by nc/(nc+1) * d2(x, mu_c) - na/(na-1) * d2(x, mu_a); clusters are
-    never emptied.
+    Moving x from cluster a (size na) to c (size nc) changes the energy
+    by nc/(nc+1) * d2(x, mu_c) - na/(na-1) * d2(x, mu_a) (Dhillon, Guan
+    & Kogan, ICDM 2002). A point Lloyd would move also passes this test,
+    so the fixed point is a Lloyd fixed point too. Each move updates the
+    cluster sums as a rank-1 change of two rows, O(mk). Empty initial
+    clusters are first reseeded with the point farthest from its own
+    centroid; moves never empty a cluster. Ties go to the lowest point,
+    then the lowest cluster. Returns (labels, energy, n_moves, trace)
+    with the energy recomputed from the final labels.
     """
     m = k.shape[0]
-    dist2, counts = _centroid_sq_dists(k, labels, n_clusters)
-    own = counts[labels].astype(float)
-    remove_gain = np.where(own > 1, own / np.maximum(own - 1, 1) * dist2[np.arange(m), labels], -np.inf)
-    # a move into an empty cluster creates a zero-energy singleton
-    add_cost = np.zeros_like(dist2)
-    nonempty = counts > 0
-    add_cost[:, nonempty] = counts[nonempty] / (counts[nonempty] + 1.0) * dist2[:, nonempty]
-    delta = add_cost - remove_gain[:, None]
-    delta[np.arange(m), labels] = np.inf
-    flat = int(np.argmin(delta))
-    i, c = divmod(flat, n_clusters)
-    if delta[i, c] < -1e-12:
-        return i, c
-    return None
+    rows = np.arange(m)
+    diag = np.diag(k)
+    diag_sum = float(diag.sum())
+    labels = labels.copy()
+    counts, sums, within = _cluster_sums(k, labels, n_clusters)
+    own = labels * m + rows  # flat index of (labels[i], i) in a (k, m) array
 
+    def move(i, c):
+        a = labels[i]
+        within[a] -= 2.0 * sums[a, i] - diag[i]
+        within[c] += 2.0 * sums[c, i] + diag[i]
+        sums[a] -= k[i]
+        sums[c] += k[i]
+        counts[a] -= 1.0
+        counts[c] += 1.0
+        labels[i] = c
+        own[i] = c * m + i
 
-def _lloyd_run(
-    k: np.ndarray,
-    n_clusters: int,
-    rng: np.random.Generator,
-    max_iter: int,
-    random_partition: bool = False,
-):
-    m = k.shape[0]
-    if random_partition:
-        labels = rng.integers(n_clusters, size=m)
-    else:
-        labels = _kmeanspp_init(k, n_clusters, rng)
+    for c in np.flatnonzero(counts == 0):
+        size = counts[labels]
+        own_d2 = np.maximum(diag - 2.0 * sums.take(own) / size + within[labels] / size**2, 0.0)
+        # only points whose cluster keeps >= 1 member are eligible
+        move(int(np.argmax(np.where(size >= 2, own_d2, -np.inf))), c)
+
+    limit = MAX_MOVES_PER_POINT * m
+    n_moves = 0
     trace = []
-    for _ in range(max_iter):
-        labels = _lloyd_converge(k, labels, n_clusters, max_iter, trace)
-        # single-point polish: batch Lloyd alone stalls in shallow local
-        # minima on small instances
-        move = _best_single_move(k, labels, n_clusters)
-        if move is None:
+    while True:
+        inv = 1.0 / counts
+        trace.append(diag_sum - float(within @ inv))
+        d2 = sums * (-2.0 * inv)[:, None]
+        d2 += (within * inv**2)[:, None]
+        d2 += diag
+        np.maximum(d2, 0.0, out=d2)
+        # a singleton leaves at no gain, so its moves never lower the energy
+        leave = np.where(counts > 1.0, counts / np.maximum(counts - 1.0, 1.0), 0.0)
+        delta = d2 * (counts / (counts + 1.0))[:, None]
+        delta -= leave[labels] * d2.take(own)
+        delta.put(own, np.inf)
+        best = delta.min(axis=0)
+        i = int(np.argmin(best))
+        if best[i] >= -1e-12:
             break
-        labels = labels.copy()
-        labels[move[0]] = move[1]
-    labels, dist2 = _repair_empty(k, labels, n_clusters)
-    energy = float(dist2[np.arange(m), labels].sum())
-    if not trace or energy < trace[-1]:
-        trace.append(energy)
-    return labels, energy, trace
+        if n_moves == limit:
+            raise NoConvergenceError(f"k-means local search still improving after {limit} moves")
+        move(i, int(np.argmin(delta[:, i])))
+        n_moves += 1
+    counts, _, within = _cluster_sums(k, labels, n_clusters)
+    energy = diag_sum - float(within @ (1.0 / counts))
+    return labels, energy, n_moves, trace
 
 
 def kernel_kmeans(
     k,
     n_clusters: int,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = 100,
     seed: int = 0,
 ) -> ClusterResult:
-    """Lloyd iterations in the RKHS defined by the kernel matrix.
+    """Kernel k-means by single-point descent in the RKHS.
 
     ||phi(x) - mu_c||^2 expands to K_xx - (2/|c|) sum_{j in c} K_xj
     + (1/|c|^2) sum_{p,q in c} K_pq, so only kernel entries are needed.
-    Runs ``restarts`` seeded initializations and keeps the lowest-energy
-    run; empty clusters are reseeded with the point farthest from its
-    current centroid.
+    Each restart seeds a partition (k-means++ and random partitions
+    alternate), reseeds empty clusters with far points, then takes the
+    best single-point move until no move lowers the energy, which makes
+    the result a local minimum under single moves and Lloyd steps alike.
+    The lowest-energy restart wins. A restart still improving after
+    ``MAX_MOVES_PER_POINT * m`` moves raises NoConvergenceError.
     """
     k = as_kernel_array(k)
     m = k.shape[0]
@@ -217,18 +193,20 @@ def kernel_kmeans(
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
         # alternate seeding styles for initialization diversity
-        labels, energy, trace = _lloyd_run(
-            k, n_clusters, rng, max_iter, random_partition=bool(r % 2)
-        )
-        if best is None or energy < best[1]:
-            best = (labels, energy, trace)
-    labels, energy, trace = best
-    return ClusterResult(
-        labels=labels.astype(int),
-        energy=energy,
-        restarts_used=restarts,
-        energy_trace=trace,
-    )
+        if r % 2:
+            labels = rng.integers(n_clusters, size=m)
+        else:
+            labels = _kmeanspp_init(k, n_clusters, rng)
+        labels, energy, n_moves, trace = _local_search(k, labels, n_clusters)
+        if best is None or energy < best.energy:
+            best = ClusterResult(
+                labels=labels.astype(int),
+                energy=energy,
+                restarts_used=restarts,
+                n_moves=n_moves,
+                energy_trace=trace,
+            )
+    return best
 
 
 # ---------------------------------------------------------------------------

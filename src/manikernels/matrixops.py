@@ -175,9 +175,4 @@ def thin_svd(a) -> ThinSvd:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    if s.size and s[-1] < 0:
-        # LAPACK never returns negative singular values; guard stays for the
-        # clamping contract.
-        warnings.warn("negative singular value clamped to 0", ClampWarning)
-        s = np.maximum(s, 0.0)
     return ThinSvd(u=u, s=s, v=vh.T.copy())

@@ -50,6 +50,8 @@ def test_synth_and_cluster_recover_ground_truth(tmp_path):
     found = rows[:, 1].astype(int)
     agreement = max(np.mean(found == truth), np.mean(found == 1 - truth))
     assert agreement == 1.0
+    moves = [line for line in labels_csv.read_text().splitlines() if line.startswith("# n_moves=")]
+    assert len(moves) == 1 and int(moves[0].split("=")[1]) >= 0
 
 
 def test_gram_single_point_csv(tmp_path):
@@ -163,6 +165,18 @@ def test_svm_train_predict_round_trip(tmp_path):
     truth = load_dataset(test)["labels"]
     pred = rows[:, 2].astype(int)
     np.testing.assert_array_equal(pred, truth)
+
+
+def test_svm_train_honours_manifold_override(tmp_path):
+    data = tmp_path / "blobs.json"
+    model = tmp_path / "model.json"
+    preds = tmp_path / "preds.csv"
+    make_blobs_file(data)
+    run_ok(["svm-train", "--input", str(data), "--manifold", "euclidean", "--out", str(model)])
+    spec = json.loads(model.read_text())["spec"]
+    assert (spec["manifold"], spec["metric"]) == ("euclidean", "euclidean")
+    run_ok(["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
+            "--out", str(preds)])
 
 
 def test_svm_train_multiclass_and_cv(tmp_path):

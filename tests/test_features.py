@@ -24,6 +24,7 @@ from manikernels.features import (
     texture_feature_maps,
     write_pgm,
 )
+from manikernels.spd import dispersion_stat, karcher_mean_log_euclidean
 
 
 def random_stack(rng, c=3, h=12, w=15):
@@ -208,6 +209,19 @@ def test_zero_dispersion_candidate_selected_first():
     out = select_subwindows(cands, descs, [True] * 5, count=2, max_overlap=0.75)
     assert out[0].rect == (10, 10, 4, 4)
     assert out[0].score == pytest.approx(0.0, abs=1e-9)
+
+
+def test_selection_scores_are_log_euclidean_dispersion():
+    rng = np.random.default_rng(13)
+    cands = [SubwindowSpec(rect=(0, 0, 4, 4)), SubwindowSpec(rect=(10, 10, 4, 4))]
+    descs = [[_descriptor(rng), _descriptor(rng, scale=3.0)] for _ in range(6)]
+    out = select_subwindows(cands, descs, [True] * 6, count=2, max_overlap=0.75)
+    assert len(out) == 2
+    for spec in out:
+        j = [c.rect for c in cands].index(spec.rect)
+        column = [descs[i][j] for i in range(6)]
+        want = dispersion_stat("log-euclidean", column, 1.0, karcher_mean_log_euclidean(column))
+        assert spec.score == pytest.approx(want, rel=1e-12)
 
 
 def test_selected_set_obeys_overlap_cap():

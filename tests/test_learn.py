@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from manikernels.data import synth_two_rings
-from manikernels.errors import BadParamError, NotPsdError, SingularScatterError
+from manikernels import learn
+from manikernels.errors import BadParamError, NoConvergenceError, NotPsdError, SingularScatterError
 from manikernels.kernels import (
     KernelSpec,
     cross_gram,
@@ -110,6 +111,50 @@ def test_kmeans_energy_trace_non_increasing():
     trace = np.array(result.energy_trace)
     assert np.all(np.diff(trace) <= 1e-10)
     assert result.restarts_used == 5
+
+
+def best_single_move_delta(k, labels, n_clusters):
+    """(smallest energy change over every single-point move that leaves
+    no cluster empty, energy of the partition), from a fresh K @ Z."""
+    m = k.shape[0]
+    z = np.zeros((m, n_clusters))
+    z[np.arange(m), labels] = 1.0
+    sizes = z.sum(axis=0)
+    sums = k @ z
+    within = np.einsum("ic,ic->c", z, sums)
+    dist2 = np.diag(k)[:, None] - 2.0 * sums / sizes + within / sizes**2
+    best = np.inf
+    for i in range(m):
+        a = labels[i]
+        if sizes[a] < 2:
+            continue
+        leave = sizes[a] / (sizes[a] - 1.0) * dist2[i, a]
+        for c in range(n_clusters):
+            if c != a:
+                best = min(best, sizes[c] / (sizes[c] + 1.0) * dist2[i, c] - leave)
+    energy = float(np.trace(k) - np.sum(within / sizes))
+    return best, energy
+
+
+def _spd_cloud_gram():
+    rng = np.random.default_rng([0, 200])
+    points = [spd_exp(0.5 * _sym(rng, 8)) for _ in range(200)]
+    return gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.1), points)
+
+
+def test_kmeans_stops_at_single_move_local_minimum():
+    gram = _spd_cloud_gram()
+    result = kernel_kmeans(gram, 3, restarts=2, seed=0)
+    delta, energy = best_single_move_delta(gram.entries, result.labels, 3)
+    assert result.energy == pytest.approx(energy, rel=1e-12)
+    assert delta >= -1e-9 * result.energy
+    assert result.n_moves > 0
+
+
+def test_kmeans_move_bound_raises(monkeypatch):
+    monkeypatch.setattr(learn, "MAX_MOVES_PER_POINT", 0)
+    with pytest.raises(NoConvergenceError):
+        kernel_kmeans(_spd_cloud_gram(), 3, restarts=2, seed=0)
 
 
 def test_kmeans_param_errors():
