@@ -136,18 +136,6 @@ def _gamma_list(text: str) -> list[float]:
     return vals
 
 
-def _dataset_points(path, validate: bool = True):
-    """Dataset items, labels and the manifold implied by the dataset kind."""
-    ds = load_dataset(path)
-    manifold = {"spd": "spd", "grassmann": "grassmann", "vectors": "euclidean"}[ds["kind"]]
-    if validate:
-        if ds["kind"] == "spd":
-            ds["items"] = [make_spd(x) for x in ds["items"]]
-        elif ds["kind"] == "grassmann":
-            ds["items"] = [make_grassmann(x) for x in ds["items"]]
-    return ds["items"], ds["labels"], manifold
-
-
 def _spec_for(args, manifold: str) -> KernelSpec:
     """Kernel spec from the kernel flags; ``--manifold``, where the
     subcommand has it, overrides the manifold of the dataset kind."""
@@ -160,6 +148,23 @@ def _spec_for(args, manifold: str) -> KernelSpec:
     else:
         metric = args.metric
     return KernelSpec(manifold=manifold, metric=metric, gamma=args.gamma, alpha=args.alpha)
+
+
+_KIND_MANIFOLDS = {"spd": "spd", "grassmann": "grassmann", "vectors": "euclidean"}
+
+
+def _on_manifold(items, manifold: str):
+    """Items checked (and normalized) as points of ``manifold``."""
+    make = {"spd": make_spd, "grassmann": make_grassmann}.get(manifold)
+    return [make(x) for x in items] if make else items
+
+
+def _dataset_points(path, args):
+    """Dataset items checked against the manifold of the kernel spec, the
+    labels, and that spec (see :func:`_spec_for`)."""
+    ds = load_dataset(path)
+    spec = _spec_for(args, _KIND_MANIFOLDS[ds["kind"]])
+    return _on_manifold(ds["items"], spec.manifold), ds["labels"], spec
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +190,7 @@ def _cmd_definiteness(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    points, _, manifold = _dataset_points(args.input)
-    spec = _spec_for(args, manifold)
+    points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points, audit=args.audit)
     prov = _provenance("gram", args)
     if args.out.endswith(".json"):
@@ -197,8 +201,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    points, _, manifold = _dataset_points(args.input)
-    spec = _spec_for(args, manifold)
+    points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points)
     result = kernel_kmeans(gram, args.k, restarts=args.restarts, seed=args.seed)
     header = _provenance_lines(_provenance("cluster", args))
@@ -212,8 +215,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_kpca(args) -> int:
-    points, _, manifold = _dataset_points(args.input)
-    spec = _spec_for(args, manifold)
+    points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points)
     emb = kernel_pca(gram, args.l)
     header = _provenance_lines(_provenance("kpca", args))
@@ -223,10 +225,9 @@ def _cmd_kpca(args) -> int:
 
 
 def _cmd_kfda(args) -> int:
-    points, labels, manifold = _dataset_points(args.input)
+    points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("kfda needs a dataset with labels")
-    spec = _spec_for(args, manifold)
     gram = gram_matrix(spec, points)
     emb = kernel_fda(gram, labels, ridge=args.ridge, dims=args.dims)
     header = _provenance_lines(_provenance("kfda", args))
@@ -251,6 +252,7 @@ def _svm_model_payload(model: SvmModel) -> dict:
         "support_indices": model.support_indices.tolist(),
         "C": model.C,
         "kkt_violation": model.kkt_violation,
+        "n_iter": model.n_iter,
     }
 
 
@@ -263,6 +265,7 @@ def _svm_model_from_payload(raw: dict, spec: KernelSpec) -> SvmModel:
         C=float(raw["C"]),
         spec=spec,
         kkt_violation=float(raw.get("kkt_violation", 0.0)),
+        n_iter=int(raw.get("n_iter", 0)),
     )
 
 
@@ -283,56 +286,58 @@ def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
 
 def _cv_select(d2, labels, spec, args):
     """Seeded grid search over gamma and C on one squared-distance matrix;
-    returns (spec, C)."""
+    returns (spec, C). Each fold's training Gram is audited once and
+    serves every C; ties go to the earlier gamma, then the earlier C."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _gamma_list(args.gamma_grid) if args.gamma_grid else [spec.gamma]
     cs = [float(t) for t in args.c_grid.split(",")] if args.c_grid else [args.C]
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
     folds = _cv_folds(len(labels), args.cv, args.seed)
     best = None
     for gamma in gammas:
         candidate = replace(spec, gamma=gamma)
         full = gram_from_squared_distances(candidate, d2).entries
-        for c_val in cs:
-            correct = 0
-            total = 0
-            for f in range(args.cv):
-                test = folds == f
-                train = ~test
-                if len(np.unique(np.asarray(labels)[train])) < 2:
-                    continue
-                sub = full[np.ix_(train, train)]
-                cols = full[np.ix_(train, test)]
-                y_train = np.asarray(labels)[train]
-                y_test = np.asarray(labels)[test]
-                if len(np.unique(labels)) == 2:
+        correct = [0] * len(cs)
+        total = 0
+        for f in range(args.cv):
+            test = folds == f
+            train = ~test
+            if len(np.unique(labels[train])) < 2:
+                continue
+            sub = gram_from_squared_distances(candidate, d2[np.ix_(train, train)], audit=True)
+            cols = full[np.ix_(train, test)]
+            y_train = labels[train]
+            y_test = labels[test]
+            for c_index, c_val in enumerate(cs):
+                if len(uniq) == 2:
                     y_bin = _binary_labels(y_train)
                     model = svm_train(sub, y_bin, c_val, kkt_tol=args.kkt_tol)
                     pred_sign = np.where(svm_decision(model, cols) >= 0, 1, -1)
-                    uniq = np.unique(labels)
                     mapping = {1: uniq[1], -1: uniq[0]} if not set(uniq.tolist()) <= {-1, 1} else None
                     pred = np.array([mapping[p] for p in pred_sign]) if mapping else pred_sign
                 else:
                     model = multiclass_svm_train(sub, y_train, c_val, mode=args.mode, kkt_tol=args.kkt_tol)
                     pred = multiclass_svm_predict(model, cols)
-                correct += int(np.sum(pred == y_test))
-                total += int(test.sum())
-            score = correct / total if total else 0.0
+                correct[c_index] += int(np.sum(pred == y_test))
+            total += int(test.sum())
+        for c_index, c_val in enumerate(cs):
+            score = correct[c_index] / total if total else 0.0
             if best is None or score > best[0]:
                 best = (score, candidate, c_val)
     return best[1], best[2]
 
 
 def _cmd_svm_train(args) -> int:
-    points, labels, manifold = _dataset_points(args.input)
+    points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
-    spec = _spec_for(args, manifold)
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
     c_val = args.C
     if args.cv:
         spec, c_val = _cv_select(d2, labels, spec, args)
-    gram = gram_from_squared_distances(spec, d2)
+    gram = gram_from_squared_distances(spec, d2, audit=True)
     classes = np.unique(labels)
     payload = {
         "spec": spec.to_dict(),
@@ -376,12 +381,14 @@ def _cmd_svm_predict(args) -> int:
     with open(args.model) as fh:
         payload = json.load(fh)
     spec, model, classes = _model_from_payload(payload)
-    train_points, _, train_manifold = _dataset_points(args.train)
+    train = load_dataset(args.train)
+    train_points = _on_manifold(train["items"], spec.manifold)
     if payload.get("train_sha256") != _items_digest(train_points):
         raise TrainMismatchError(f"{args.train} is not the dataset the model was trained on")
-    test_points, _, test_manifold = _dataset_points(args.test)
-    if train_manifold != test_manifold:
+    test = load_dataset(args.test)
+    if train["kind"] != test["kind"]:
         raise DimMismatchError("train/test dataset kinds differ")
+    test_points = _on_manifold(test["items"], spec.manifold)
     cols = cross_gram(spec, train_points, test_points)
     header = _provenance_lines(_provenance("svm-predict", args))
     if isinstance(model, SvmModel):
@@ -409,20 +416,18 @@ def _cmd_mkl_train(args) -> int:
     labels = None
     manifold_spec = None
     if gammas and len(args.inputs) == 1:
-        points, labels, manifold = _dataset_points(args.inputs[0])
-        spec = _spec_for(args, manifold)
+        points, labels, spec = _dataset_points(args.inputs[0], args)
         specs = [replace(spec, gamma=g) for g in gammas]
         d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
-        grams = [gram_from_squared_distances(s, d2) for s in specs]
+        grams = [gram_from_squared_distances(s, d2, audit=True) for s in specs]
         manifold_spec = [s.to_dict() for s in specs]
     else:
         manifold_spec = []
         for path in args.inputs:
-            points, lab, manifold = _dataset_points(path)
+            points, lab, spec = _dataset_points(path, args)
             if labels is None:
                 labels = lab
-            spec = _spec_for(args, manifold)
-            grams.append(gram_matrix(spec, points))
+            grams.append(gram_matrix(spec, points, audit=True))
             manifold_spec.append(spec.to_dict())
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")

@@ -226,10 +226,15 @@ def median_heuristic_gamma(d2) -> float:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Kernel matrix over a point set, with an optional eigenvalue audit."""
+    """Kernel matrix over a point set, with an optional eigenvalue audit.
+
+    ``min_eigen`` is the smallest eigenvalue when audited. A matrix no
+    single spec builds (a kernel combination) has ``spec`` None, and its
+    ``min_eigen`` may be a lower bound on the smallest eigenvalue.
+    """
 
     entries: np.ndarray
-    spec: KernelSpec
+    spec: KernelSpec | None = None
     min_eigen: float | None = None
 
     @property

@@ -50,11 +50,19 @@ def as_kernel_array(k) -> np.ndarray:
     return require_symmetric(np.asarray(k, dtype=float))
 
 
-def _require_psd(k: np.ndarray) -> None:
+def _require_psd(k: np.ndarray, min_eigen: float | None = None) -> float:
+    """Smallest eigenvalue of the symmetric kernel matrix ``k``.
+
+    ``min_eigen`` is an audit already made (``GramMatrix.min_eigen``, or
+    a lower bound on the smallest eigenvalue); ``eigvalsh`` runs only
+    without one. Raises NotPsdError below ``-PSD_TOL_FACTOR * m``.
+    """
     m = k.shape[0]
-    w = np.linalg.eigvalsh(k)
-    if w[0] < -PSD_TOL_FACTOR * m:
-        raise NotPsdError(f"kernel matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL_FACTOR * m:.1e}")
+    if min_eigen is None:
+        min_eigen = float(np.linalg.eigvalsh(k)[0])
+    if min_eigen < -PSD_TOL_FACTOR * m:
+        raise NotPsdError(f"kernel matrix has eigenvalue {min_eigen:.3e} below -{PSD_TOL_FACTOR * m:.1e}")
+    return min_eigen
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +361,18 @@ def svm_train(
 ) -> SvmModel:
     """Soft-margin dual SVM solved by sequential minimal optimization.
 
-    Works on the maximal-KKT-violating pair until the violation gap drops
-    below ``kkt_tol``. The bias averages y_i - sum_j alpha_j y_j K_ij over
+    Second-order working set, audited once. Each step takes i = argmax
+    f over the "up" set, with f = y - K(alpha o y), and j = argmax
+    b^2 / a over the "low" set, with b = f_i - f_j > 0 and
+    a = K_ii + K_jj - 2 K_ij (Fan, Chen & Lin, JMLR 2005; the LIBSVM
+    rule); ties go to the lowest index. It stops once the KKT violation
+    gap max_up f - min_low f drops to ``kkt_tol``. The PSD audit is the
+    ``min_eigen`` of a GramMatrix when it carries one, else one
+    ``eigvalsh``. The bias averages y_i - sum_j alpha_j y_j K_ij over
     unbounded support vectors (midpoint of the feasible interval when
     none are unbounded).
     """
+    min_eigen = getattr(k, "min_eigen", None)
     k = as_kernel_array(k)
     m = k.shape[0]
     y = np.asarray(y, dtype=float).ravel()
@@ -369,38 +384,56 @@ def svm_train(
         raise OneClassError("training labels contain a single class")
     if C <= 0:
         raise BadParamError(f"C must be positive, got {C}")
-    _require_psd(k)
+    _require_psd(k, min_eigen)
 
-    q = (y[:, None] * y[None, :]) * k
-    alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of (1/2) a^T Q a - sum(a)
+    # scalars live in lists: numpy scalar arithmetic would dominate the loop
+    labels = y.tolist()
+    diag = np.diag(k)
+    k_diag = diag.tolist()
+    alpha = [0.0] * m
+    f = y.copy()  # y - K (alpha o y), kept up to date from two kernel rows
+    # the up/low sets as additive masks: 0 inside, -inf/+inf outside
+    up_mask = np.where(y > 0, 0.0, -np.inf)
+    low_mask = np.where(y < 0, 0.0, np.inf)
+    curv_rows = {}  # i -> K_ii + K_tt - 2 K_it floored at 1e-12, built on first use
+    f_up, score, delta = np.empty(m), np.empty(m), np.empty(m)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        f = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        if not up.any() or not low.any():
+        np.add(f, up_mask, out=f_up)
+        i = int(f_up.argmax())
+        f_i = float(f_up[i])
+        np.add(f, low_mask, out=score)
+        # an empty set reads -inf or +inf here, and so stops the loop
+        if f_i - float(score[score.argmin()]) <= kkt_tol:
             break
-        i = int(np.flatnonzero(up)[np.argmax(f[up])])
-        j = int(np.flatnonzero(low)[np.argmin(f[low])])
-        gap = f[i] - f[j]
-        if gap <= kkt_tol:
-            break
-        curv = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        np.subtract(f_i, score, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.square(score, out=score)
+        curv_i = curv_rows.get(i)
+        if curv_i is None:
+            curv_i = curv_rows[i] = np.maximum(diag + (k_diag[i] - 2.0 * k[i]), 1e-12)
+        score /= curv_i
+        j = int(score.argmax())
+        curv = k_diag[i] + k_diag[j] - 2.0 * float(k[i, j])
         if curv <= 0:
             curv = 1e-12
-        cap_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else (C - alpha[j])
-        step = min(gap / curv, cap_i, cap_j)
-        d_i = y[i] * step
-        d_j = -y[j] * step
-        alpha[i] = min(max(alpha[i] + d_i, 0.0), C)
-        alpha[j] = min(max(alpha[j] + d_j, 0.0), C)
-        grad += q[:, i] * d_i + q[:, j] * d_j
+        y_i, y_j = labels[i], labels[j]
+        cap_i = (C - alpha[i]) if y_i > 0 else alpha[i]
+        cap_j = alpha[j] if y_j > 0 else (C - alpha[j])
+        step = min((f_i - float(f[j])) / curv, cap_i, cap_j)
+        alpha[i] = min(max(alpha[i] + y_i * step, 0.0), C)
+        alpha[j] = min(max(alpha[j] - y_j * step, 0.0), C)
+        np.subtract(k[i], k[j], out=delta)
+        delta *= step
+        f -= delta
+        for t, y_t in ((i, y_i), (j, y_j)):
+            below, above = alpha[t] < C, alpha[t] > 0.0
+            up_mask[t] = 0.0 if (below if y_t > 0 else above) else -np.inf
+            low_mask[t] = 0.0 if (above if y_t > 0 else below) else np.inf
     else:
         raise NoConvergenceError(f"SMO did not converge in {max_iter} iterations")
 
-    f = -y * grad
+    alpha = np.array(alpha)
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
     low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
     violation = 0.0
@@ -481,7 +514,16 @@ def multiclass_svm_train(
     kkt_tol: float = KKT_TOL,
     max_iter: int = 100_000,
 ) -> MulticlassSvmModel:
-    """One-vs-all or one-vs-one reduction to binary SVMs."""
+    """One-vs-all or one-vs-one reduction to binary SVMs.
+
+    One-vs-all audits the kernel matrix once and hands every class the
+    audited matrix. One-vs-one hands each pair's submatrix the audit of
+    ``k``, when ``k`` is a GramMatrix that carries one and it clears the
+    pair's slack (Cauchy interlacing: a principal submatrix's smallest
+    eigenvalue is at least that of ``k``), and audits the submatrix
+    otherwise.
+    """
+    min_eigen = getattr(k, "min_eigen", None)
     k = as_kernel_array(k)
     y = np.asarray(y).ravel()
     classes = np.unique(y)
@@ -490,10 +532,11 @@ def multiclass_svm_train(
     if mode not in ("one-vs-all", "one-vs-one"):
         raise BadParamError(f"unknown multiclass mode {mode!r}")
     if mode == "one-vs-all":
+        audited = GramMatrix(k, min_eigen=_require_psd(k, min_eigen))
         models = []
         for cls in classes:
             y_bin = np.where(y == cls, 1.0, -1.0)
-            models.append(svm_train(k, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
+            models.append(svm_train(audited, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
         return MulticlassSvmModel(mode=mode, classes=classes, models=models)
     models, pair_indices, pairs = [], [], []
     for a in range(len(classes)):
@@ -501,6 +544,8 @@ def multiclass_svm_train(
             idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
             y_bin = np.where(y[idx] == classes[a], 1.0, -1.0)
             sub = k[np.ix_(idx, idx)]
+            if min_eigen is not None and min_eigen >= -PSD_TOL_FACTOR * idx.size:
+                sub = GramMatrix(sub, min_eigen=min_eigen)
             models.append(svm_train(sub, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
             pair_indices.append(idx)
             pairs.append((classes[a], classes[b]))
@@ -572,20 +617,25 @@ def mkl_train(
     SVM solve (lambda fixed) with a reduced-gradient descent step on
     lambda (dual fixed; dJ/dlambda_j = -(1/2) dc^T K_j dc), with a
     backtracking line search that only accepts non-increasing objectives.
+    Each kernel is audited once; by Weyl's inequality sum_j lambda_j
+    min_eigen(K_j) bounds the smallest eigenvalue of K(lambda) from
+    below, so the inner solves run no eigenvalue audit.
     """
+    kernels = list(kernels)
     mats = [as_kernel_array(k) for k in kernels]
     if not mats:
         raise BadParamError("need at least one kernel")
     size = mats[0].shape
-    for mat in mats:
+    min_eigens = []
+    for k, mat in zip(kernels, mats):
         if mat.shape != size:
             raise DimMismatchError("kernel matrices differ in size")
-        _require_psd(mat)
+        min_eigens.append(_require_psd(mat, getattr(k, "min_eigen", None)))
     n_kernels = len(mats)
     lam = np.full(n_kernels, 1.0 / n_kernels)
 
     def solve(weights):
-        combined = combine_kernels(mats, weights)
+        combined = GramMatrix(combine_kernels(mats, weights), min_eigen=float(weights @ min_eigens))
         model = svm_train(combined, y, C, kkt_tol=kkt_tol)
         dual, _ = svm_objectives(model, combined, y)
         return model, dual

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from manikernels.cli import run
+from manikernels.cli import _model_from_payload, run
 from manikernels.data import load_dataset, load_matrix_csv, save_dataset
 from manikernels.features import write_pgm
+from manikernels.grassmann import make_grassmann
 from manikernels.kernels import gram_from_csv, gram_from_json
 
 
@@ -152,6 +153,11 @@ def test_svm_train_predict_round_trip(tmp_path):
     )
     payload = json.loads(model.read_text())
     assert payload["type"] == "svm"
+    n_iter = payload["model"]["n_iter"]
+    assert isinstance(n_iter, int) and n_iter >= 1
+    assert _model_from_payload(payload)[1].n_iter == n_iter
+    del payload["model"]["n_iter"]  # files written before the counter was saved
+    assert _model_from_payload(payload)[1].n_iter == 0
     run_ok(
         [
             "svm-predict",
@@ -209,6 +215,66 @@ def test_svm_train_multiclass_and_cv(tmp_path):
     )
     payload = json.loads(cv_model.read_text())
     assert payload["spec"]["gamma"] in (0.1, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["one-vs-all", "one-vs-one"])
+def test_svm_train_cv_audits_once_per_gamma_and_fold(tmp_path, eigvalsh_calls, mode):
+    data = tmp_path / "three.json"
+    run_ok(
+        [
+            "synth", "--kind", "spd-blobs", "--clusters", "3", "--per-cluster", "6",
+            "--dim", "3", "--center-scale", "2.0", "--noise-scale", "0.1",
+            "--seed", "9", "--out", str(data),
+        ]
+    )
+    eigvalsh_calls.clear()
+    run_ok(
+        [
+            "svm-train", "--input", str(data), "--cv", "5", "--gamma-grid", "0.1,1",
+            "--c-grid", "1,10", "--mode", mode, "--out", str(tmp_path / "model.json"),
+        ]
+    )
+    # one audit per (gamma, fold) whatever the C grid, classes and pairs,
+    # and one for the final fit
+    assert len(eigvalsh_calls) == 2 * 5 + 1
+
+
+def test_svm_train_rejects_indefinite_gram(tmp_path):
+    # Gaussian arc-length Grams of random 2-planes in R^5 at gamma 0.1 are
+    # indefinite well past the audit slack, and so is every fold's
+    data = tmp_path / "planes.json"
+    rng = np.random.default_rng(12)
+    planes = [make_grassmann(rng.standard_normal((5, 2))) for _ in range(30)]
+    save_dataset(data, "grassmann", planes, labels=[i % 3 for i in range(30)])
+    base = ["svm-train", "--input", str(data), "--metric", "arc-length", "--gamma", "0.1"]
+    assert run(base + ["--out", str(tmp_path / "m.json")]) == 3
+    assert run(base + ["--cv", "2", "--gamma-grid", "0.1", "--out", str(tmp_path / "cv.json")]) == 3
+    binary = tmp_path / "planes2.json"
+    save_dataset(binary, "grassmann", planes, labels=[i % 2 for i in range(30)])
+    assert run(["mkl-train", "--inputs", str(binary), "--metric", "arc-length", "--gamma-grid", "0.1,1",
+                "--out", str(tmp_path / "mkl.json")]) == 3
+
+
+def test_manifold_override_checks_items(tmp_path):
+    # square 4x4 SPD items are not n x r bases with n > r
+    data = tmp_path / "spd4.json"
+    run_ok(
+        [
+            "synth", "--kind", "spd-blobs", "--clusters", "2", "--per-cluster", "6",
+            "--dim", "4", "--seed", "3", "--out", str(data),
+        ]
+    )
+    out = tmp_path / "out.csv"
+    for command, extra in [
+        ("gram", []),
+        ("cluster", ["--k", "2"]),
+        ("kpca", ["--l", "2"]),
+        ("kfda", []),
+        ("svm-train", []),
+    ]:
+        argv = [command, "--input", str(data), "--manifold", "grassmann", *extra, "--out", str(out)]
+        assert run(argv) == 2, command
+        assert not out.exists(), command
 
 
 def test_gram_euclidean_override_on_spd_dataset(tmp_path):

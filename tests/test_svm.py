@@ -8,8 +8,10 @@ from manikernels.errors import (
     NotPsdError,
     OneClassError,
 )
-from manikernels.kernels import KernelSpec, cross_gram, gram_matrix
+from manikernels.grassmann import make_grassmann
+from manikernels.kernels import GramMatrix, KernelSpec, cross_gram, gram_matrix
 from manikernels.learn import (
+    PSD_TOL_FACTOR,
     SvmModel,
     combine_kernels,
     mkl_train,
@@ -280,3 +282,67 @@ def test_combine_kernels():
     np.testing.assert_allclose(
         combine_kernels([a, b], [0.25, 0.75]), 0.25 * a + 0.75 * b
     )
+
+
+# ---------------------------------------------------------------------------
+# PSD audit
+# ---------------------------------------------------------------------------
+
+def arc_length_gram(m=30, gamma=0.1, audit=False):
+    """Gaussian arc-length Gram of random 2-planes in R^5: at gamma 0.1
+    its smallest eigenvalue is about -0.2, far below the audit slack."""
+    rng = np.random.default_rng(12)
+    pts = [make_grassmann(rng.standard_normal((5, 2))) for _ in range(m)]
+    spec = KernelSpec(manifold="grassmann", metric="arc-length", gamma=gamma)
+    return gram_matrix(spec, pts, audit=audit)
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_indefinite_gram_raises_through_every_learner(audit):
+    gram = arc_length_gram(audit=audit)
+    assert np.linalg.eigvalsh(gram.entries)[0] < -PSD_TOL_FACTOR * gram.size
+    labels = np.arange(gram.size) % 3
+    y = np.where(labels == 0, 1.0, -1.0)
+    with pytest.raises(NotPsdError):
+        svm_train(gram, y, C=1.0)
+    for mode in ("one-vs-all", "one-vs-one"):
+        with pytest.raises(NotPsdError):
+            multiclass_svm_train(gram, labels, C=1.0, mode=mode)
+    with pytest.raises(NotPsdError):
+        mkl_train([np.eye(gram.size), gram], y, C=1.0)
+
+
+def test_audited_min_eigen_below_slack_raises_without_eigvalsh(eigvalsh_calls):
+    m = 4
+    gram = GramMatrix(np.eye(m), min_eigen=-2.0 * PSD_TOL_FACTOR * m)
+    labels = np.array([0, 1, 2, 0])
+    y = np.array([1.0, -1.0, -1.0, 1.0])
+    with pytest.raises(NotPsdError):
+        svm_train(gram, y, C=1.0)
+    with pytest.raises(NotPsdError):
+        multiclass_svm_train(gram, labels, C=1.0, mode="one-vs-all")
+    with pytest.raises(NotPsdError):
+        mkl_train([gram, gram], y, C=1.0)
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("mode", ["one-vs-all", "one-vs-one"])
+def test_multiclass_audits_once(mode, eigvalsh_calls):
+    points, labels = spd_cluster_problem(np.random.default_rng(8), 3, 8)
+    spec = KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5)
+    # an audited Gram is not audited again, per class or per pair
+    model = multiclass_svm_train(gram_matrix(spec, points, audit=True), labels, C=10.0, mode=mode)
+    assert len(model.models) == 3
+    assert eigvalsh_calls == [24]
+    eigvalsh_calls.clear()
+    multiclass_svm_train(gram_matrix(spec, points), labels, C=10.0, mode=mode)
+    assert eigvalsh_calls == ([24] if mode == "one-vs-all" else [16, 16, 16])
+
+
+def test_mkl_audits_each_kernel_once(eigvalsh_calls):
+    rng = np.random.default_rng(11)
+    pts, y = separable_problem(rng, 24)
+    grams = [gram_matrix(gauss_spec(g), pts) for g in (0.2, 1.0, 5.0)]
+    mkl = mkl_train(grams, y, C=5.0)
+    assert len(mkl.objective_trace) >= 2  # the outer loop ran inner solves
+    assert eigvalsh_calls == [24, 24, 24]
