@@ -22,7 +22,9 @@ from . import __version__
 from .data import (
     load_dataset,
     load_matrix_csv,
+    parse_errors,
     save_dataset,
+    save_json,
     save_matrix_csv,
     synth_grassmann_clusters,
     synth_spd_blobs,
@@ -42,7 +44,6 @@ from .errors import (
 )
 from .features import (
     candidate_grid,
-    integral_images,
     normalize_by_full_window,
     pedestrian_feature_maps,
     read_image,
@@ -53,6 +54,7 @@ from .features import (
 from .grassmann import make_grassmann, subspace_from_vectors
 from .kernels import (
     KernelSpec,
+    _manifold_points,
     cross_gram,
     definiteness_search,
     gram_from_squared_distances,
@@ -87,9 +89,10 @@ _NUMERIC_ERRORS = (
     NotPsdError,
     SingularScatterError,
 )
-# Every other library error is a data error, as are unreadable or
-# malformed input files.
-_DATA_ERRORS = (ManiKernelsError, OSError, KeyError, ValueError)
+# Every other library error is a data error, as are unreadable input
+# files. Parse sites raise typed errors, so any other exception is a
+# fault of the program and is not reported as bad data.
+_DATA_ERRORS = (ManiKernelsError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,19 +123,14 @@ def _provenance_lines(prov: dict) -> list[str]:
     ]
 
 
-def _write_json(path, payload) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _gamma_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+def _grid(text: str, name: str) -> list[float]:
+    """The positive numbers of a comma-separated grid flag."""
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise BadParamError(f"{name} must be comma-separated numbers, got {text!r}") from exc
     if not vals or any(v <= 0 for v in vals):
-        raise BadParamError(f"gamma grid must be positive values, got {text!r}")
+        raise BadParamError(f"{name} must be positive values, got {text!r}")
     return vals
 
 
@@ -153,10 +151,15 @@ def _spec_for(args, manifold: str) -> KernelSpec:
 _KIND_MANIFOLDS = {"spd": "spd", "grassmann": "grassmann", "vectors": "euclidean"}
 
 
-def _on_manifold(items, manifold: str):
-    """Items checked (and normalized) as points of ``manifold``."""
-    make = {"spd": make_spd, "grassmann": make_grassmann}.get(manifold)
-    return [make(x) for x in items] if make else items
+def _on_manifold(items, manifold: str) -> np.ndarray:
+    """Dataset items as one stack, checked (and normalized) as points of
+    ``manifold``."""
+    stack = _manifold_points(manifold, items)
+    if manifold == "spd":
+        return make_spd(stack)
+    if manifold == "grassmann":
+        return np.stack([make_grassmann(x) for x in stack])
+    return stack
 
 
 def _dataset_points(path, args):
@@ -175,7 +178,7 @@ def _cmd_definiteness(args) -> int:
     report = definiteness_search(
         args.manifold,
         args.metric,
-        _gamma_list(args.gamma_grid),
+        _grid(args.gamma_grid, "gamma grid"),
         m=args.m,
         trials=args.trials,
         seed=args.seed,
@@ -185,7 +188,7 @@ def _cmd_definiteness(args) -> int:
     )
     payload = report.to_dict()
     payload["provenance"] = _provenance("definiteness", args)
-    _write_json(args.out, payload)
+    save_json(args.out, payload)
     return EXIT_OK
 
 
@@ -290,8 +293,8 @@ def _cv_select(d2, labels, spec, args):
     serves every C; ties go to the earlier gamma, then the earlier C."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
-    gammas = _gamma_list(args.gamma_grid) if args.gamma_grid else [spec.gamma]
-    cs = [float(t) for t in args.c_grid.split(",")] if args.c_grid else [args.C]
+    gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
+    cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     folds = _cv_folds(len(labels), args.cv, args.seed)
@@ -359,7 +362,7 @@ def _cmd_svm_train(args) -> int:
         if model.pairs is not None:
             payload["pairs"] = [[int(a), int(b)] for a, b in model.pairs]
             payload["pair_indices"] = [idx.tolist() for idx in model.pair_indices]
-    _write_json(args.out, payload)
+    save_json(args.out, payload)
     return EXIT_OK
 
 
@@ -378,9 +381,10 @@ def _model_from_payload(payload):
 
 
 def _cmd_svm_predict(args) -> int:
-    with open(args.model) as fh:
-        payload = json.load(fh)
-    spec, model, classes = _model_from_payload(payload)
+    with parse_errors(args.model):
+        with open(args.model) as fh:
+            payload = json.load(fh)
+        spec, model, classes = _model_from_payload(payload)
     train = load_dataset(args.train)
     train_points = _on_manifold(train["items"], spec.manifold)
     if payload.get("train_sha256") != _items_digest(train_points):
@@ -409,7 +413,7 @@ def _cmd_svm_predict(args) -> int:
 
 
 def _cmd_mkl_train(args) -> int:
-    gammas = _gamma_list(args.gamma_grid) if args.gamma_grid else None
+    gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else None
     if gammas and len(args.inputs) > 1:
         raise BadParamError("--gamma-grid expands kernels from a single input")
     grams = []
@@ -441,7 +445,7 @@ def _cmd_mkl_train(args) -> int:
         "model": _svm_model_payload(model.svm),
         "provenance": _provenance("mkl-train", args),
     }
-    _write_json(args.out, payload)
+    save_json(args.out, payload)
     return EXIT_OK
 
 
@@ -462,18 +466,14 @@ def _cmd_covdesc(args) -> int:
         if img.shape != shape:
             raise FrameMismatchError("subwindow selection needs equally sized images")
     candidates = candidate_grid(shape[0], shape[1])
+    # the full window goes last: the normalization scales by it
+    rects = np.array([cand.rect for cand in candidates] + [(0, 0, shape[1], shape[0])])
     descriptors = []
     for stack in stacks:
-        integrals = integral_images(stack)
-        full_rect = (0, 0, stack.width, stack.height)
-        full_cov = region_covariance(stack, full_rect, epsilon=args.epsilon, integrals=integrals)
-        per_candidate = []
-        for cand in candidates:
-            cov = region_covariance(stack, cand.rect, epsilon=args.epsilon, integrals=integrals)
-            if args.normalize:
-                cov = normalize_by_full_window(cov, full_cov)
-            per_candidate.append(cov)
-        descriptors.append(per_candidate)
+        covs = region_covariance(stack, rects, epsilon=args.epsilon)
+        if args.normalize:
+            covs = normalize_by_full_window(covs, covs[-1])
+        descriptors.append(covs[:-1])
     positives = np.ones(len(images), dtype=bool)
     selected = select_subwindows(
         candidates, descriptors, positives, args.select, args.max_overlap
@@ -495,7 +495,7 @@ def _cmd_covdesc(args) -> int:
         ],
         "provenance": prov,
     }
-    _write_json(args.out, payload)
+    save_json(args.out, payload)
     return EXIT_OK
 
 

@@ -1,21 +1,56 @@
-"""Dataset files and seeded synthetic generators.
+"""Dataset files, the output writers, and seeded synthetic generators.
 
 Matrix-list datasets are JSON with explicit shape metadata so SPD sets,
 Grassmann bases and vector sets can't be silently transposed; flat
-matrices use CSV with `#` comment headers.
+matrices use CSV with `#` comment headers. Every JSON and CSV file the
+package writes goes through :func:`save_json` or :func:`save_matrix_csv`,
+and a file that does not parse raises MalformedFileError.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import BadParamError, BadShapeError, DimMismatchError, NonFiniteError
+from .errors import (
+    BadParamError,
+    BadShapeError,
+    DimMismatchError,
+    EmptySetError,
+    MalformedFileError,
+    NonFiniteError,
+)
 from .grassmann import make_grassmann
 from .matrixops import spd_exp
 
 DATASET_KINDS = ("spd", "grassmann", "vectors")
+
+
+@contextmanager
+def parse_errors(path):
+    """Raise what goes wrong while parsing the file ``path`` in the block
+    (bad JSON or number, a missing key, a value of the wrong type) as a
+    MalformedFileError that names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedFileError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
+
+
+def save_json(path, payload) -> None:
+    """Write ``payload`` as JSON with indent 1, sorted keys and a trailing
+    newline to ``path``, or to stdout when ``path`` is ``-``."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = None) -> None:
@@ -42,39 +77,44 @@ def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = 
         payload["labels"] = [int(v) for v in labels]
     if provenance is not None:
         payload["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(path, payload)
 
 
 def load_dataset(path) -> dict:
     """Read a dataset written by :func:`save_dataset`.
 
-    Returns a dict with ``kind``, ``items`` (list of float arrays) and
-    ``labels`` (int array or None). Items holding NaN or infinite values
-    are rejected.
+    Returns a dict with ``kind``, ``items`` (a non-empty list of float
+    arrays of one shape) and ``labels`` (int array or None). Items holding
+    NaN or infinite values are rejected, and so is a file that does not
+    parse as a dataset (MalformedFileError).
     """
-    with open(path) as fh:
-        payload = json.load(fh)
-    kind = payload.get("kind")
-    if kind not in DATASET_KINDS:
-        raise BadParamError(f"unknown dataset kind {kind!r} in {path}")
-    shape = tuple(payload["shape"])
-    items = [np.asarray(x, dtype=float) for x in payload["items"]]
-    for index, a in enumerate(items):
-        if a.shape != shape:
-            raise BadShapeError(f"item shape {a.shape} contradicts metadata {shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(f"item {index} in {path} holds a NaN or infinite value")
-    labels = payload.get("labels")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape != (len(items),):
-            raise DimMismatchError("labels length does not match item count")
+    with parse_errors(path):
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise MalformedFileError(f"{path}: not a JSON object")
+        kind = payload.get("kind")
+        if kind not in DATASET_KINDS:
+            raise BadParamError(f"unknown dataset kind {kind!r} in {path}")
+        shape = tuple(payload["shape"])
+        items = [np.asarray(x, dtype=float) for x in payload["items"]]
+        if not items:
+            raise EmptySetError(f"{path} holds no items")
+        for index, a in enumerate(items):
+            if a.shape != shape:
+                raise BadShapeError(f"item shape {a.shape} contradicts metadata {shape}")
+            if not np.all(np.isfinite(a)):
+                raise NonFiniteError(f"item {index} in {path} holds a NaN or infinite value")
+        labels = payload.get("labels")
+        if labels is not None:
+            labels = np.asarray(labels, dtype=int)
+            if labels.shape != (len(items),):
+                raise DimMismatchError("labels length does not match item count")
     return {"kind": kind, "items": items, "labels": labels}
 
 
 def save_matrix_csv(path, matrix, header_lines=()) -> None:
+    """Matrix rows as comma-separated ``repr`` floats after ``# `` header lines."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     lines = [f"# {line}" for line in header_lines]
     for row in mat:
@@ -84,7 +124,9 @@ def save_matrix_csv(path, matrix, header_lines=()) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    """Numeric CSV with ``#`` comment lines as a 2-d float array."""
+    with parse_errors(path):
+        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ class NonFiniteError(ManiKernelsError):
     """Input holds a NaN or an infinite value."""
 
 
+class MalformedFileError(ManiKernelsError):
+    """Input file cannot be parsed: bad JSON or number, missing key, wrong type."""
+
+
 class TrainMismatchError(ManiKernelsError):
     """Dataset differs from the one a model was trained on."""
 

@@ -2,19 +2,24 @@
 
 Pixel feature stacks, integral-image region covariance, dispersion-ranked
 subwindow selection, and spatio-temporal structure tensors. Images are
-2-d float arrays; rectangles are (x0, y0, w, h) with x along columns.
+2-d float arrays; rectangles are (x0, y0, w, h) with x along columns, one
+rectangle or an (R, 4) array of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .data import load_matrix_csv, parse_errors
 from .errors import (
     BadParamError,
+    BadShapeError,
     FrameMismatchError,
+    MalformedFileError,
     NoPositivesError,
     RectOutOfBoundsError,
     TooFewPixelsError,
@@ -129,40 +134,42 @@ def integral_images(stack: FeatureStack):
     return s1, s2
 
 
-def _rect_bounds(stack: FeatureStack, rect):
-    x0, y0, w, h = (int(v) for v in rect)
-    if w < 1 or h < 1 or x0 < 0 or y0 < 0 or x0 + w > stack.width or y0 + h > stack.height:
-        raise RectOutOfBoundsError(
-            f"rect {rect} outside {stack.height} x {stack.width} stack"
-        )
-    return x0, y0, w, h
+def region_covariance(stack: FeatureStack, rects, epsilon: float | None = None) -> np.ndarray:
+    """Sample covariance of the per-pixel feature vectors in each rectangle,
+    regularized by ``epsilon * I`` (default 1e-6 * (trace + 1), per
+    rectangle).
 
-
-def region_covariance(stack: FeatureStack, rect, epsilon: float | None = None, integrals=None):
-    """Sample covariance of the per-pixel feature vectors in ``rect``,
-    regularized by ``epsilon * I`` (default 1e-6 * (trace + 1)).
-
-    Computed from integral images so many rectangles of one stack share
-    the same cumulative sums (pass ``integrals`` to reuse them).
+    ``rects`` is one (x0, y0, w, h) rectangle, giving one (c, c) matrix,
+    or an (R, 4) array, giving an (R, c, c) stack. All rectangles come
+    from one pair of integral images by four-corner sums.
     """
-    x0, y0, w, h = _rect_bounds(stack, rect)
+    rects = np.asarray(rects)
+    if rects.ndim not in (1, 2) or rects.shape[-1] != 4:
+        raise BadShapeError(f"expected one rect or an (R, 4) array, got shape {rects.shape}")
+    batch = np.atleast_2d(rects)
+    x0, y0, w, h = batch.astype(int).T
+    outside = (w < 1) | (h < 1) | (x0 < 0) | (y0 < 0)
+    outside |= (x0 + w > stack.width) | (y0 + h > stack.height)
+    if np.any(outside):
+        bad = tuple(batch[np.argmax(outside)].tolist())
+        raise RectOutOfBoundsError(f"rect {bad} outside {stack.height} x {stack.width} stack")
     c = stack.depth
     n = w * h
-    if n < c + 1:
-        raise TooFewPixelsError(f"rect area {n} below {c + 1} for {c} channels")
-    if integrals is None:
-        integrals = integral_images(stack)
-    s1, s2 = integrals
-    ya, yb, xa, xb = y0, y0 + h, x0, x0 + w
-    sums = s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]
-    quads = s2[:, :, yb, xb] - s2[:, :, ya, xb] - s2[:, :, yb, xa] + s2[:, :, ya, xa]
-    cov = (quads - np.outer(sums, sums) / n) / (n - 1)
-    cov = (cov + cov.T) / 2.0
-    if epsilon is None:
-        epsilon = 1e-6 * (float(np.trace(cov)) + 1.0)
-    if epsilon <= 0:
+    if np.any(n < c + 1):
+        raise TooFewPixelsError(f"rect area {np.min(n)} below {c + 1} for {c} channels")
+    if epsilon is not None and epsilon <= 0:
         raise BadParamError(f"epsilon must be positive, got {epsilon}")
-    return make_spd(cov + epsilon * np.eye(c))
+    s1, s2 = integral_images(stack)
+    ya, yb, xa, xb = y0, y0 + h, x0, x0 + w
+    sums = (s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]).T
+    quads = s2[:, :, yb, xb] - s2[:, :, ya, xb] - s2[:, :, yb, xa] + s2[:, :, ya, xa]
+    quads = np.moveaxis(quads, -1, 0)
+    cov = (quads - sums[:, :, None] * sums[:, None, :] / n[:, None, None]) / (n - 1)[:, None, None]
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    if epsilon is None:
+        epsilon = 1e-6 * (np.trace(cov, axis1=-2, axis2=-1) + 1.0)
+    covs = make_spd(cov + np.multiply.outer(epsilon, np.eye(c)))
+    return covs[0] if rects.ndim == 1 else covs
 
 
 def normalize_by_full_window(cov_sub, cov_full) -> np.ndarray:
@@ -227,10 +234,11 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
     """Greedy low-dispersion subwindow selection.
 
     ``descriptors[i][j]`` is the SPD descriptor of candidate ``j`` in
-    sample ``i``. Each candidate is scored by the mean distance (p = 1,
-    log-Euclidean) of the positive samples' descriptors to their Karcher
-    mean; candidates are taken in ascending score order, skipping any
-    overlapping an already-selected one by more than ``max_overlap``.
+    sample ``i``; ``descriptors[i]`` may be one (R, c, c) stack. Each
+    candidate is scored by the mean distance (p = 1, log-Euclidean) of
+    the positive samples' descriptors to their Karcher mean; candidates
+    are taken in ascending score order, skipping any overlapping an
+    already-selected one by more than ``max_overlap``.
     """
     if count < 1:
         raise BadParamError("count must be >= 1")
@@ -245,7 +253,7 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
     for j in range(n_candidates):
         # log of the log-Euclidean mean exp(mean L) is mean L, so one log
         # per descriptor gives the distances to the mean
-        logs = np.stack([spd_log(np.asarray(descriptors[i][j], dtype=float)) for i in pos_idx])
+        logs = spd_log(np.stack([descriptors[i][j] for i in pos_idx]))
         scores[j] = np.mean(np.linalg.norm(logs - logs.mean(axis=0), axis=(1, 2)))
     order = np.argsort(scores, kind="stable")
     selected = []
@@ -326,20 +334,21 @@ def read_pgm(path) -> np.ndarray:
             i = j
 
     gen = tokens(data)
-    magic, _ = next(gen)
+    magic, _ = next(gen, (b"", 0))
     if magic not in (b"P2", b"P5"):
         raise BadParamError(f"not a P2/P5 PGM file: magic {magic!r}")
-    (w_tok, _), (h_tok, _), (max_tok, end) = next(gen), next(gen), next(gen)
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if magic == b"P2":
-        vals = []
-        for tok, _ in gen:
-            vals.append(int(tok))
-        arr = np.array(vals, dtype=float)
-    else:
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        raster = data[end + 1 :]
-        arr = np.frombuffer(raster, dtype=dtype, count=width * height).astype(float)
+    header = list(itertools.islice(gen, 3))
+    if len(header) < 3:
+        raise MalformedFileError(f"{path}: truncated PGM header")
+    (w_tok, _), (h_tok, _), (max_tok, end) = header
+    with parse_errors(path):
+        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        if magic == b"P2":
+            arr = np.array([int(tok) for tok, _ in gen], dtype=float)
+        else:
+            dtype = np.dtype(">u2") if maxval > 255 else np.uint8
+            raster = data[end + 1 :]
+            arr = np.frombuffer(raster, dtype=dtype, count=width * height).astype(float)
     if arr.size != width * height:
         raise BadParamError(f"PGM raster holds {arr.size} values, expected {width * height}")
     return arr.reshape(height, width)
@@ -361,4 +370,4 @@ def read_image(path) -> np.ndarray:
     text = str(path)
     if text.lower().endswith(".pgm"):
         return read_pgm(path)
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    return load_matrix_csv(path)

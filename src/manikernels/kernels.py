@@ -35,13 +35,14 @@ import numpy as np
 
 from . import grassmann as gr
 from . import spd as sp
+from .data import save_json, save_matrix_csv
 from .errors import (
     BadParamError,
+    BadShapeError,
     DimMismatchError,
-    EmptySetError,
     UnsupportedMetricError,
 )
-from .matrixops import require_symmetric, spd_exp, spd_log, cholesky_lower, spd_power
+from .matrixops import _stack_points, cholesky_lower, require_symmetric, spd_exp, spd_log, spd_power
 from .spd import DEFAULT_POWER_ALPHA
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
@@ -60,14 +61,14 @@ PD_FOR_ALL_GAMMA = {
 }
 
 
-def _mapped(fn, points) -> np.ndarray:
-    return np.stack([fn(p).ravel() for p in points])
+def _flat(stack) -> np.ndarray:
+    return stack.reshape(len(stack), -1)
 
 
 def _power_features(points, alpha):
     if alpha == 0:
         raise BadParamError("alpha must be nonzero")
-    return _mapped(lambda p: spd_power(p, alpha), points), 1.0 / alpha**2
+    return _flat(spd_power(points, alpha)), 1.0 / alpha**2
 
 
 def _grassmann_sq(metric, x, ys):
@@ -79,10 +80,10 @@ def _grassmann_sq(metric, x, ys):
 #: Entries look their functions up at call time, so a wrapped module
 #: function (a tracer's span, a test double) is the one that runs.
 METRICS = {
-    ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_mapped(spd_log, pts), 1.0)),
-    ("spd", "cholesky"): ("embed", lambda pts, alpha: (_mapped(cholesky_lower, pts), 1.0)),
+    ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_flat(spd_log(pts)), 1.0)),
+    ("spd", "cholesky"): ("embed", lambda pts, alpha: (_flat(cholesky_lower(pts)), 1.0)),
     ("spd", "power-euclidean"): ("embed", _power_features),
-    ("euclidean", "euclidean"): ("embed", lambda pts, alpha: (pts.reshape(len(pts), -1), 1.0)),
+    ("euclidean", "euclidean"): ("embed", lambda pts, alpha: (_flat(pts), 1.0)),
     ("spd", "affine-invariant"): ("row", lambda x, ys: sp.affine_invariant_sq(x, ys)),
     ("spd", "root-stein"): ("row", lambda x, ys: sp.stein_divergence_sq(x, ys)),
     ("grassmann", "projection"): ("row", lambda x, ys: gr.projection_dist_sq_fast(x, ys)),
@@ -140,15 +141,14 @@ class KernelSpec:
         )
 
 
-def _stack_points(points) -> np.ndarray:
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise EmptySetError("empty point set")
-    shape = pts[0].shape
-    for p in pts:
-        if p.shape != shape:
-            raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
-    return np.stack(pts)
+def _manifold_points(manifold: str, points) -> np.ndarray:
+    """Points as one stack. On the SPD and Grassmann manifolds each point
+    must be one matrix, so that the stacked matrix functions never read
+    a stack of points as one point or one point as a stack."""
+    pts = _stack_points(points)
+    if manifold != "euclidean" and pts.ndim != 3:
+        raise BadShapeError(f"{manifold} points must be matrices, got point shape {pts.shape[1:]}")
+    return pts
 
 
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -172,8 +172,8 @@ def squared_distance_matrix(
     row function fills the upper triangle one row at a time, each point
     against the stack of later points, and the triangle is mirrored.
     """
-    pts = _stack_points(points)
     kind, fn = _lookup(manifold, metric)
+    pts = _manifold_points(manifold, points)
     if kind == "embed":
         feats, scale = fn(pts, alpha)
         d2 = _feature_sq_distances(feats, feats)
@@ -195,11 +195,11 @@ def cross_squared_distances(
     alpha: float = DEFAULT_POWER_ALPHA,
 ) -> np.ndarray:
     """Rectangular matrix of squared distances d^2(x_i, y_j)."""
-    xs = _stack_points(xs)
-    ys = _stack_points(ys)
+    kind, fn = _lookup(manifold, metric)
+    xs = _manifold_points(manifold, xs)
+    ys = _manifold_points(manifold, ys)
     if xs.shape[1:] != ys.shape[1:]:
         raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
-    kind, fn = _lookup(manifold, metric)
     if kind == "embed":
         fx, scale = fn(xs, alpha)
         fy, _ = fn(ys, alpha)
@@ -455,20 +455,13 @@ def definiteness_search(
 def gram_to_csv(gram: GramMatrix, path, extra_header: list[str] | None = None) -> None:
     """Row-major CSV with a one-line `key=value` header comment."""
     spec = gram.spec
-    lines = []
-    for line in extra_header or []:
-        lines.append(f"# {line}")
     header = (
-        f"# m={gram.size} gamma={spec.gamma!r} manifold={spec.manifold}"
+        f"m={gram.size} gamma={spec.gamma!r} manifold={spec.manifold}"
         f" metric={spec.metric} alpha={spec.alpha!r}"
     )
     if gram.min_eigen is not None:
         header += f" min_eigen={gram.min_eigen!r}"
-    lines.append(header)
-    for row in gram.entries:
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    save_matrix_csv(path, gram.entries, header_lines=[*(extra_header or []), header])
 
 
 def gram_from_csv(path) -> GramMatrix:
@@ -506,9 +499,7 @@ def gram_to_json(gram: GramMatrix, path, provenance: dict | None = None) -> None
     }
     if provenance is not None:
         payload["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(path, payload)
 
 
 def gram_from_json(path) -> GramMatrix:

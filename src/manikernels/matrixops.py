@@ -1,9 +1,16 @@
-"""Dense symmetric/rectangular matrix primitives.
+"""Dense symmetric/rectangular matrix primitives and the SPD contract.
 
 Everything here is a thin, contract-checked layer over LAPACK (via
-``numpy.linalg``): symmetric eigendecomposition, SPD matrix functions
-(log, exp, fractional power) computed through the eigendecomposition,
-Cholesky with the positive-diagonal convention, and thin SVD.
+``numpy.linalg``): the symmetry check, the relative SPD eigenvalue
+floor, SPD matrix functions (log, exp, fractional power, inverse square
+root) computed through the eigendecomposition, Cholesky with the
+positive-diagonal convention, and thin SVD.
+
+The symmetric-matrix functions take one ``(d, d)`` matrix or an
+``(..., d, d)`` stack of them and act on each matrix of a stack alone;
+LAPACK runs the same routine on each matrix, so a stacked call returns
+exactly what a loop over the items would. A check fails for the whole
+call when any one item fails it.
 
 All functions are pure and operate on ``float64`` arrays.
 """
@@ -18,6 +25,8 @@ import numpy as np
 from .errors import (
     BadShapeError,
     ClampWarning,
+    DimMismatchError,
+    EmptySetError,
     NoConvergenceError,
     NonSymmetricError,
     NotSpdError,
@@ -28,47 +37,54 @@ from .errors import (
 # anything worse is rejected.
 SYM_TOL = 1e-10
 
-# Orthonormality / reconstruction tolerances used by invariant checks.
-ORTHO_TOL = 1e-9
-RECON_TOL = 1e-9
+
+def frob(a):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
-def frob(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
-
-
-def symmetry_defect(s) -> float:
-    """Relative asymmetry ||S - S^T||_F / max(1, ||S||_F)."""
-    s = np.asarray(s, dtype=float)
-    return frob(s - s.T) / max(1.0, frob(s))
+def _transpose(s) -> np.ndarray:
+    return np.swapaxes(s, -1, -2)
 
 
 def require_symmetric(s, tol: float = 10 * SYM_TOL) -> np.ndarray:
-    """Return the symmetrized copy (S + S^T)/2, rejecting matrices whose
-    asymmetry exceeds ``tol`` relative to max(1, ||S||_F)."""
+    """Return the symmetrized copy (S + S^T)/2 of a matrix or of each
+    matrix of a stack, rejecting the call when any asymmetry
+    ||S - S^T||_F / max(1, ||S||_F) exceeds ``tol``."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise BadShapeError(f"expected a square matrix, got shape {s.shape}")
-    defect = symmetry_defect(s)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise BadShapeError(f"expected a square matrix or a stack of them, got shape {s.shape}")
+    st = _transpose(s)
+    defect = np.max(frob(s - st) / np.maximum(1.0, frob(s)), initial=0.0)
     if defect > tol:
         raise NonSymmetricError(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
-    return (s + s.T) / 2.0
+    return (s + st) / 2.0
 
 
-def spd_floor(s) -> float:
-    """Relative eigenvalue floor below which a matrix is not accepted as SPD."""
+def spd_floor(s):
+    """Relative eigenvalue floor below which a matrix (each matrix of a
+    stack) is not accepted as SPD: 1e-12 * max(1, trace / d)."""
     s = np.asarray(s, dtype=float)
-    d = s.shape[0]
-    return 1e-12 * max(1.0, float(np.trace(s)) / d)
+    return 1e-12 * np.maximum(1.0, np.trace(s, axis1=-2, axis2=-1) / s.shape[-1])
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Symmetric eigendecomposition with eigenvalues in non-increasing order."""
+def _above_floor(w, floor):
+    """Ascending eigenvalues ``w`` of each item, checked to clear its floor."""
+    low = w[..., 0] <= floor
+    if np.any(low):
+        raise NotSpdError(f"min eigenvalue {np.min(w[..., 0][low]):.3e} at or below SPD floor")
+    return w
 
-    values: np.ndarray  # (d,)
-    vectors: np.ndarray  # (d, d), orthonormal columns
+
+def _clamped_to_floor(w, floor):
+    """Ascending eigenvalues ``w`` of each item, raised to its floor where
+    they sit at or below it by roundoff (a ClampWarning)."""
+    if np.any(w[..., 0] <= floor):
+        if np.any(w[..., 0] <= -np.abs(floor)):
+            raise NotSpdError(f"min eigenvalue {np.min(w[..., 0]):.3e} is negative beyond roundoff")
+        warnings.warn("eigenvalue clamped to SPD floor in inverse square root", ClampWarning)
+        w = np.maximum(w, np.asarray(floor)[..., None])
+    return w
 
 
 @dataclass(frozen=True)
@@ -80,14 +96,16 @@ class ThinSvd:
     v: np.ndarray  # (r, r)
 
 
-def sym_eig(s) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending."""
-    s = require_symmetric(s)
-    try:
-        w, u = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    return EigenDecomp(values=w[::-1].copy(), vectors=u[:, ::-1].copy())
+def _stack_points(points) -> np.ndarray:
+    """One array of a non-empty sequence of same-shape points."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts:
+        raise EmptySetError("empty point set")
+    shape = pts[0].shape
+    for p in pts:
+        if p.shape != shape:
+            raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
+    return np.stack(pts)
 
 
 def _eigh(s):
@@ -98,64 +116,52 @@ def _eigh(s):
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
-def _apply_spectral(s, fn) -> np.ndarray:
-    """f(S) = U diag(f(w)) U^T for symmetric S; output re-symmetrized."""
+def _spectral(s, fn, floor_rule=None) -> np.ndarray:
+    """f(S) = U diag(f(w)) U^T of a symmetric matrix or of each matrix of
+    a stack, re-symmetrized. ``floor_rule(w, floor)`` screens the
+    eigenvalues against the SPD floor first."""
+    s = require_symmetric(s)
     w, u = _eigh(s)
-    out = (u * fn(w)) @ u.T
-    return (out + out.T) / 2.0
+    if floor_rule is not None:
+        w = floor_rule(w, spd_floor(s))
+    out = (u * fn(w)[..., None, :]) @ _transpose(u)
+    return (out + _transpose(out)) / 2.0
 
 
 def spd_log(s) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix via eigendecomposition.
+    """Matrix logarithm of an SPD matrix (or stack) via eigendecomposition.
 
-    Raises NotSpdError when the smallest eigenvalue is at or below the
+    Raises NotSpdError when a smallest eigenvalue is at or below the
     relative floor.
     """
-    s = require_symmetric(s)
-    w, u = _eigh(s)
-    if w[0] <= spd_floor(s):
-        raise NotSpdError(f"min eigenvalue {w[0]:.3e} at or below SPD floor")
-    out = (u * np.log(w)) @ u.T
-    return (out + out.T) / 2.0
+    return _spectral(s, np.log, _above_floor)
 
 
 def spd_exp(a) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix; the result is SPD."""
-    a = require_symmetric(a)
-    return _apply_spectral(a, np.exp)
+    """Matrix exponential of a symmetric matrix (or stack); the result is SPD."""
+    return _spectral(a, np.exp)
 
 
 def spd_power(s, alpha: float) -> np.ndarray:
-    """Fractional power S^alpha of an SPD matrix (eigenvalues mapped, basis kept)."""
+    """Fractional power S^alpha of an SPD matrix or stack (eigenvalues
+    mapped, basis kept)."""
     if alpha == 0:
         raise ZeroExponentError("matrix power with exponent 0 is not defined here")
-    s = require_symmetric(s)
-    w, u = _eigh(s)
-    if w[0] <= spd_floor(s):
-        raise NotSpdError(f"min eigenvalue {w[0]:.3e} at or below SPD floor")
-    out = (u * w**alpha) @ u.T
-    return (out + out.T) / 2.0
+    return _spectral(s, lambda w: w**alpha, _above_floor)
 
 
 def spd_inv_sqrt(s) -> np.ndarray:
-    """S^{-1/2} with eigenvalues clamped at the SPD floor.
+    """S^{-1/2} of an SPD matrix or stack, with eigenvalues clamped at the
+    SPD floor.
 
     Clamping only absorbs roundoff; a clamp is reported as a ClampWarning.
     """
-    s = require_symmetric(s)
-    w, u = _eigh(s)
-    floor = spd_floor(s)
-    if w[0] <= floor:
-        if w[0] <= -abs(floor):
-            raise NotSpdError(f"min eigenvalue {w[0]:.3e} is negative beyond roundoff")
-        warnings.warn("eigenvalue clamped to SPD floor in inverse square root", ClampWarning)
-        w = np.maximum(w, floor)
-    out = (u * w**-0.5) @ u.T
-    return (out + out.T) / 2.0
+    return _spectral(s, lambda w: w**-0.5, _clamped_to_floor)
 
 
 def cholesky_lower(s) -> np.ndarray:
-    """Lower Cholesky factor with strictly positive diagonal (L @ L.T == S)."""
+    """Lower Cholesky factor with strictly positive diagonal (L @ L.T == S)
+    of a matrix or of each matrix of a stack."""
     s = require_symmetric(s)
     try:
         return np.linalg.cholesky(s)

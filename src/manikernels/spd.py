@@ -21,17 +21,16 @@ import numpy as np
 
 from .errors import (
     BadParamError,
-    BadShapeError,
     DimMismatchError,
-    EmptySetError,
     NoConvergenceError,
-    NonSymmetricError,
     NotSpdError,
     NumericalError,
     UnsupportedMetricError,
 )
 from .matrixops import (
-    SYM_TOL,
+    _above_floor,
+    _eigh,
+    _stack_points,
     cholesky_lower,
     frob,
     require_symmetric,
@@ -40,7 +39,6 @@ from .matrixops import (
     spd_inv_sqrt,
     spd_log,
     spd_power,
-    _eigh,
 )
 
 SPD_METRICS = (
@@ -58,51 +56,20 @@ DEFAULT_POWER_ALPHA = 0.5
 _STEIN_CLAMP = 1e-12
 
 
-def make_spd(raw, regularize: float | None = None) -> np.ndarray:
-    """Validated SPD matrix from a raw square array.
+def make_spd(raw) -> np.ndarray:
+    """Validated SPD matrix, or stack of them, from raw square arrays.
 
-    Strict mode (``regularize is None``) rejects matrices whose smallest
-    eigenvalue is at or below the relative floor. With ``regularize``
-    given, the symmetrized input is shifted by ``regularize * I`` when
-    needed to clear the floor.
+    Returns the symmetrized input; rejects it when the smallest eigenvalue
+    of any item is at or below the relative floor.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise BadShapeError(f"expected a square matrix, got shape {raw.shape}")
     s = require_symmetric(raw)
-    w, _ = _eigh(s)
-    if w[0] > spd_floor(s):
-        return s
-    if regularize is None:
-        raise NotSpdError(f"min eigenvalue {w[0]:.3e} at or below SPD floor")
-    shifted = s + regularize * np.eye(s.shape[0])
-    w, _ = _eigh(shifted)
-    if w[0] <= spd_floor(shifted):
-        raise NotSpdError(
-            f"min eigenvalue {w[0]:.3e} still at or below SPD floor after +{regularize}*I"
-        )
-    return shifted
+    _above_floor(_eigh(s)[0], spd_floor(s))
+    return s
 
 
 def _check_metric(metric: str) -> None:
     if metric not in SPD_METRICS:
         raise UnsupportedMetricError(f"unknown SPD metric {metric!r}")
-
-
-def _symmetric_operands(x, ys):
-    """``x`` and ``ys`` (one matrix or a stack of them), symmetrized under
-    the tolerance of :func:`~manikernels.matrixops.require_symmetric`."""
-    x = require_symmetric(x)
-    ys = np.asarray(ys, dtype=float)
-    if ys.shape[-2:] != x.shape:
-        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
-    yt = np.swapaxes(ys, -1, -2)
-    defect = np.linalg.norm(ys - yt, axis=(-2, -1)) / np.maximum(
-        1.0, np.linalg.norm(ys, axis=(-2, -1))
-    )
-    if np.max(defect) > 10 * SYM_TOL:
-        raise NonSymmetricError(f"asymmetry {np.max(defect):.3e} exceeds tolerance")
-    return x, (ys + yt) / 2.0
 
 
 def log_det_spd(s):
@@ -120,7 +87,9 @@ def log_det_spd(s):
 def stein_divergence_sq(x, ys):
     """Squared root-Stein divergence from ``x`` to one SPD matrix or each
     of a stack, with roundoff-scale negatives clamped."""
-    x, ys = _symmetric_operands(x, ys)
+    x, ys = require_symmetric(x), require_symmetric(ys)
+    if ys.shape[-2:] != x.shape:
+        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
     log_det_x = log_det_spd(x)
     log_det_ys = log_det_spd(ys)
     val = log_det_spd((x + ys) / 2.0) - 0.5 * (log_det_x + log_det_ys)
@@ -136,29 +105,28 @@ def affine_invariant_sq(x, ys):
     With x = L L^T, this is the sum of log^2 of the eigenvalues of the
     whitened L^{-1} Y L^{-T}, which are those of x^{-1} Y.
     """
-    x, ys = _symmetric_operands(x, ys)
+    x, ys = require_symmetric(x), require_symmetric(ys)
+    if ys.shape[-2:] != x.shape:
+        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
     inv_length = np.linalg.inv(cholesky_lower(x))
     whitened = inv_length @ ys @ inv_length.T
     whitened = (whitened + np.swapaxes(whitened, -1, -2)) / 2.0
-    w = np.linalg.eigvalsh(whitened)
-    # the relative floor of matrixops.spd_floor, for each whitened matrix
-    floor = 1e-12 * np.maximum(1.0, np.trace(whitened, axis1=-2, axis2=-1) / x.shape[0])
-    if np.any(w[..., 0] <= floor):
-        raise NotSpdError(f"min eigenvalue {np.min(w[..., 0]):.3e} at or below SPD floor")
+    w = _above_floor(np.linalg.eigvalsh(whitened), spd_floor(whitened))
     return np.sum(np.log(w) ** 2, axis=-1)
 
 
-def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA) -> float:
-    """Distance between two SPD matrices under the selected metric."""
+def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
+    """Distance from ``s1`` to one SPD matrix ``s2`` (a float), or to each
+    of a stack of them (an array), under the selected metric."""
     _check_metric(metric)
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
-    if s1.shape != s2.shape:
+    if s2.shape[-2:] != s1.shape:
         raise DimMismatchError(f"shape mismatch: {s1.shape} vs {s2.shape}")
     if metric == "log-euclidean":
         return frob(spd_log(s1) - spd_log(s2))
     if metric == "affine-invariant":
-        return float(np.sqrt(affine_invariant_sq(s1, s2)))
+        return np.sqrt(affine_invariant_sq(s1, s2))
     if metric == "cholesky":
         return frob(cholesky_lower(s1) - cholesky_lower(s2))
     if metric == "power-euclidean":
@@ -166,25 +134,12 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA) -> flo
             raise BadParamError("power-euclidean alpha must be nonzero")
         return frob(spd_power(s1, alpha) - spd_power(s2, alpha)) / abs(alpha)
     # root-stein
-    return float(np.sqrt(stein_divergence_sq(s1, s2)))
-
-
-def _as_spd_stack(points) -> np.ndarray:
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise EmptySetError("empty SPD point set")
-    shape = pts[0].shape
-    for p in pts:
-        if p.shape != shape:
-            raise DimMismatchError(f"shape mismatch in point set: {p.shape} vs {shape}")
-    return np.stack(pts)
+    return np.sqrt(stein_divergence_sq(s1, s2))
 
 
 def karcher_mean_log_euclidean(points) -> np.ndarray:
     """Closed-form log-Euclidean mean exp(mean(log X_i))."""
-    stack = _as_spd_stack(points)
-    logs = np.stack([spd_log(p) for p in stack])
-    return spd_exp(logs.mean(axis=0))
+    return spd_exp(spd_log(_stack_points(points)).mean(axis=0))
 
 
 def karcher_mean_iterative(
@@ -205,25 +160,22 @@ def karcher_mean_iterative(
     _check_metric(metric)
     if metric == "root-stein":
         raise UnsupportedMetricError("no Karcher mean implemented for root-stein")
-    stack = _as_spd_stack(points)
+    stack = _stack_points(points)
     if metric == "log-euclidean":
         return karcher_mean_log_euclidean(stack)
     if metric == "cholesky":
-        mean_l = np.stack([cholesky_lower(p) for p in stack]).mean(axis=0)
+        mean_l = cholesky_lower(stack).mean(axis=0)
         return mean_l @ mean_l.T
     if metric == "power-euclidean":
         if alpha == 0:
             raise BadParamError("power-euclidean alpha must be nonzero")
-        mean_p = np.stack([spd_power(p, alpha) for p in stack]).mean(axis=0)
-        return spd_power(mean_p, 1.0 / alpha)
+        return spd_power(spd_power(stack, alpha).mean(axis=0), 1.0 / alpha)
     # affine-invariant: fixed-point iteration, warm-started at the
     # log-Euclidean mean.
     mean = karcher_mean_log_euclidean(stack)
     for _ in range(max_iter):
         inv_sqrt = spd_inv_sqrt(mean)
-        tangent = np.stack(
-            [spd_log(require_symmetric(inv_sqrt @ p @ inv_sqrt)) for p in stack]
-        ).mean(axis=0)
+        tangent = spd_log(inv_sqrt @ stack @ inv_sqrt).mean(axis=0)
         step = frob(tangent)
         sqrt = spd_power(mean, 0.5)
         mean = require_symmetric(sqrt @ spd_exp(tangent) @ sqrt)
@@ -237,12 +189,8 @@ def affine_invariant_grad_norm(mean, points) -> float:
 
     Zero exactly at the Karcher mean; used as a stationarity certificate.
     """
-    stack = _as_spd_stack(points)
     inv_sqrt = spd_inv_sqrt(mean)
-    tangent = np.stack(
-        [spd_log(require_symmetric(inv_sqrt @ p @ inv_sqrt)) for p in stack]
-    ).mean(axis=0)
-    return frob(tangent)
+    return frob(spd_log(inv_sqrt @ _stack_points(points) @ inv_sqrt).mean(axis=0))
 
 
 def dispersion_stat(
@@ -256,9 +204,5 @@ def dispersion_stat(
     (1/m) * sum_i d(X_i, mean)^p."""
     if p <= 0:
         raise BadParamError(f"dispersion exponent must be positive, got {p}")
-    stack = _as_spd_stack(points)
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != stack[0].shape:
-        raise DimMismatchError(f"mean shape {mean.shape} != point shape {stack[0].shape}")
-    dists = np.array([spd_distance(metric, x, mean, alpha=alpha) for x in stack])
+    dists = spd_distance(metric, mean, _stack_points(points), alpha=alpha)
     return float(np.mean(dists**p))

@@ -526,3 +526,100 @@ def test_exit_codes(tmp_path):
             "--out", str(tmp_path / "f.csv"),
         ]
     ) == 3
+
+
+def test_spd_items_that_are_not_matrices_exit_2(tmp_path):
+    # each stack would pass as SPD if it were read as one matrix, or as a
+    # stack of matrices: three unit vectors stack to the identity
+    data = tmp_path / "bad.json"
+    out = tmp_path / "g.csv"
+    for items in ([np.stack([np.eye(3)] * 3)] * 3, list(np.eye(3))):
+        save_dataset(data, "spd", items)
+        assert run(["gram", "--input", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_grid_flags_that_are_not_numbers_exit_1(tmp_path):
+    data = tmp_path / "blobs.json"
+    out = tmp_path / "out.json"
+    make_blobs_file(data)
+    svm = ["svm-train", "--input", str(data), "--cv", "2", "--out", str(out)]
+    for argv in [
+        [*svm, "--gamma-grid", "0.1,abc"],
+        [*svm, "--c-grid", "1,x"],
+        ["definiteness", "--manifold", "spd", "--metric", "log-euclidean", "--gamma-grid", "1,x",
+         "--out", str(out)],
+        ["mkl-train", "--inputs", str(data), "--gamma-grid", "x", "--out", str(out)],
+    ]:
+        assert run(argv) == 1, argv
+        assert not out.exists()
+
+
+def _assert_data_error(argv, path, words, capsys):
+    capsys.readouterr()
+    assert run(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err, err
+    for word in words:
+        assert word in err, err
+
+
+def test_malformed_dataset_and_model_files_exit_2_naming_file_and_key(tmp_path, capsys):
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    payload = json.loads(data.read_text())
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.csv"
+    gram = ["gram", "--input", str(bad), "--out", str(out)]
+    for key in ("shape", "items"):
+        bad.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        _assert_data_error(gram, bad, [repr(key)], capsys)
+    non_numeric = json.loads(data.read_text())
+    non_numeric["items"][2][1][0] = "abc"
+    bad.write_text(json.dumps(non_numeric))
+    _assert_data_error(gram, bad, ["abc"], capsys)
+    for text in ("{not json", "[1, 2]"):
+        bad.write_text(text)
+        _assert_data_error(gram, bad, [], capsys)
+
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--out", str(model)])
+    good = json.loads(model.read_text())
+    predict = ["svm-predict", "--model", str(bad), "--train", str(data), "--test", str(data),
+               "--out", str(out)]
+    for key, drop in [
+        ("spec", lambda p: p.pop("spec")),
+        ("gamma", lambda p: p["spec"].pop("gamma")),
+        ("bias", lambda p: p["model"].pop("bias")),
+    ]:
+        broken = json.loads(json.dumps(good))
+        drop(broken)
+        bad.write_text(json.dumps(broken))
+        _assert_data_error(predict, bad, [repr(key)], capsys)
+    assert not out.exists()
+
+
+def test_unparsable_images_exit_2(tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    out = tmp_path / "desc.json"
+    for raw in [b"P2\n4 x\n255\n", b"P2\n4", b"P5\n4 4\n255\n\x00\x01"]:
+        image.write_bytes(raw)
+        _assert_data_error(["covdesc", "--inputs", str(image), "--out", str(out)], image, [], capsys)
+    table = tmp_path / "img.csv"
+    table.write_text("1,2,3\n4,a,6\n7,8,9\n")
+    _assert_data_error(["covdesc", "--inputs", str(table), "--out", str(out)], table, [], capsys)
+    assert not out.exists()
+
+
+def test_internal_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):
+    import manikernels.cli as cli
+
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    for error in (KeyError, ValueError):
+        def broken(args, error=error):
+            raise error("a fault of the program")
+
+        monkeypatch.setattr(cli, "_cmd_gram", broken)
+        with pytest.raises(error):
+            run(["gram", "--input", str(data), "--out", str(tmp_path / "g.csv")])

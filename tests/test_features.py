@@ -12,7 +12,6 @@ from manikernels.errors import (
 from manikernels.features import (
     SubwindowSpec,
     candidate_grid,
-    integral_images,
     normalize_by_full_window,
     overlap_ratio,
     pedestrian_feature_maps,
@@ -125,13 +124,12 @@ def test_region_covariance_correlated_channels():
 def test_region_covariance_matches_direct_summation():
     rng = np.random.default_rng(4)
     stack = random_stack(rng, c=4, h=14, w=17)
-    integrals = integral_images(stack)
     for _ in range(50):
         w = int(rng.integers(3, 10))
         h = int(rng.integers(3, 9))
         x0 = int(rng.integers(0, stack.width - w + 1))
         y0 = int(rng.integers(0, stack.height - h + 1))
-        cov = region_covariance(stack, (x0, y0, w, h), epsilon=1e-9, integrals=integrals)
+        cov = region_covariance(stack, (x0, y0, w, h), epsilon=1e-9)
         pixels = stack.channels[:, y0 : y0 + h, x0 : x0 + w].reshape(stack.depth, -1)
         direct = np.cov(pixels, ddof=1) + 1e-9 * np.eye(stack.depth)
         assert np.linalg.norm(cov - direct) <= 1e-8 * max(1.0, np.linalg.norm(direct))
@@ -146,12 +144,45 @@ def test_region_covariance_errors():
         region_covariance(stack, (0, 0, 3, 1))
 
 
+def _random_rects(rng, stack, count):
+    rects = []
+    for _ in range(count):
+        w = int(rng.integers(3, stack.width + 1))
+        h = int(rng.integers(3, stack.height + 1))
+        x0 = int(rng.integers(0, stack.width - w + 1))
+        y0 = int(rng.integers(0, stack.height - h + 1))
+        rects.append((x0, y0, w, h))
+    return np.array(rects)
+
+
+def test_region_covariance_batch_equals_per_rect_calls():
+    rng = np.random.default_rng(14)
+    for c in (3, 8):
+        stack = random_stack(rng, c=c, h=14, w=17)
+        rects = _random_rects(rng, stack, 40)
+        for epsilon in (None, 1e-3):
+            batch = region_covariance(stack, rects, epsilon=epsilon)
+            single = np.stack([region_covariance(stack, tuple(r), epsilon=epsilon) for r in rects])
+            assert batch.shape == (40, c, c)
+            assert np.array_equal(batch, single)
+
+
+def test_region_covariance_batch_fails_on_any_bad_rect():
+    rng = np.random.default_rng(15)
+    stack = random_stack(rng)
+    good = _random_rects(rng, stack, 5)
+    for bad, error in [((10, 0, 10, 5), RectOutOfBoundsError), ((0, 0, 3, 1), TooFewPixelsError)]:
+        for at in (0, 2, 5):
+            rects = np.insert(good, at, bad, axis=0)
+            with pytest.raises(error):
+                region_covariance(stack, rects)
+
+
 def test_normalize_by_full_window_preserves_spd():
     rng = np.random.default_rng(6)
     stack = random_stack(rng)
-    integrals = integral_images(stack)
-    full = region_covariance(stack, (0, 0, stack.width, stack.height), integrals=integrals)
-    sub = region_covariance(stack, (2, 3, 6, 5), integrals=integrals)
+    full = region_covariance(stack, (0, 0, stack.width, stack.height))
+    sub = region_covariance(stack, (2, 3, 6, 5))
     normed = normalize_by_full_window(sub, full)
     assert np.all(np.linalg.eigvalsh(normed) > 0)
     scale = np.diag(1.0 / np.sqrt(np.diag(full)))

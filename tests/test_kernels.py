@@ -4,6 +4,7 @@ import pytest
 from manikernels import spd
 from manikernels.errors import (
     BadParamError,
+    BadShapeError,
     DimMismatchError,
     NonSymmetricError,
     NotSpdError,
@@ -197,6 +198,13 @@ def test_registry_checks_fire_through_both_drivers(monkeypatch):
             squared_distance_matrix(manifold, metric, points + [longer])
         with pytest.raises(DimMismatchError):
             cross_squared_distances(manifold, metric, points, [longer])
+        if manifold != "euclidean":
+            # a stack of matrices is not one point, nor is a vector
+            for bad in (np.stack([points[0]] * 2), points[0][0]):
+                with pytest.raises(BadShapeError):
+                    squared_distance_matrix(manifold, metric, [bad] * 3)
+                with pytest.raises(BadShapeError):
+                    cross_squared_distances(manifold, metric, [bad], [bad] * 2)
 
     # log det plus a strictly convex term is no longer midpoint concave, so
     # the radicand goes negative

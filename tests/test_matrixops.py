@@ -3,20 +3,22 @@ import pytest
 
 from manikernels.errors import (
     BadShapeError,
+    ClampWarning,
     NonSymmetricError,
     NotSpdError,
     ZeroExponentError,
 )
 from manikernels.matrixops import (
-    EigenDecomp,
     cholesky_lower,
+    require_symmetric,
     spd_exp,
+    spd_floor,
     spd_inv_sqrt,
     spd_log,
     spd_power,
-    sym_eig,
     thin_svd,
 )
+from manikernels.spd import make_spd
 
 
 def rand_sym(rng, d):
@@ -31,40 +33,79 @@ def rand_spd(rng, d, lo=0.5, hi=2.0):
     return (q * w) @ q.T
 
 
-def test_sym_eig_identity():
-    dec = sym_eig(np.eye(3))
-    np.testing.assert_allclose(dec.values, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-12)
+# Each function of the SPD contract, on one matrix or an (..., d, d) stack.
+STACKED = {
+    "require_symmetric": require_symmetric,
+    "spd_floor": spd_floor,
+    "spd_log": spd_log,
+    "spd_exp": spd_exp,
+    "spd_power": lambda s: spd_power(s, 0.3),
+    "spd_inv_sqrt": spd_inv_sqrt,
+    "cholesky_lower": cholesky_lower,
+    "make_spd": make_spd,
+}
 
 
-def test_sym_eig_diagonal_sorted():
-    dec = sym_eig(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(dec.values, [3.0, 1.0])
-    # eigenvectors are the axes up to column sign
-    np.testing.assert_allclose(np.abs(dec.vectors), np.eye(2), atol=1e-12)
+@pytest.mark.parametrize("name", sorted(STACKED))
+@pytest.mark.parametrize("d", [1, 3, 5, 8])
+def test_stacked_call_equals_item_loop(name, d):
+    rng = np.random.default_rng(d)
+    fn = STACKED[name]
+    stack = np.stack([rand_spd(rng, d, lo=0.1, hi=9.0) for _ in range(12)])
+    want = np.array([fn(s) for s in stack])
+    assert np.array_equal(fn(stack), want)
+    nested = fn(stack.reshape(3, 4, d, d))
+    assert np.array_equal(nested, want.reshape(3, 4, *want.shape[1:]))
 
 
-def test_sym_eig_reconstruction():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        s = rand_sym(rng, 5)
-        dec = sym_eig(s)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.linalg.norm(recon - s) <= 1e-10 * np.linalg.norm(s)
-        assert np.all(np.diff(dec.values) <= 0)
-        np.testing.assert_allclose(dec.vectors.T @ dec.vectors, np.eye(5), atol=1e-9)
+def _with_item(item):
+    stack = np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)])
+    stack[1] = item
+    return stack
 
 
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(NonSymmetricError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+@pytest.mark.parametrize("name", sorted(set(STACKED) - {"spd_floor"}))
+def test_one_asymmetric_item_fails_the_stack(name):
+    item = np.eye(3)
+    item[0, 2] = 1e-3
+    for arg in (item, _with_item(item)):
+        with pytest.raises(NonSymmetricError):
+            STACKED[name](arg)
 
 
-def test_sym_eig_symmetrizes_within_tolerance():
-    s = np.eye(2)
-    s[0, 1] = 1e-11  # asymmetry below 10 * SYM_TOL
-    dec = sym_eig(s)
-    assert isinstance(dec, EigenDecomp)
+# A zero or negative eigenvalue fails every check; a tiny positive one
+# passes Cholesky, and only the eigenvalue floor catches it.
+BELOW_FLOOR = [
+    (name, item)
+    for name in ("spd_log", "spd_power", "cholesky_lower", "make_spd")
+    for item in (np.diag([1.0, 1.0, 0.0]), -np.eye(3))
+] + [(name, np.diag([1.0, 1e-14, 1.0])) for name in ("spd_log", "spd_power", "make_spd")]
+
+
+@pytest.mark.parametrize("name, item", BELOW_FLOOR)
+def test_one_item_below_the_floor_fails_the_stack(name, item):
+    for arg in (item, _with_item(item)):
+        with pytest.raises(NotSpdError):
+            STACKED[name](arg)
+
+
+def test_inv_sqrt_stack_clamps_and_rejects_like_its_items():
+    roundoff = np.diag([1.0, 1.0, 0.0])
+    for arg in (roundoff, _with_item(roundoff)):
+        with pytest.warns(ClampWarning):
+            out = spd_inv_sqrt(arg)
+        assert np.all(np.isfinite(out))
+    negative = np.diag([1.0, 1.0, -1.0])
+    for arg in (negative, _with_item(negative)):
+        with pytest.raises(NotSpdError):
+            spd_inv_sqrt(arg)
+
+
+@pytest.mark.parametrize("name", sorted(set(STACKED) - {"spd_floor"}))
+def test_non_square_input_rejected(name):
+    for arg in (np.ones(3), np.ones((2, 3)), np.ones((4, 3, 2))):
+        with pytest.raises(BadShapeError):
+            STACKED[name](arg)
 
 
 def test_spd_log_identity_and_diagonal():
