@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import load_matrix_csv, parse_errors
 from .errors import (
@@ -270,6 +270,23 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
 # Spatio-temporal structure tensors
 # ---------------------------------------------------------------------------
 
+def _gaussian_smooth(planes, sigma: float) -> np.ndarray:
+    """Gaussian blur of the last two axes, one axis at a time: sampled
+    weights exp(-x^2 / 2 sigma^2) over |x| <= int(4 sigma + 0.5), summing
+    to one, with edge values repeated past the border. Each plane equals
+    ``scipy.ndimage.gaussian_filter(plane, sigma, mode="nearest")``."""
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    weights /= weights.sum()
+    out = np.asarray(planes, dtype=float)
+    for axis in (-2, -1):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        windows = sliding_window_view(np.pad(out, pad, mode="edge"), weights.size, axis=axis)
+        out = windows @ weights
+    return out
+
+
 def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6) -> np.ndarray:
     """Per-pixel 3x3 structure tensors from 2 or 3 frames.
 
@@ -296,13 +313,7 @@ def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6
         it = (imgs[2] - imgs[0]) / 2.0
     grads = np.stack([_dx(ref), _dy(ref), it])  # (3, h, w)
     prods = grads[:, None, :, :] * grads[None, :, :, :]  # (3, 3, h, w)
-    if smoothing_sigma > 0:
-        smoothed = np.empty_like(prods)
-        for a in range(3):
-            for b in range(3):
-                smoothed[a, b] = gaussian_filter(prods[a, b], smoothing_sigma, mode="nearest")
-    else:
-        smoothed = prods
+    smoothed = _gaussian_smooth(prods, smoothing_sigma) if smoothing_sigma > 0 else prods
     tensors = smoothed.transpose(2, 3, 0, 1).copy()
     tensors += epsilon * np.eye(3)
     return tensors

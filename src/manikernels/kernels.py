@@ -231,11 +231,14 @@ class GramMatrix:
     ``min_eigen`` is the smallest eigenvalue when audited. A matrix no
     single spec builds (a kernel combination) has ``spec`` None, and its
     ``min_eigen`` may be a lower bound on the smallest eigenvalue.
+    ``symmetric`` marks entries that are exactly symmetric by
+    construction; the learners take those without a symmetry check.
     """
 
     entries: np.ndarray
     spec: KernelSpec | None = None
     min_eigen: float | None = None
+    symmetric: bool = False
 
     @property
     def size(self) -> int:
@@ -263,7 +266,7 @@ def gram_from_squared_distances(spec: KernelSpec, d2, audit: bool = False) -> Gr
     np.fill_diagonal(k, 1.0)
     k = (k + k.T) / 2.0
     min_eigen = float(np.linalg.eigvalsh(k)[0]) if audit else None
-    return GramMatrix(entries=k, spec=spec, min_eigen=min_eigen)
+    return GramMatrix(entries=k, spec=spec, min_eigen=min_eigen, symmetric=True)
 
 
 def projection_linear_gram(points) -> np.ndarray:
@@ -307,14 +310,16 @@ def cnd_check(matrix, tol: float) -> tuple[bool, float]:
     return bool(w[-1] <= tol), float(w[-1])
 
 
-def sample_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Log-normal SPD sample: exp of a Gaussian symmetric matrix.
+def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
+    """Log-normal SPD sample: exp of a Gaussian symmetric matrix, or a
+    ``(count, dim, dim)`` stack of them.
 
     Well conditioned by construction, so distance computations are not
-    stressed by near-singularity.
+    stressed by near-singularity. A stack draws its normals in one call
+    and so equals ``count`` single draws from the same stream.
     """
-    a = rng.standard_normal((dim, dim))
-    return spd_exp((a + a.T) / 2.0)
+    a = rng.standard_normal((dim, dim) if count is None else (count, dim, dim))
+    return spd_exp((a + np.swapaxes(a, -1, -2)) / 2.0)
 
 
 def sample_grassmann(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -402,7 +407,7 @@ def definiteness_search(
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         if manifold == "spd":
-            points = [sample_spd(rng, dim) for _ in range(m)]
+            points = list(sample_spd(rng, dim, m))
         elif manifold == "grassmann":
             points = [sample_grassmann(rng, dim, subspace_dim) for _ in range(m)]
         elif manifold == "euclidean":

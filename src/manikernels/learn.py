@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadParamError,
@@ -44,8 +43,15 @@ PSD_TOL_FACTOR = 1e-8
 
 
 def as_kernel_array(k) -> np.ndarray:
-    """Symmetrized ndarray from a GramMatrix or array-like kernel matrix."""
+    """Symmetrized ndarray from a GramMatrix or array-like kernel matrix.
+
+    Each public learner calls this once on its input; the entries of a
+    GramMatrix marked ``symmetric`` pass through unchecked, and that is
+    how the learners hand checked matrices to their inner fits.
+    """
     if isinstance(k, GramMatrix):
+        if k.symmetric:
+            return k.entries
         k = k.entries
     return require_symmetric(np.asarray(k, dtype=float))
 
@@ -272,9 +278,10 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
 
     Solves the generalized eigenproblem between-class vs within-class
     scatter in the RKHS, the within-class part regularized by
-    ``ridge * I`` (default 1e-4 * trace(W) / m). Returns the training
-    projections plus the coefficient matrix for out-of-sample use via
-    :func:`fda_project`.
+    ``ridge * I`` (default 1e-4 * trace(W) / m), by Cholesky whitening of
+    the within-class part; one that is not positive definite raises
+    SingularScatterError. Returns the training projections plus the
+    coefficient matrix for out-of-sample use via :func:`fda_project`.
     """
     k = as_kernel_array(k)
     m = k.shape[0]
@@ -308,13 +315,18 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
             ridge = 1e-8 * float(np.trace(k)) / m
     if ridge < 0:
         raise BadParamError(f"ridge must be non-negative, got {ridge}")
-    n_mat = require_symmetric(within + ridge * np.eye(m))
+    # B a = w N a by Cholesky whitening: with N = L L^T, the eigenvectors
+    # v of L^-1 B L^-T give a = L^-T v, normalized so that a^T N a = I
     try:
-        w, a = scipy.linalg.eigh(require_symmetric(between), n_mat)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        chol = np.linalg.cholesky(require_symmetric(within + ridge * np.eye(m)))
+    except np.linalg.LinAlgError as exc:
         raise SingularScatterError(
             "within-class scatter is singular; pass a positive ridge"
         ) from exc
+    half = np.linalg.solve(chol, require_symmetric(between))
+    whitened = np.linalg.solve(chol, half.T)
+    w, v = np.linalg.eigh((whitened + whitened.T) / 2.0)
+    a = np.linalg.solve(chol.T, v)
     w = w[::-1][:dims].copy()
     a = a[:, ::-1][:, :dims].copy()
     coords = k @ a
@@ -532,7 +544,7 @@ def multiclass_svm_train(
     if mode not in ("one-vs-all", "one-vs-one"):
         raise BadParamError(f"unknown multiclass mode {mode!r}")
     if mode == "one-vs-all":
-        audited = GramMatrix(k, min_eigen=_require_psd(k, min_eigen))
+        audited = GramMatrix(k, min_eigen=_require_psd(k, min_eigen), symmetric=True)
         models = []
         for cls in classes:
             y_bin = np.where(y == cls, 1.0, -1.0)
@@ -543,9 +555,10 @@ def multiclass_svm_train(
         for b in range(a + 1, len(classes)):
             idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
             y_bin = np.where(y[idx] == classes[a], 1.0, -1.0)
-            sub = k[np.ix_(idx, idx)]
-            if min_eigen is not None and min_eigen >= -PSD_TOL_FACTOR * idx.size:
-                sub = GramMatrix(sub, min_eigen=min_eigen)
+            audit = min_eigen
+            if audit is not None and audit < -PSD_TOL_FACTOR * idx.size:
+                audit = None  # below the pair's slack: the submatrix is audited anew
+            sub = GramMatrix(k[np.ix_(idx, idx)], min_eigen=audit, symmetric=True)
             models.append(svm_train(sub, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
             pair_indices.append(idx)
             pairs.append((classes[a], classes[b]))
@@ -617,9 +630,10 @@ def mkl_train(
     SVM solve (lambda fixed) with a reduced-gradient descent step on
     lambda (dual fixed; dJ/dlambda_j = -(1/2) dc^T K_j dc), with a
     backtracking line search that only accepts non-increasing objectives.
-    Each kernel is audited once; by Weyl's inequality sum_j lambda_j
-    min_eigen(K_j) bounds the smallest eigenvalue of K(lambda) from
-    below, so the inner solves run no eigenvalue audit.
+    Each kernel is checked for symmetry and audited once; by Weyl's
+    inequality sum_j lambda_j min_eigen(K_j) bounds the smallest
+    eigenvalue of K(lambda) from below, so the inner solves run neither
+    check nor eigenvalue audit.
     """
     kernels = list(kernels)
     mats = [as_kernel_array(k) for k in kernels]
@@ -633,9 +647,13 @@ def mkl_train(
         min_eigens.append(_require_psd(mat, getattr(k, "min_eigen", None)))
     n_kernels = len(mats)
     lam = np.full(n_kernels, 1.0 / n_kernels)
+    checked = [GramMatrix(mat, symmetric=True) for mat in mats]
 
     def solve(weights):
-        combined = GramMatrix(combine_kernels(mats, weights), min_eigen=float(weights @ min_eigens))
+        # a weighted sum of exactly symmetric matrices is exactly symmetric
+        combined = GramMatrix(
+            combine_kernels(checked, weights), min_eigen=float(weights @ min_eigens), symmetric=True
+        )
         model = svm_train(combined, y, C, kkt_tol=kkt_tol)
         dual, _ = svm_objectives(model, combined, y)
         return model, dual

@@ -16,6 +16,7 @@ from manikernels.kernels import (
     METRICS,
     PD_FOR_ALL_GAMMA,
     KernelSpec,
+    _trial_rng,
     cnd_check,
     cross_gram,
     cross_squared_distances,
@@ -314,6 +315,24 @@ def test_definiteness_search_deterministic():
     assert a.witness_trial == b.witness_trial
     for pa, pb in zip(a.witness_points, b.witness_points):
         np.testing.assert_array_equal(pa, pb)
+
+
+@pytest.mark.parametrize("dim, count", [(3, 1), (3, 40), (8, 40)])
+def test_sample_spd_stack_equals_single_draws(dim, count):
+    stack = sample_spd(np.random.default_rng(5), dim, count)
+    rng = np.random.default_rng(5)
+    loop = np.stack([sample_spd(rng, dim) for _ in range(count)])
+    assert stack.shape == (count, dim, dim)
+    assert np.array_equal(stack, loop)
+
+
+def test_definiteness_spd_witness_points_are_single_draws():
+    report = definiteness_search("spd", "root-stein", GRID, m=40, trials=200, seed=7, dim=3)
+    assert report.verdict == "witness_found"
+    rng = _trial_rng(7, report.witness_trial)
+    assert len(report.witness_points) == 40
+    for point in report.witness_points:
+        assert np.array_equal(point, sample_spd(rng, 3))
 
 
 def test_definiteness_search_bad_grid():

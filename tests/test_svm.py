@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from manikernels import learn
 from manikernels.errors import (
     BadParamError,
     DimMismatchError,
@@ -346,3 +347,57 @@ def test_mkl_audits_each_kernel_once(eigvalsh_calls):
     mkl = mkl_train(grams, y, C=5.0)
     assert len(mkl.objective_trace) >= 2  # the outer loop ran inner solves
     assert eigvalsh_calls == [24, 24, 24]
+
+
+# ---------------------------------------------------------------------------
+# symmetry check
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def symmetry_checks(monkeypatch):
+    """Sizes of the matrices ``learn`` runs its symmetry check on."""
+    calls = []
+    real = learn.require_symmetric
+
+    def counting(s, *args, **kwargs):
+        calls.append(np.shape(s)[-1])
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(learn, "require_symmetric", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["one-vs-all", "one-vs-one"])
+def test_multiclass_checks_symmetry_once(mode, symmetry_checks):
+    points, labels = spd_cluster_problem(np.random.default_rng(8), 3, 8)
+    gram = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points)
+    model = multiclass_svm_train(gram.entries, labels, C=10.0, mode=mode)
+    assert symmetry_checks == [24]
+    # a Gram built symmetric is taken as it is, with the same result
+    symmetry_checks.clear()
+    again = multiclass_svm_train(gram, labels, C=10.0, mode=mode)
+    assert symmetry_checks == []
+    for a, b in zip(model.models, again.models):
+        assert np.array_equal(a.dual_coefs, b.dual_coefs) and a.bias == b.bias
+
+
+def test_mkl_checks_each_kernel_once(symmetry_checks):
+    rng = np.random.default_rng(11)
+    pts, y = separable_problem(rng, 24)
+    grams = [gram_matrix(gauss_spec(g), pts) for g in (0.2, 1.0, 5.0)]
+    mkl = mkl_train([g.entries for g in grams], y, C=5.0)
+    assert len(mkl.objective_trace) >= 2  # the outer loop ran inner solves
+    assert symmetry_checks == [24, 24, 24]
+    symmetry_checks.clear()
+    again = mkl_train(grams, y, C=5.0)
+    assert symmetry_checks == []
+    assert np.array_equal(mkl.weights, again.weights)
+    assert np.array_equal(mkl.svm.dual_coefs, again.svm.dual_coefs)
+
+
+def test_gram_matrix_marked_symmetric_is_exactly_symmetric():
+    rng = np.random.default_rng(13)
+    pts = [spd_exp((a + a.T) / 2.0) for a in rng.standard_normal((20, 4, 4))]
+    gram = gram_matrix(KernelSpec(manifold="spd", metric="affine-invariant", gamma=0.3), pts)
+    assert gram.symmetric
+    assert np.array_equal(gram.entries, gram.entries.T)
