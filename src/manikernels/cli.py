@@ -73,6 +73,7 @@ from .learn import (
     multiclass_svm_predict,
     multiclass_svm_train,
     svm_decision,
+    svm_predict,
     svm_train,
 )
 from .spd import make_spd
@@ -296,7 +297,10 @@ def _cv_select(d2, labels, spec, args):
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
     cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    binary = len(np.unique(labels)) == 2
+    # folds whose training part holds one class are skipped, so the
+    # +-1 coding of every fold's training labels is this one
+    y = _binary_labels(labels) if binary else labels
     folds = _cv_folds(len(labels), args.cv, args.seed)
     best = None
     for gamma in gammas:
@@ -311,19 +315,14 @@ def _cv_select(d2, labels, spec, args):
                 continue
             sub = gram_from_squared_distances(candidate, d2[np.ix_(train, train)], audit=True)
             cols = full[np.ix_(train, test)]
-            y_train = labels[train]
-            y_test = labels[test]
             for c_index, c_val in enumerate(cs):
-                if len(uniq) == 2:
-                    y_bin = _binary_labels(y_train)
-                    model = svm_train(sub, y_bin, c_val, kkt_tol=args.kkt_tol)
-                    pred_sign = np.where(svm_decision(model, cols) >= 0, 1, -1)
-                    mapping = {1: uniq[1], -1: uniq[0]} if not set(uniq.tolist()) <= {-1, 1} else None
-                    pred = np.array([mapping[p] for p in pred_sign]) if mapping else pred_sign
+                if binary:
+                    model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
+                    pred = svm_predict(model, cols)
                 else:
-                    model = multiclass_svm_train(sub, y_train, c_val, mode=args.mode, kkt_tol=args.kkt_tol)
+                    model = multiclass_svm_train(sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol)
                     pred = multiclass_svm_predict(model, cols)
-                correct[c_index] += int(np.sum(pred == y_test))
+                correct[c_index] += int(np.sum(pred == y[test]))
             total += int(test.sum())
         for c_index, c_val in enumerate(cs):
             score = correct[c_index] / total if total else 0.0
@@ -572,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--audit", action="store_true", help="record the smallest eigenvalue")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help=".csv or .json output path")
     p.set_defaults(func=_cmd_gram)
 
@@ -589,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--l", type=int, required=True, help="number of components")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kpca)
 
@@ -598,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--dims", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_kfda)
 
@@ -620,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train", required=True, help="dataset the model was trained on")
     p.add_argument("--test", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_svm_predict)
 
@@ -632,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--max-outer", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mkl_train)
 
@@ -645,14 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-overlap", type=float, default=0.75)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                    help="rescale subwindow descriptors by the full-window covariance")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_covdesc)
 
     p = subs.add_parser("subspace", help="dominant subspace of a vector-set CSV")
     p.add_argument("--input", required=True, help="n x p CSV, one descriptor per column")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_subspace)
 

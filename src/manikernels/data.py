@@ -184,21 +184,3 @@ def synth_grassmann_clusters(
             points.append(make_grassmann(raw))
             labels.append(c)
     return points, np.array(labels, dtype=int)
-
-
-def synth_two_rings(
-    per_ring: int,
-    seed: int = 0,
-    radii=(1.0, 2.0),
-    noise_scale: float = 0.1,
-):
-    """Two noisy concentric rings in the plane; a classic non-linear pair."""
-    rng = np.random.default_rng(seed)
-    points, labels = [], []
-    for c, radius in enumerate(radii):
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=per_ring)
-        radiuses = radius + noise_scale * rng.standard_normal(per_ring)
-        for t, r in zip(angles, radiuses):
-            points.append(np.array([r * np.cos(t), r * np.sin(t)]))
-            labels.append(c)
-    return points, np.array(labels, dtype=int)

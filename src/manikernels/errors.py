@@ -91,7 +91,3 @@ class FrameMismatchError(ManiKernelsError):
 
 class NoPositivesError(ManiKernelsError):
     """Subwindow ranking requires at least one positive sample."""
-
-
-class ClampWarning(UserWarning):
-    """Roundoff-scale eigenvalue or singular value was clamped."""

@@ -295,6 +295,10 @@ def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6
     the frames; the outer product field is smoothed channel-wise with a
     Gaussian of ``smoothing_sigma`` and shifted by ``epsilon * I``.
     Returns an (h, w, 3, 3) array.
+
+    No CLI command calls this yet: it is kept as the paper's
+    spatio-temporal SPD descriptor, the video counterpart of
+    :func:`region_covariance`.
     """
     imgs = [np.asarray(f, dtype=float) for f in frames]
     if len(imgs) not in (2, 3):
@@ -363,17 +367,6 @@ def read_pgm(path) -> np.ndarray:
     if arr.size != width * height:
         raise BadParamError(f"PGM raster holds {arr.size} values, expected {width * height}")
     return arr.reshape(height, width)
-
-
-def write_pgm(path, image, maxval: int = 255) -> None:
-    """Ascii (P2) PGM writer; values clipped into [0, maxval] and rounded."""
-    img = np.asarray(image, dtype=float)
-    vals = np.clip(np.round(img), 0, maxval).astype(int)
-    lines = ["P2", f"{img.shape[1]} {img.shape[0]}", str(maxval)]
-    for row in vals:
-        lines.append(" ".join(str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_image(path) -> np.ndarray:

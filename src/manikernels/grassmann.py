@@ -20,11 +20,11 @@ import numpy as np
 from .errors import (
     BadShapeError,
     DimMismatchError,
+    NoConvergenceError,
     NumericalError,
     RankDeficientError,
     UnsupportedMetricError,
 )
-from .matrixops import thin_svd
 
 GRASSMANN_METRICS = (
     "projection",
@@ -129,11 +129,10 @@ def subspace_from_vectors(f, r: int) -> np.ndarray:
     n, p = f.shape
     if r < 1 or r >= min(n, p):
         raise BadShapeError(f"need 1 <= r < min(n, p) = {min(n, p)}, got r = {r}")
-    if n >= p:
-        svd = thin_svd(f)
-        u, s = svd.u, svd.s
-    else:
+    try:
         u, s, _ = np.linalg.svd(f, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"SVD failed: {exc}") from exc
     if s[0] == 0.0 or s[r - 1] <= max(n, p) * np.finfo(float).eps * s[0]:
         raise RankDeficientError(f"rank below {r} (sv_{r} = {s[r - 1]:.3e})")
     basis = u[:, :r].copy()

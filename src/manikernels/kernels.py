@@ -21,13 +21,12 @@ metric), of one of two kinds:
   in :mod:`~manikernels.spd` and :mod:`~manikernels.grassmann`.
 
 This module builds distance and Gram matrices from the registry, audits
-their eigenvalues, tests conditional negative semi-definiteness of
-squared distance matrices, and searches for indefiniteness witnesses.
+their smallest eigenvalue, searches for indefiniteness witnesses, and
+writes Gram matrices to CSV and JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -40,9 +39,10 @@ from .errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
+    EmptySetError,
     UnsupportedMetricError,
 )
-from .matrixops import _stack_points, cholesky_lower, require_symmetric, spd_exp, spd_log, spd_power
+from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
 from .spd import DEFAULT_POWER_ALPHA
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
@@ -141,6 +141,18 @@ class KernelSpec:
         )
 
 
+def _stack_points(points) -> np.ndarray:
+    """One array of a non-empty sequence of same-shape points."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts:
+        raise EmptySetError("empty point set")
+    shape = pts[0].shape
+    for p in pts:
+        if p.shape != shape:
+            raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
+    return np.stack(pts)
+
+
 def _manifold_points(manifold: str, points) -> np.ndarray:
     """Points as one stack. On the SPD and Grassmann manifolds each point
     must be one matrix, so that the stacked matrix functions never read
@@ -213,17 +225,6 @@ def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     return np.exp(-spec.gamma * d2)
 
 
-def median_heuristic_gamma(d2) -> float:
-    """1 / median of the off-diagonal squared distances (1.0 if degenerate)."""
-    d2 = np.asarray(d2, dtype=float)
-    m = d2.shape[0]
-    if m < 2:
-        return 1.0
-    off = d2[np.triu_indices(m, 1)]
-    med = float(np.median(off))
-    return 1.0 / med if med > 0 else 1.0
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Kernel matrix over a point set, with an optional eigenvalue audit.
@@ -267,47 +268,6 @@ def gram_from_squared_distances(spec: KernelSpec, d2, audit: bool = False) -> Gr
     k = (k + k.T) / 2.0
     min_eigen = float(np.linalg.eigvalsh(k)[0]) if audit else None
     return GramMatrix(entries=k, spec=spec, min_eigen=min_eigen, symmetric=True)
-
-
-def projection_linear_gram(points) -> np.ndarray:
-    """Gamma-free baseline Gram on subspaces: K_ij = ||Y_i^T Y_j||_F^2.
-
-    The linear kernel of the projector embedding Y -> Y Y^T; useful as the
-    linear baseline next to the projection Gaussian kernel. For orthonormal
-    bases it equals r - d^2 under the projection metric.
-    """
-    pts = _stack_points(points)
-    return pts.shape[-1] - squared_distance_matrix("grassmann", "projection", pts)
-
-
-def euclidean_linear_gram(points) -> np.ndarray:
-    """Plain linear-kernel Gram of flattened points: K = X X^T."""
-    pts = _stack_points(points)
-    flat = np.stack([p.ravel() for p in pts])
-    k = flat @ flat.T
-    return (k + k.T) / 2.0
-
-
-def psd_check(matrix, tol: float) -> tuple[bool, float]:
-    """(min eigenvalue >= -tol, min eigenvalue) for a symmetric matrix."""
-    m = require_symmetric(matrix)
-    w = np.linalg.eigvalsh(m)
-    return bool(w[0] >= -tol), float(w[0])
-
-
-def cnd_check(matrix, tol: float) -> tuple[bool, float]:
-    """Conditionally-negative-semi-definite test via the centering projector.
-
-    With P = I - (1/m) 1 1^T, the matrix M satisfies c^T M c <= 0 for every
-    c summing to zero iff P M P has no eigenvalue above 0. Returns
-    (max eig of PMP <= tol, max eig of PMP).
-    """
-    m = require_symmetric(matrix)
-    size = m.shape[0]
-    p = np.eye(size) - np.full((size, size), 1.0 / size)
-    pmp = require_symmetric(p @ m @ p)
-    w = np.linalg.eigvalsh(pmp)
-    return bool(w[-1] <= tol), float(w[-1])
 
 
 def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
@@ -469,32 +429,6 @@ def gram_to_csv(gram: GramMatrix, path, extra_header: list[str] | None = None) -
     save_matrix_csv(path, gram.entries, header_lines=[*(extra_header or []), header])
 
 
-def gram_from_csv(path) -> GramMatrix:
-    """Read a Gram matrix written by :func:`gram_to_csv`."""
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = val
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    spec = KernelSpec(
-        manifold=meta["manifold"],
-        metric=meta["metric"],
-        gamma=float(meta["gamma"]),
-        alpha=float(meta.get("alpha", DEFAULT_POWER_ALPHA)),
-    )
-    min_eigen = float(meta["min_eigen"]) if "min_eigen" in meta else None
-    return GramMatrix(entries=np.array(rows), spec=spec, min_eigen=min_eigen)
-
-
 def gram_to_json(gram: GramMatrix, path, provenance: dict | None = None) -> None:
     payload = {
         "spec": gram.spec.to_dict(),
@@ -505,13 +439,3 @@ def gram_to_json(gram: GramMatrix, path, provenance: dict | None = None) -> None
     if provenance is not None:
         payload["provenance"] = provenance
     save_json(path, payload)
-
-
-def gram_from_json(path) -> GramMatrix:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return GramMatrix(
-        entries=np.array(payload["entries"], dtype=float),
-        spec=KernelSpec.from_dict(payload["spec"]),
-        min_eigen=payload.get("min_eigen"),
-    )

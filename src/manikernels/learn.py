@@ -257,8 +257,9 @@ def kernel_pca(k, n_components: int) -> Embedding:
     m = k.shape[0]
     if n_components < 1 or n_components > m:
         raise BadParamError(f"need 1 <= l <= {m}, got {n_components}")
-    h = np.eye(m) - np.full((m, m), 1.0 / m)
-    kc = require_symmetric(h @ k @ h)
+    # H K H with H = I - 11^T/m, as column means then row means off
+    kc = k - k.mean(axis=0)
+    kc = require_symmetric(kc - kc.mean(axis=1, keepdims=True))
     w, u = np.linalg.eigh(kc)
     if w[0] < -PSD_TOL_FACTOR * m:
         raise NotPsdError(f"centered kernel has eigenvalue {w[0]:.3e}")
@@ -305,8 +306,9 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
         mu_c = kc.mean(axis=1)
         diff = mu_c - mu
         between += idx.size * np.outer(diff, diff)
-        centering = np.eye(idx.size) - np.full((idx.size, idx.size), 1.0 / idx.size)
-        within += kc @ centering @ kc.T
+        # K_c (I - 11^T/n_c) K_c^T = D D^T with D = K_c less its row means
+        d = kc - mu_c[:, None]
+        within += d @ d.T
     if ridge is None:
         ridge = 1e-4 * float(np.trace(within)) / m
         if ridge <= 0.0:
@@ -335,7 +337,11 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
 
 
 def fda_project(embedding: Embedding, kernel_columns) -> np.ndarray:
-    """Project out-of-sample points given their kernel columns (m x t)."""
+    """Project out-of-sample points given their kernel columns (m x t).
+
+    The out-of-sample half of :func:`kernel_fda`, which fills
+    ``Embedding.weights`` for it; no CLI command projects new points yet.
+    """
     if embedding.weights is None:
         raise BadParamError("embedding has no projection coefficients")
     cols = np.asarray(kernel_columns, dtype=float)

@@ -2,9 +2,9 @@
 
 Everything here is a thin, contract-checked layer over LAPACK (via
 ``numpy.linalg``): the symmetry check, the relative SPD eigenvalue
-floor, SPD matrix functions (log, exp, fractional power, inverse square
-root) computed through the eigendecomposition, Cholesky with the
-positive-diagonal convention, and thin SVD.
+floor, SPD matrix functions (log, exp, fractional power) computed
+through the eigendecomposition, and Cholesky with the positive-diagonal
+convention.
 
 The symmetric-matrix functions take one ``(d, d)`` matrix or an
 ``(..., d, d)`` stack of them and act on each matrix of a stack alone;
@@ -17,25 +17,19 @@ All functions are pure and operate on ``float64`` arrays.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     BadShapeError,
-    ClampWarning,
-    DimMismatchError,
-    EmptySetError,
     NoConvergenceError,
     NonSymmetricError,
     NotSpdError,
     ZeroExponentError,
 )
 
-# Relative symmetry tolerance; inputs within 10x of it are symmetrized,
-# anything worse is rejected.
-SYM_TOL = 1e-10
+# Relative symmetry tolerance; inputs within it are symmetrized, anything
+# worse is rejected.
+SYM_TOL = 1e-9
 
 
 def frob(a):
@@ -47,17 +41,17 @@ def _transpose(s) -> np.ndarray:
     return np.swapaxes(s, -1, -2)
 
 
-def require_symmetric(s, tol: float = 10 * SYM_TOL) -> np.ndarray:
+def require_symmetric(s) -> np.ndarray:
     """Return the symmetrized copy (S + S^T)/2 of a matrix or of each
     matrix of a stack, rejecting the call when any asymmetry
-    ||S - S^T||_F / max(1, ||S||_F) exceeds ``tol``."""
+    ||S - S^T||_F / max(1, ||S||_F) exceeds ``SYM_TOL``."""
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise BadShapeError(f"expected a square matrix or a stack of them, got shape {s.shape}")
     st = _transpose(s)
     defect = np.max(frob(s - st) / np.maximum(1.0, frob(s)), initial=0.0)
-    if defect > tol:
-        raise NonSymmetricError(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    if defect > SYM_TOL:
+        raise NonSymmetricError(f"asymmetry {defect:.3e} exceeds tolerance {SYM_TOL:.3e}")
     return (s + st) / 2.0
 
 
@@ -74,38 +68,6 @@ def _above_floor(w, floor):
     if np.any(low):
         raise NotSpdError(f"min eigenvalue {np.min(w[..., 0][low]):.3e} at or below SPD floor")
     return w
-
-
-def _clamped_to_floor(w, floor):
-    """Ascending eigenvalues ``w`` of each item, raised to its floor where
-    they sit at or below it by roundoff (a ClampWarning)."""
-    if np.any(w[..., 0] <= floor):
-        if np.any(w[..., 0] <= -np.abs(floor)):
-            raise NotSpdError(f"min eigenvalue {np.min(w[..., 0]):.3e} is negative beyond roundoff")
-        warnings.warn("eigenvalue clamped to SPD floor in inverse square root", ClampWarning)
-        w = np.maximum(w, np.asarray(floor)[..., None])
-    return w
-
-
-@dataclass(frozen=True)
-class ThinSvd:
-    """Thin SVD A = u @ diag(s) @ v.T with non-increasing singular values."""
-
-    u: np.ndarray  # (n, r)
-    s: np.ndarray  # (r,)
-    v: np.ndarray  # (r, r)
-
-
-def _stack_points(points) -> np.ndarray:
-    """One array of a non-empty sequence of same-shape points."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise EmptySetError("empty point set")
-    shape = pts[0].shape
-    for p in pts:
-        if p.shape != shape:
-            raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
-    return np.stack(pts)
 
 
 def _eigh(s):
@@ -150,15 +112,6 @@ def spd_power(s, alpha: float) -> np.ndarray:
     return _spectral(s, lambda w: w**alpha, _above_floor)
 
 
-def spd_inv_sqrt(s) -> np.ndarray:
-    """S^{-1/2} of an SPD matrix or stack, with eigenvalues clamped at the
-    SPD floor.
-
-    Clamping only absorbs roundoff; a clamp is reported as a ClampWarning.
-    """
-    return _spectral(s, lambda w: w**-0.5, _clamped_to_floor)
-
-
 def cholesky_lower(s) -> np.ndarray:
     """Lower Cholesky factor with strictly positive diagonal (L @ L.T == S)
     of a matrix or of each matrix of a stack."""
@@ -167,18 +120,3 @@ def cholesky_lower(s) -> np.ndarray:
         return np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"Cholesky pivot failure: {exc}") from exc
-
-
-def thin_svd(a) -> ThinSvd:
-    """Thin SVD of an n x r matrix (n >= r >= 1)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise BadShapeError(f"expected a 2-d array, got shape {a.shape}")
-    n, r = a.shape
-    if r < 1 or n < r:
-        raise BadShapeError(f"thin SVD needs n >= r >= 1, got {n} x {r}")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    return ThinSvd(u=u, s=s, v=vh.T.copy())

@@ -16,13 +16,9 @@ from manikernels.data import synth_spd_blobs
 from manikernels.features import FeatureStack, region_covariance
 from manikernels.kernels import (
     KernelSpec,
-    cnd_check,
     definiteness_search,
-    euclidean_linear_gram,
     gram_from_squared_distances,
     gram_matrix,
-    median_heuristic_gamma,
-    psd_check,
     sample_grassmann,
     sample_spd,
     squared_distance_matrix,
@@ -34,10 +30,15 @@ from manikernels.learn import (
     svm_objectives,
     svm_train,
 )
-from manikernels.spd import (
+
+from oracles import (
     affine_invariant_grad_norm,
+    cnd_check,
+    euclidean_linear_gram,
     karcher_mean_iterative,
     karcher_mean_log_euclidean,
+    median_heuristic_gamma,
+    psd_check,
 )
 
 GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from manikernels.cli import _model_from_payload, run
-from manikernels.data import load_dataset, load_matrix_csv, save_dataset
-from manikernels.features import write_pgm
+from manikernels.data import load_dataset, load_matrix_csv, save_dataset, synth_spd_blobs
 from manikernels.grassmann import make_grassmann
-from manikernels.kernels import gram_from_csv, gram_from_json
+
+from oracles import gram_from_csv, gram_from_json, write_pgm
 
 
 def run_ok(argv):
@@ -215,6 +215,27 @@ def test_svm_train_multiclass_and_cv(tmp_path):
     )
     payload = json.loads(cv_model.read_text())
     assert payload["spec"]["gamma"] in (0.1, 1.0)
+
+
+@pytest.mark.parametrize("classes", [(3, 7), (-1, 1)])
+def test_svm_train_cv_binary_picks_the_strict_winner(tmp_path, classes):
+    # On this set 4-fold CV scores gamma 0.3, C 1 at 0.9 and every other
+    # grid point at 0.825 or less, so a fold scored against the wrong
+    # label coding would change the choice.
+    points, labels = synth_spd_blobs(2, 20, 3, seed=2, center_scale=0.4, noise_scale=0.5)
+    data = tmp_path / "binary.json"
+    model = tmp_path / "model.json"
+    save_dataset(data, "spd", points, labels=np.array(classes)[labels])
+    run_ok(
+        [
+            "svm-train", "--input", str(data), "--cv", "4", "--gamma-grid", "0.01,0.3,30",
+            "--c-grid", "0.01,1,100", "--seed", "3", "--out", str(model),
+        ]
+    )
+    payload = json.loads(model.read_text())
+    assert payload["type"] == "svm" and payload["classes"] == list(classes)
+    assert payload["spec"]["gamma"] == 0.3
+    assert payload["model"]["C"] == 1.0
 
 
 @pytest.mark.parametrize("mode", ["one-vs-all", "one-vs-one"])

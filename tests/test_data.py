@@ -8,9 +8,10 @@ from manikernels.data import (
     save_matrix_csv,
     synth_grassmann_clusters,
     synth_spd_blobs,
-    synth_two_rings,
 )
 from manikernels.errors import BadParamError, DimMismatchError, NonFiniteError
+
+from oracles import synth_two_rings
 
 
 def test_dataset_round_trip(tmp_path):

@@ -21,9 +21,9 @@ from manikernels.features import (
     select_subwindows,
     structure_tensor_field,
     texture_feature_maps,
-    write_pgm,
 )
-from manikernels.spd import dispersion_stat, karcher_mean_log_euclidean
+
+from oracles import dispersion_stat, karcher_mean_log_euclidean, write_pgm
 
 
 def random_stack(rng, c=3, h=12, w=15):

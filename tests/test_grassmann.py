@@ -241,3 +241,21 @@ def test_subspace_from_vectors_errors():
     rank1 = np.outer(rng.standard_normal(5), np.ones(4))
     with pytest.raises(RankDeficientError):
         subspace_from_vectors(rank1, 2)
+
+
+@pytest.mark.parametrize("shape", [(10, 6), (4, 9)])
+def test_subspace_from_vectors_tall_and_wide(shape):
+    # n >= p and n < p take the same thin SVD
+    rng = np.random.default_rng(shape)
+    f = rng.standard_normal(shape)
+    basis = subspace_from_vectors(f, 2)
+    u = np.linalg.svd(f)[0][:, :2]
+    np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(basis @ basis.T, u @ u.T, atol=1e-12)
+    for c in range(2):
+        assert basis[np.argmax(np.abs(basis[:, c])), c] > 0
+
+
+def test_subspace_from_vectors_rejects_1d_input():
+    with pytest.raises(BadShapeError):
+        subspace_from_vectors(np.ones(5), 1)

@@ -17,23 +17,26 @@ from manikernels.kernels import (
     PD_FOR_ALL_GAMMA,
     KernelSpec,
     _trial_rng,
-    cnd_check,
     cross_gram,
     cross_squared_distances,
     definiteness_search,
-    gram_from_csv,
-    gram_from_json,
     gram_matrix,
     gram_to_csv,
     gram_to_json,
-    median_heuristic_gamma,
-    projection_linear_gram,
-    psd_check,
     sample_grassmann,
     sample_spd,
     squared_distance_matrix,
 )
-from manikernels.spd import spd_distance
+
+from oracles import (
+    cnd_check,
+    gram_from_csv,
+    gram_from_json,
+    median_heuristic_gamma,
+    projection_linear_gram,
+    psd_check,
+    spd_distance,
+)
 
 GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 

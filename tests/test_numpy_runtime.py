@@ -20,6 +20,8 @@ from manikernels.features import _dx, _dy, _gaussian_smooth, structure_tensor_fi
 from manikernels.kernels import KernelSpec, gram_matrix, sample_spd
 from manikernels.learn import kernel_fda
 
+from oracles import write_pgm
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NO_SCIPY_SCRIPT = r"""
@@ -35,17 +37,13 @@ class NoScipy:
 
 sys.meta_path.insert(0, NoScipy())
 
-import numpy as np
-
 import manikernels.cli
-from manikernels.features import write_pgm
 
 work = sys.argv[1]
 loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, f"import manikernels.cli loaded {loaded}"
 data = f"{work}/blobs.json"
-image = f"{work}/window.pgm"
-write_pgm(image, np.random.default_rng(0).uniform(0, 255, size=(24, 16)))
+image = f"{work}/window.pgm"  # written by the test before the script runs
 commands = [
     ["synth", "--kind", "spd-blobs", "--clusters", "3", "--per-cluster", "6", "--dim", "3",
      "--center-scale", "2.0", "--noise-scale", "0.1", "--seed", "1", "--out", data],
@@ -67,6 +65,7 @@ print("numpy-only")
 
 
 def test_cli_runs_without_scipy(tmp_path):
+    write_pgm(tmp_path / "window.pgm", np.random.default_rng(0).uniform(0, 255, size=(24, 16)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(

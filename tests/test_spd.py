@@ -10,12 +10,13 @@ from manikernels.errors import (
     NotSpdError,
     UnsupportedMetricError,
 )
-from manikernels.spd import (
+from manikernels.spd import make_spd
+
+from oracles import (
     affine_invariant_grad_norm,
     dispersion_stat,
     karcher_mean_iterative,
     karcher_mean_log_euclidean,
-    make_spd,
     spd_distance,
 )
 
