@@ -159,7 +159,7 @@ def _on_manifold(items, manifold: str) -> np.ndarray:
     if manifold == "spd":
         return make_spd(stack)
     if manifold == "grassmann":
-        return np.stack([make_grassmann(x) for x in stack])
+        return make_grassmann(stack)
     return stack
 
 
@@ -260,22 +260,21 @@ def _svm_model_payload(model: SvmModel) -> dict:
     }
 
 
-def _svm_model_from_payload(raw: dict, spec: KernelSpec) -> SvmModel:
+def _svm_model_from_payload(raw: dict) -> SvmModel:
     """Inverse of :func:`_svm_model_payload`."""
     return SvmModel(
         dual_coefs=np.array(raw["dual_coefs"], dtype=float),
         bias=float(raw["bias"]),
         support_indices=np.array(raw["support_indices"], dtype=int),
         C=float(raw["C"]),
-        spec=spec,
         kkt_violation=float(raw.get("kkt_violation", 0.0)),
         n_iter=int(raw.get("n_iter", 0)),
     )
 
 
-def _items_digest(items) -> str:
-    """SHA-256 of the items as one C-ordered float64 array, shape included."""
-    stack = np.ascontiguousarray(np.stack(items), dtype=np.float64)
+def _items_digest(points) -> str:
+    """SHA-256 of a point stack as one C-ordered float64 array, shape included."""
+    stack = np.ascontiguousarray(points, dtype=np.float64)
     digest = hashlib.sha256(repr(stack.shape).encode())
     digest.update(stack.tobytes())
     return digest.hexdigest()
@@ -348,7 +347,7 @@ def _cmd_svm_train(args) -> int:
     }
     if len(classes) == 2:
         y = _binary_labels(labels)
-        model = svm_train(gram, y, c_val, kkt_tol=args.kkt_tol, spec=spec)
+        model = svm_train(gram, y, c_val, kkt_tol=args.kkt_tol)
         payload["type"] = "svm"
         payload["classes"] = [int(classes[0]), int(classes[1])]
         payload["model"] = _svm_model_payload(model)
@@ -366,13 +365,17 @@ def _cmd_svm_train(args) -> int:
 
 
 def _model_from_payload(payload):
+    """(spec, model, classes) of an svm-train model; run it inside
+    :func:`~manikernels.data.parse_errors` so its errors name the file."""
+    if payload["type"] not in ("svm", "multiclass-svm"):
+        raise ValueError(f"model type {payload['type']!r} is not an svm-train model")
     spec = KernelSpec.from_dict(payload["spec"])
     if payload["type"] == "svm":
-        return spec, _svm_model_from_payload(payload["model"], spec), payload.get("classes")
+        return spec, _svm_model_from_payload(payload["model"]), payload.get("classes")
     multi = MulticlassSvmModel(
         mode=payload["mode"],
         classes=np.array(payload["classes"]),
-        models=[_svm_model_from_payload(raw, spec) for raw in payload["models"]],
+        models=[_svm_model_from_payload(raw) for raw in payload["models"]],
         pair_indices=[np.array(v, dtype=int) for v in payload.get("pair_indices", [])] or None,
         pairs=[tuple(p) for p in payload.get("pairs", [])] or None,
     )
@@ -452,13 +455,11 @@ def _cmd_covdesc(args) -> int:
     images = [read_image(p) for p in args.inputs]
     shape = images[0].shape
     maker = pedestrian_feature_maps if args.features == "pedestrian" else texture_feature_maps
-    stacks = [maker(img) for img in images]
+    maps = [maker(img) for img in images]
     prov = _provenance("covdesc", args)
     if not args.select:
-        descs = []
-        for stack in stacks:
-            full_rect = (0, 0, stack.width, stack.height)
-            descs.append(region_covariance(stack, full_rect, epsilon=args.epsilon))
+        full = [(0, 0, img.shape[1], img.shape[0]) for img in images]
+        descs = [region_covariance(m, r, epsilon=args.epsilon) for m, r in zip(maps, full)]
         save_dataset(args.out, "spd", descs, provenance=prov)
         return EXIT_OK
     for img in images:
@@ -466,31 +467,27 @@ def _cmd_covdesc(args) -> int:
             raise FrameMismatchError("subwindow selection needs equally sized images")
     candidates = candidate_grid(shape[0], shape[1])
     # the full window goes last: the normalization scales by it
-    rects = np.array([cand.rect for cand in candidates] + [(0, 0, shape[1], shape[0])])
+    rects = np.vstack([candidates, (0, 0, shape[1], shape[0])])
     descriptors = []
-    for stack in stacks:
-        covs = region_covariance(stack, rects, epsilon=args.epsilon)
+    for m in maps:
+        covs = region_covariance(m, rects, epsilon=args.epsilon)
         if args.normalize:
             covs = normalize_by_full_window(covs, covs[-1])
         descriptors.append(covs[:-1])
     positives = np.ones(len(images), dtype=bool)
-    selected = select_subwindows(
+    chosen, scores = select_subwindows(
         candidates, descriptors, positives, args.select, args.max_overlap
     )
-    candidate_index = {cand.rect: j for j, cand in enumerate(candidates)}
     payload = {
         "features": args.features,
         "image_shape": list(shape),
         "selected": [
             {
-                "rect": list(s.rect),
-                "score": s.score,
-                "descriptors": [
-                    descriptors[i][candidate_index[s.rect]].tolist()
-                    for i in range(len(images))
-                ],
+                "rect": candidates[j].tolist(),
+                "score": float(score),
+                "descriptors": [covs[j].tolist() for covs in descriptors],
             }
-            for s in selected
+            for j, score in zip(chosen, scores)
         ],
         "provenance": prov,
     }

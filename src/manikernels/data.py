@@ -53,27 +53,33 @@ def save_json(path, payload) -> None:
         fh.write(text)
 
 
+def stack_items(items) -> np.ndarray:
+    """One float array of a non-empty sequence of same-shape items, the
+    items along its first axis; an array is its own stack."""
+    try:
+        stack = np.asarray(items, dtype=float)
+    except ValueError as exc:
+        raise DimMismatchError(f"items do not stack into one array: {exc}") from exc
+    if stack.ndim == 0 or len(stack) == 0:
+        raise EmptySetError("empty point set")
+    return stack
+
+
 def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = None) -> None:
-    """Write a list of same-shape arrays (plus optional integer labels)."""
+    """Write a stack of same-shape items (plus optional integer labels)."""
     if kind not in DATASET_KINDS:
         raise BadParamError(f"unknown dataset kind {kind!r}")
-    arrays = [np.asarray(x, dtype=float) for x in items]
-    if not arrays:
-        raise BadParamError("dataset needs at least one item")
-    shape = arrays[0].shape
-    for a in arrays:
-        if a.shape != shape:
-            raise DimMismatchError(f"inhomogeneous item shapes: {a.shape} vs {shape}")
+    stack = stack_items(items)
     payload = {
         "kind": kind,
-        "count": len(arrays),
-        "shape": list(shape),
-        "items": [a.tolist() for a in arrays],
+        "count": len(stack),
+        "shape": list(stack.shape[1:]),
+        "items": stack.tolist(),
     }
     if labels is not None:
         labels = np.asarray(labels)
-        if labels.shape != (len(arrays),):
-            raise DimMismatchError(f"labels shape {labels.shape} != ({len(arrays)},)")
+        if labels.shape != (len(stack),):
+            raise DimMismatchError(f"labels shape {labels.shape} != ({len(stack)},)")
         payload["labels"] = [int(v) for v in labels]
     if provenance is not None:
         payload["provenance"] = provenance
@@ -83,10 +89,10 @@ def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = 
 def load_dataset(path) -> dict:
     """Read a dataset written by :func:`save_dataset`.
 
-    Returns a dict with ``kind``, ``items`` (a non-empty list of float
-    arrays of one shape) and ``labels`` (int array or None). Items holding
-    NaN or infinite values are rejected, and so is a file that does not
-    parse as a dataset (MalformedFileError).
+    Returns a dict with ``kind``, ``items`` (one non-empty float array,
+    the items along its first axis) and ``labels`` (int array or None).
+    NaN or infinite values are rejected, naming the first such item, and
+    so is a file that does not parse as a dataset, ragged items included.
     """
     with parse_errors(path):
         with open(path) as fh:
@@ -97,14 +103,14 @@ def load_dataset(path) -> dict:
         if kind not in DATASET_KINDS:
             raise BadParamError(f"unknown dataset kind {kind!r} in {path}")
         shape = tuple(payload["shape"])
-        items = [np.asarray(x, dtype=float) for x in payload["items"]]
-        if not items:
+        items = np.asarray(payload["items"], dtype=float)
+        if not len(items):
             raise EmptySetError(f"{path} holds no items")
-        for index, a in enumerate(items):
-            if a.shape != shape:
-                raise BadShapeError(f"item shape {a.shape} contradicts metadata {shape}")
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError(f"item {index} in {path} holds a NaN or infinite value")
+        if items.shape[1:] != shape:
+            raise BadShapeError(f"{path}: item shape {items.shape[1:]}, metadata {shape}")
+        finite = np.isfinite(items).reshape(len(items), -1).all(axis=1)
+        if not finite.all():
+            raise NonFiniteError(f"item {np.argmin(finite)} in {path} holds NaN or infinite values")
         labels = payload.get("labels")
         if labels is not None:
             labels = np.asarray(labels, dtype=int)
@@ -124,18 +130,22 @@ def save_matrix_csv(path, matrix, header_lines=()) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Numeric CSV with ``#`` comment lines as a 2-d float array."""
+    """Numeric CSV with ``#`` comment lines as a 2-d float array; NaN and
+    infinite values are rejected."""
     with parse_errors(path):
-        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        mat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteError(f"{path} holds a NaN or infinite value")
+    return mat
 
 
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------
 
-def _sym(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.standard_normal((dim, dim))
-    return (a + a.T) / 2.0
+def _sym(rng: np.random.Generator, shape) -> np.ndarray:
+    a = rng.standard_normal(shape)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def synth_spd_blobs(
@@ -148,18 +158,15 @@ def synth_spd_blobs(
 ):
     """Gaussian blobs in log-space: cluster c draws exp(M_c + noise).
 
-    Returns (points, labels); labels follow generation order.
+    Returns (points, labels): one stack and its labels, in generation order.
     """
     if n_clusters < 1 or per_cluster < 1 or dim < 1:
         raise BadParamError("n_clusters, per_cluster and dim must be positive")
     rng = np.random.default_rng(seed)
-    centers = [center_scale * _sym(rng, dim) for _ in range(n_clusters)]
-    points, labels = [], []
-    for c, center in enumerate(centers):
-        for _ in range(per_cluster):
-            points.append(spd_exp(center + noise_scale * _sym(rng, dim)))
-            labels.append(c)
-    return points, np.array(labels, dtype=int)
+    centers = center_scale * _sym(rng, (n_clusters, 1, dim, dim))
+    noise = noise_scale * _sym(rng, (n_clusters, per_cluster, dim, dim))
+    points = spd_exp(centers + noise).reshape(-1, dim, dim)
+    return points, np.repeat(np.arange(n_clusters), per_cluster)
 
 
 def synth_grassmann_clusters(
@@ -170,17 +177,15 @@ def synth_grassmann_clusters(
     seed: int = 0,
     noise_scale: float = 0.1,
 ):
-    """Clusters of nearby subspaces: orthonormalized jitters of random bases."""
+    """Clusters of nearby subspaces: orthonormalized jitters of random bases,
+    as (points, labels) like :func:`synth_spd_blobs`."""
     if n_clusters < 1 or per_cluster < 1:
         raise BadParamError("n_clusters and per_cluster must be positive")
     if not 1 <= subspace_dim < ambient_dim:
         raise BadParamError(f"need 1 <= r < n, got r={subspace_dim}, n={ambient_dim}")
     rng = np.random.default_rng(seed)
-    centers = [rng.standard_normal((ambient_dim, subspace_dim)) for _ in range(n_clusters)]
-    points, labels = [], []
-    for c, center in enumerate(centers):
-        for _ in range(per_cluster):
-            raw = center + noise_scale * rng.standard_normal(center.shape)
-            points.append(make_grassmann(raw))
-            labels.append(c)
-    return points, np.array(labels, dtype=int)
+    shape = (ambient_dim, subspace_dim)
+    centers = rng.standard_normal((n_clusters, 1, *shape))
+    raw = centers + noise_scale * rng.standard_normal((n_clusters, per_cluster, *shape))
+    points = make_grassmann(raw).reshape(-1, *shape)
+    return points, np.repeat(np.arange(n_clusters), per_cluster)

@@ -1,15 +1,15 @@
 """Image-to-SPD descriptor extraction.
 
-Pixel feature stacks, integral-image region covariance, dispersion-ranked
+Pixel feature maps, integral-image region covariance, dispersion-ranked
 subwindow selection, and spatio-temporal structure tensors. Images are
-2-d float arrays; rectangles are (x0, y0, w, h) with x along columns, one
+2-d float arrays and feature maps (c, h, w) arrays, one plane per
+channel; rectangles are (x0, y0, w, h) with x along columns, one
 rectangle or an (R, 4) array of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,6 +18,7 @@ from .data import load_matrix_csv, parse_errors
 from .errors import (
     BadParamError,
     BadShapeError,
+    DimMismatchError,
     FrameMismatchError,
     MalformedFileError,
     NoPositivesError,
@@ -25,34 +26,10 @@ from .errors import (
     TooFewPixelsError,
     TooSmallError,
 )
-from .matrixops import spd_log
+from .matrixops import frob, spd_log
 from .spd import make_spd
 
 DERIV_EPS = 1e-8
-
-PEDESTRIAN_CHANNELS = ("x", "y", "|Ix|", "|Iy|", "grad_mag", "|Ixx|", "|Iyy|", "grad_angle")
-TEXTURE_CHANNELS = ("I", "|Ix|", "|Iy|", "|Ixx|", "|Iyy|")
-
-
-@dataclass(frozen=True)
-class FeatureStack:
-    """Named per-pixel feature planes sharing one image grid."""
-
-    channels: np.ndarray  # (c, h, w)
-    names: tuple
-
-    @property
-    def depth(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.channels.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.channels.shape[2]
-
 
 def _dx(img):
     p = np.pad(img, ((0, 0), (1, 1)), mode="edge")
@@ -81,8 +58,8 @@ def _as_image(image) -> np.ndarray:
     return img
 
 
-def pedestrian_feature_maps(image) -> FeatureStack:
-    """8-channel stack [x, y, |Ix|, |Iy|, sqrt(Ix^2+Iy^2), |Ixx|, |Iyy|,
+def pedestrian_feature_maps(image) -> np.ndarray:
+    """8-channel (c, h, w) maps [x, y, |Ix|, |Iy|, sqrt(Ix^2+Iy^2), |Ixx|, |Iyy|,
     arctan(|Ix|/|Iy|)], derivatives by central differences with replicated
     borders. The angle channel floors |Iy| at DERIV_EPS."""
     img = _as_image(image)
@@ -91,7 +68,7 @@ def pedestrian_feature_maps(image) -> FeatureStack:
     ixx, iyy = _dxx(img), _dyy(img)
     xs = np.tile(np.arange(w, dtype=float), (h, 1))
     ys = np.tile(np.arange(h, dtype=float)[:, None], (1, w))
-    channels = np.stack(
+    return np.stack(
         [
             xs,
             ys,
@@ -103,28 +80,26 @@ def pedestrian_feature_maps(image) -> FeatureStack:
             np.arctan(np.abs(ix) / np.maximum(np.abs(iy), DERIV_EPS)),
         ]
     )
-    return FeatureStack(channels=channels, names=PEDESTRIAN_CHANNELS)
 
 
-def texture_feature_maps(image) -> FeatureStack:
-    """5-channel stack [I, |Ix|, |Iy|, |Ixx|, |Iyy|]."""
+def texture_feature_maps(image) -> np.ndarray:
+    """5-channel (c, h, w) maps [I, |Ix|, |Iy|, |Ixx|, |Iyy|]."""
     img = _as_image(image)
-    channels = np.stack(
+    return np.stack(
         [img, np.abs(_dx(img)), np.abs(_dy(img)), np.abs(_dxx(img)), np.abs(_dyy(img))]
     )
-    return FeatureStack(channels=channels, names=TEXTURE_CHANNELS)
 
 
 # ---------------------------------------------------------------------------
 # Region covariance via integral images
 # ---------------------------------------------------------------------------
 
-def integral_images(stack: FeatureStack):
-    """First- and second-order integral images of a feature stack.
+def integral_images(maps):
+    """First- and second-order integral images of (c, h, w) feature maps.
 
     Zero-padded so a rectangle sum is a four-corner combination.
     """
-    ch = stack.channels
+    ch = np.asarray(maps, dtype=float)
     c, h, w = ch.shape
     s1 = np.zeros((c, h + 1, w + 1))
     s1[:, 1:, 1:] = ch.cumsum(axis=1).cumsum(axis=2)
@@ -134,32 +109,32 @@ def integral_images(stack: FeatureStack):
     return s1, s2
 
 
-def region_covariance(stack: FeatureStack, rects, epsilon: float | None = None) -> np.ndarray:
-    """Sample covariance of the per-pixel feature vectors in each rectangle,
-    regularized by ``epsilon * I`` (default 1e-6 * (trace + 1), per
-    rectangle).
+def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
+    """Sample covariance of the per-pixel feature vectors of the (c, h, w)
+    feature maps ``maps`` in each rectangle, regularized by
+    ``epsilon * I`` (default 1e-6 * (trace + 1), per rectangle).
 
     ``rects`` is one (x0, y0, w, h) rectangle, giving one (c, c) matrix,
     or an (R, 4) array, giving an (R, c, c) stack. All rectangles come
     from one pair of integral images by four-corner sums.
     """
+    c, height, width = np.shape(maps)
     rects = np.asarray(rects)
     if rects.ndim not in (1, 2) or rects.shape[-1] != 4:
         raise BadShapeError(f"expected one rect or an (R, 4) array, got shape {rects.shape}")
     batch = np.atleast_2d(rects)
     x0, y0, w, h = batch.astype(int).T
     outside = (w < 1) | (h < 1) | (x0 < 0) | (y0 < 0)
-    outside |= (x0 + w > stack.width) | (y0 + h > stack.height)
+    outside |= (x0 + w > width) | (y0 + h > height)
     if np.any(outside):
         bad = tuple(batch[np.argmax(outside)].tolist())
-        raise RectOutOfBoundsError(f"rect {bad} outside {stack.height} x {stack.width} stack")
-    c = stack.depth
+        raise RectOutOfBoundsError(f"rect {bad} outside {height} x {width} maps")
     n = w * h
     if np.any(n < c + 1):
         raise TooFewPixelsError(f"rect area {np.min(n)} below {c + 1} for {c} channels")
     if epsilon is not None and epsilon <= 0:
         raise BadParamError(f"epsilon must be positive, got {epsilon}")
-    s1, s2 = integral_images(stack)
+    s1, s2 = integral_images(maps)
     ya, yb, xa, xb = y0, y0 + h, x0, x0 + w
     sums = (s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]).T
     quads = s2[:, :, yb, xb] - s2[:, :, ya, xb] - s2[:, :, yb, xa] + s2[:, :, ya, xa]
@@ -185,16 +160,10 @@ def normalize_by_full_window(cov_sub, cov_full) -> np.ndarray:
 # Subwindow candidates and selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubwindowSpec:
-    rect: tuple  # (x0, y0, w, h), window-relative pixels
-    score: float | None = None
-
-
-def candidate_grid(height: int, width: int, steps: int = 5, min_side: int = 3):
-    """Candidate subwindows with sizes in ``steps`` geometric increments
-    from (h/5, w/5) up to the full window, placed at strides of a quarter
-    of the subwindow side."""
+def candidate_grid(height: int, width: int, steps: int = 5, min_side: int = 3) -> np.ndarray:
+    """Candidate subwindows as an (R, 4) int array of (x0, y0, w, h) rows,
+    with sizes in ``steps`` geometric increments from (h/5, w/5) up to the
+    full window, placed at strides of a quarter of the subwindow side."""
     if steps < 1:
         raise BadParamError("steps must be >= 1")
     heights = sorted({max(min_side, int(round(v))) for v in np.geomspace(height / 5.0, height, steps)})
@@ -214,10 +183,8 @@ def candidate_grid(height: int, width: int, steps: int = 5, min_side: int = 3):
             xs = list(range(0, width - sw + 1, step_x))
             if xs[-1] != width - sw:
                 xs.append(width - sw)
-            for y0 in ys:
-                for x0 in xs:
-                    rects.append(SubwindowSpec(rect=(x0, y0, sw, sh)))
-    return rects
+            rects += [(x0, y0, sw, sh) for y0 in ys for x0 in xs]
+    return np.array(rects, dtype=int).reshape(-1, 4)
 
 
 def overlap_ratio(rect_a, rect_b) -> float:
@@ -233,12 +200,13 @@ def overlap_ratio(rect_a, rect_b) -> float:
 def select_subwindows(candidates, descriptors, positives, count: int, max_overlap: float):
     """Greedy low-dispersion subwindow selection.
 
-    ``descriptors[i][j]`` is the SPD descriptor of candidate ``j`` in
-    sample ``i``; ``descriptors[i]`` may be one (R, c, c) stack. Each
-    candidate is scored by the mean distance (p = 1, log-Euclidean) of
-    the positive samples' descriptors to their Karcher mean; candidates
-    are taken in ascending score order, skipping any overlapping an
-    already-selected one by more than ``max_overlap``.
+    ``candidates`` is an (R, 4) array of rectangles, and ``descriptors[i]``
+    the (R, c, c) stack of SPD descriptors of the candidates in sample
+    ``i``. Each candidate is scored by the mean distance (p = 1,
+    log-Euclidean) of the positive samples' descriptors to their Karcher
+    mean; candidates are taken in ascending score order, skipping any
+    overlapping an already-selected one by more than ``max_overlap``.
+    Returns the indices of the selected candidates and their scores.
     """
     if count < 1:
         raise BadParamError("count must be >= 1")
@@ -248,22 +216,24 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
     pos_idx = np.flatnonzero(positives)
     if pos_idx.size == 0:
         raise NoPositivesError("subwindow ranking needs at least one positive sample")
-    n_candidates = len(candidates)
-    scores = np.empty(n_candidates)
-    for j in range(n_candidates):
-        # log of the log-Euclidean mean exp(mean L) is mean L, so one log
-        # per descriptor gives the distances to the mean
-        logs = spd_log(np.stack([descriptors[i][j] for i in pos_idx]))
-        scores[j] = np.mean(np.linalg.norm(logs - logs.mean(axis=0), axis=(1, 2)))
-    order = np.argsort(scores, kind="stable")
-    selected = []
-    for j in order:
-        rect = candidates[j].rect
-        if all(overlap_ratio(rect, s.rect) <= max_overlap for s in selected):
-            selected.append(SubwindowSpec(rect=tuple(rect), score=float(scores[j])))
-            if len(selected) == count:
+    rects = np.asarray(candidates).tolist()
+    # the log of the log-Euclidean mean exp(mean L) is mean L, so one log
+    # per descriptor gives the distances to the mean
+    logs = [spd_log(descriptors[i]) for i in pos_idx]
+    if any(len(log) != len(rects) for log in logs):
+        raise DimMismatchError(f"each sample needs one descriptor per candidate ({len(rects)})")
+    mean = sum(logs[1:], logs[0]) / len(logs)
+    # each candidate's S distances form one contiguous row of an (R, S)
+    # array, so its mean adds them in the order a per-candidate mean does
+    scores = np.stack([frob(log - mean) for log in logs], axis=1).mean(axis=1)
+    chosen = []
+    for j in np.argsort(scores, kind="stable"):
+        if all(overlap_ratio(rects[j], rects[k]) <= max_overlap for k in chosen):
+            chosen.append(j)
+            if len(chosen) == count:
                 break
-    return selected
+    chosen = np.array(chosen, dtype=int)
+    return chosen, scores[chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -40,24 +40,28 @@ _COS_CLAMP = 1e-8
 
 
 def make_grassmann(raw) -> np.ndarray:
-    """Orthonormal basis spanning the columns of ``raw``.
+    """Orthonormal basis spanning the columns of ``raw``, or of each
+    matrix of an ``(..., n, r)`` stack.
 
     Uses the thin QR factorization with the positive-diagonal convention, so
-    already-orthonormal inputs are returned essentially unchanged.
+    already-orthonormal inputs are returned essentially unchanged. A stack
+    equals the loop over its items bit for bit, and fails if any item fails.
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2:
-        raise BadShapeError(f"expected a 2-d array, got shape {raw.shape}")
-    n, r = raw.shape
+    if raw.ndim < 2:
+        raise BadShapeError(f"expected a matrix or a stack of them, got shape {raw.shape}")
+    n, r = raw.shape[-2:]
     if r < 1 or n <= r:
         raise BadShapeError(f"need n > r >= 1, got {n} x {r}")
     sv = np.linalg.svd(raw, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= max(n, r) * np.finfo(float).eps * sv[0]:
-        raise RankDeficientError(f"columns are not full rank (min sv {sv[-1]:.3e})")
+    low = (sv[..., 0] == 0.0) | (sv[..., -1] <= max(n, r) * np.finfo(float).eps * sv[..., 0])
+    if np.any(low):
+        min_sv = np.min(sv[..., -1][low])
+        raise RankDeficientError(f"columns are not full rank (min sv {min_sv:.3e})")
     q, rr = np.linalg.qr(raw)
-    signs = np.sign(np.diag(rr))
+    signs = np.sign(np.diagonal(rr, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def _check_pair(y1, y2):

@@ -34,12 +34,11 @@ import numpy as np
 
 from . import grassmann as gr
 from . import spd as sp
-from .data import save_json, save_matrix_csv
+from .data import save_json, save_matrix_csv, stack_items
 from .errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
-    EmptySetError,
     UnsupportedMetricError,
 )
 from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
@@ -141,23 +140,11 @@ class KernelSpec:
         )
 
 
-def _stack_points(points) -> np.ndarray:
-    """One array of a non-empty sequence of same-shape points."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
-        raise EmptySetError("empty point set")
-    shape = pts[0].shape
-    for p in pts:
-        if p.shape != shape:
-            raise DimMismatchError(f"inhomogeneous point shapes: {p.shape} vs {shape}")
-    return np.stack(pts)
-
-
 def _manifold_points(manifold: str, points) -> np.ndarray:
     """Points as one stack. On the SPD and Grassmann manifolds each point
     must be one matrix, so that the stacked matrix functions never read
     a stack of points as one point or one point as a stack."""
-    pts = _stack_points(points)
+    pts = stack_items(points)
     if manifold != "euclidean" and pts.ndim != 3:
         raise BadShapeError(f"{manifold} points must be matrices, got point shape {pts.shape[1:]}")
     return pts
@@ -282,11 +269,6 @@ def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> 
     return spd_exp((a + np.swapaxes(a, -1, -2)) / 2.0)
 
 
-def sample_grassmann(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
-    """Uniform-ish subspace sample: orthonormalized Gaussian n x r matrix."""
-    return gr.make_grassmann(rng.standard_normal((n, r)))
-
-
 @dataclass
 class DefinitenessReport:
     """Outcome of a randomized search for Gram-matrix indefiniteness."""
@@ -302,7 +284,7 @@ class DefinitenessReport:
     alpha: float = DEFAULT_POWER_ALPHA
     witness_seed: int | None = None
     witness_trial: int | None = None
-    witness_points: list = field(default_factory=list)
+    witness_points: np.ndarray | list = field(default_factory=list)  # the (m, ...) trial stack
 
     def to_dict(self) -> dict:
         return {
@@ -367,11 +349,11 @@ def definiteness_search(
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         if manifold == "spd":
-            points = list(sample_spd(rng, dim, m))
+            points = sample_spd(rng, dim, m)
         elif manifold == "grassmann":
-            points = [sample_grassmann(rng, dim, subspace_dim) for _ in range(m)]
+            points = gr.make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
         elif manifold == "euclidean":
-            points = [rng.standard_normal(dim) for _ in range(m)]
+            points = rng.standard_normal((m, dim))
         else:
             raise BadParamError(f"unknown manifold {manifold!r}")
         d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)

@@ -24,7 +24,7 @@ from .errors import (
     OneClassError,
     SingularScatterError,
 )
-from .kernels import GramMatrix, KernelSpec
+from .kernels import GramMatrix
 from .matrixops import require_symmetric
 
 #: Default KKT tolerance for the SMO solver.
@@ -364,7 +364,6 @@ class SvmModel:
     bias: float
     support_indices: np.ndarray
     C: float
-    spec: KernelSpec | None = None
     kkt_violation: float = 0.0
     n_iter: int = 0
 
@@ -375,7 +374,6 @@ def svm_train(
     C: float,
     kkt_tol: float = KKT_TOL,
     max_iter: int = 100_000,
-    spec: KernelSpec | None = None,
 ) -> SvmModel:
     """Soft-margin dual SVM solved by sequential minimal optimization.
 
@@ -469,7 +467,6 @@ def svm_train(
         bias=bias,
         support_indices=np.flatnonzero(alpha > 0),
         C=C,
-        spec=spec,
         kkt_violation=violation,
         n_iter=n_iter,
     )

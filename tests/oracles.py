@@ -5,7 +5,7 @@ The package computes every distance through the metric registry of
 the functions here restate the definitions directly (a pairwise SPD
 distance per metric, Karcher means, the PSD and CND tests, linear
 Grams, Gram readers, an inverse square root) so the tests can check the
-package against them.
+package against them, and keeps a few input fixtures.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from manikernels.errors import (
     NotSpdError,
     UnsupportedMetricError,
 )
-from manikernels.kernels import GramMatrix, KernelSpec, _stack_points, squared_distance_matrix
+from manikernels.data import stack_items
+from manikernels.grassmann import make_grassmann
+from manikernels.kernels import GramMatrix, KernelSpec, squared_distance_matrix
 from manikernels.matrixops import (
     _spectral,
     cholesky_lower,
@@ -105,7 +107,7 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
 
 def karcher_mean_log_euclidean(points) -> np.ndarray:
     """Closed-form log-Euclidean mean exp(mean(log X_i))."""
-    return spd_exp(spd_log(_stack_points(points)).mean(axis=0))
+    return spd_exp(spd_log(stack_items(points)).mean(axis=0))
 
 
 def karcher_mean_iterative(
@@ -126,7 +128,7 @@ def karcher_mean_iterative(
     _check_metric(metric)
     if metric == "root-stein":
         raise UnsupportedMetricError("no Karcher mean implemented for root-stein")
-    stack = _stack_points(points)
+    stack = stack_items(points)
     if metric == "log-euclidean":
         return karcher_mean_log_euclidean(stack)
     if metric == "cholesky":
@@ -156,7 +158,7 @@ def affine_invariant_grad_norm(mean, points) -> float:
     Zero exactly at the Karcher mean; used as a stationarity certificate.
     """
     inv_sqrt = spd_inv_sqrt(mean)
-    return frob(spd_log(inv_sqrt @ _stack_points(points) @ inv_sqrt).mean(axis=0))
+    return frob(spd_log(inv_sqrt @ stack_items(points) @ inv_sqrt).mean(axis=0))
 
 
 def dispersion_stat(
@@ -170,7 +172,7 @@ def dispersion_stat(
     (1/m) * sum_i d(X_i, mean)^p."""
     if p <= 0:
         raise BadParamError(f"dispersion exponent must be positive, got {p}")
-    dists = spd_distance(metric, mean, _stack_points(points), alpha=alpha)
+    dists = spd_distance(metric, mean, stack_items(points), alpha=alpha)
     return float(np.mean(dists**p))
 
 
@@ -217,13 +219,13 @@ def projection_linear_gram(points) -> np.ndarray:
     The linear kernel of the projector embedding Y -> Y Y^T; for
     orthonormal bases it equals r - d^2 under the projection metric.
     """
-    pts = _stack_points(points)
+    pts = stack_items(points)
     return pts.shape[-1] - squared_distance_matrix("grassmann", "projection", pts)
 
 
 def euclidean_linear_gram(points) -> np.ndarray:
     """Plain linear-kernel Gram of flattened points: K = X X^T."""
-    pts = _stack_points(points)
+    pts = stack_items(points)
     flat = np.stack([p.ravel() for p in pts])
     k = flat @ flat.T
     return (k + k.T) / 2.0
@@ -271,8 +273,13 @@ def gram_from_json(path) -> GramMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fixtures: a planar two-class set and a PGM writer
+# Fixtures: a subspace sample, a planar two-class set and a PGM writer
 # ---------------------------------------------------------------------------
+
+def sample_grassmann(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    """Uniform-ish subspace sample: orthonormalized Gaussian n x r matrix."""
+    return make_grassmann(rng.standard_normal((n, r)))
+
 
 def synth_two_rings(
     per_ring: int,

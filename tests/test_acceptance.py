@@ -13,13 +13,12 @@ import numpy as np
 
 from manikernels.cli import run as cli_run
 from manikernels.data import synth_spd_blobs
-from manikernels.features import FeatureStack, region_covariance
+from manikernels.features import region_covariance
 from manikernels.kernels import (
     KernelSpec,
     definiteness_search,
     gram_from_squared_distances,
     gram_matrix,
-    sample_grassmann,
     sample_spd,
     squared_distance_matrix,
 )
@@ -39,6 +38,7 @@ from oracles import (
     karcher_mean_log_euclidean,
     median_heuristic_gamma,
     psd_check,
+    sample_grassmann,
 )
 
 GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0)
@@ -226,17 +226,15 @@ def test_criterion_5_oracle_equivalences():
 
     # integral-image covariance vs direct covariance
     rng = np.random.default_rng(100)
-    stack = FeatureStack(
-        channels=rng.uniform(size=(4, 16, 18)), names=("a", "b", "c", "d")
-    )
+    maps = rng.uniform(size=(4, 16, 18))
     worst_cov = 0.0
     for _ in range(50):
         w = int(rng.integers(3, 12))
         h = int(rng.integers(3, 10))
-        x0 = int(rng.integers(0, stack.width - w + 1))
-        y0 = int(rng.integers(0, stack.height - h + 1))
-        cov = region_covariance(stack, (x0, y0, w, h), epsilon=1e-9)
-        pixels = stack.channels[:, y0 : y0 + h, x0 : x0 + w].reshape(4, -1)
+        x0 = int(rng.integers(0, maps.shape[2] - w + 1))
+        y0 = int(rng.integers(0, maps.shape[1] - h + 1))
+        cov = region_covariance(maps, (x0, y0, w, h), epsilon=1e-9)
+        pixels = maps[:, y0 : y0 + h, x0 : x0 + w].reshape(4, -1)
         direct = np.cov(pixels, ddof=1) + 1e-9 * np.eye(4)
         rel = np.linalg.norm(cov - direct) / max(1.0, np.linalg.norm(direct))
         worst_cov = max(worst_cov, rel)

@@ -632,6 +632,58 @@ def test_unparsable_images_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_csv_inputs_exit_2_naming_the_file(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    table = tmp_path / "in.csv"
+    for bad in ("nan", "inf"):
+        rows = [[repr(float(v)) for v in row] for row in rng.uniform(1.0, 9.0, size=(8, 6))]
+        rows[5][2] = bad
+        table.write_text("".join(",".join(row) + "\n" for row in rows))
+        for command, out in [
+            (["covdesc", "--inputs", str(table)], tmp_path / "desc.json"),
+            (["covdesc", "--inputs", str(table), "--select", "2"], tmp_path / "sel.json"),
+            (["subspace", "--input", str(table), "--r", "2"], tmp_path / "basis.csv"),
+            (["subspace", "--input", str(table), "--r", "2"], tmp_path / "basis.json"),
+        ]:
+            _assert_data_error(command + ["--out", str(out)], table, ["NaN or infinite"], capsys)
+            assert not out.exists()
+
+
+def test_dataset_items_checked_as_one_stack_exit_2(tmp_path, capsys):
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "g.csv"
+    gram = ["gram", "--input", str(bad), "--out", str(out)]
+    ragged = json.loads(data.read_text())
+    ragged["items"][3] = ragged["items"][3][:2]
+    bad.write_text(json.dumps(ragged))
+    _assert_data_error(gram, bad, [], capsys)
+    non_finite = json.loads(data.read_text())
+    non_finite["items"][9][1][2] = float("nan")
+    non_finite["items"][12][0][0] = float("inf")
+    bad.write_text(json.dumps(non_finite))
+    _assert_data_error(gram, bad, ["item 9 ", "NaN or infinite"], capsys)
+    assert not out.exists()
+
+
+def test_svm_predict_rejects_models_of_other_types(tmp_path, capsys):
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    mkl = tmp_path / "mkl.json"
+    run_ok(["mkl-train", "--inputs", str(data), "--gamma-grid", "0.1,1", "--out", str(mkl)])
+    out = tmp_path / "pred.csv"
+    predict = ["svm-predict", "--train", str(data), "--test", str(data), "--out", str(out)]
+    _assert_data_error(predict + ["--model", str(mkl)], mkl, ["'mkl-svm'"], capsys)
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--out", str(model)])
+    payload = json.loads(model.read_text())
+    payload["type"] = "bogus"
+    model.write_text(json.dumps(payload))
+    _assert_data_error(predict + ["--model", str(model)], model, ["'bogus'"], capsys)
+    assert not out.exists()
+
+
 def test_internal_errors_are_not_reported_as_data_errors(tmp_path, monkeypatch):
     import manikernels.cli as cli
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,20 @@ from manikernels.data import (
     load_matrix_csv,
     save_dataset,
     save_matrix_csv,
+    stack_items,
     synth_grassmann_clusters,
     synth_spd_blobs,
 )
-from manikernels.errors import BadParamError, DimMismatchError, NonFiniteError
+from manikernels.errors import (
+    BadParamError,
+    BadShapeError,
+    DimMismatchError,
+    EmptySetError,
+    MalformedFileError,
+    NonFiniteError,
+)
+from manikernels.grassmann import make_grassmann
+from manikernels.matrixops import spd_exp
 
 from oracles import synth_two_rings
 
@@ -44,6 +56,60 @@ def test_load_dataset_rejects_non_finite_items(tmp_path):
             load_dataset(path)
 
 
+def test_load_dataset_names_the_first_non_finite_item(tmp_path):
+    path = tmp_path / "ds.json"
+    items = np.ones((6, 2, 2))
+    items[4, 1, 0] = np.nan
+    items[2, 0, 1] = np.inf
+    save_dataset(path, "spd", items)
+    with pytest.raises(NonFiniteError, match=r"^item 2 in "):
+        load_dataset(path)
+
+
+def test_load_dataset_returns_one_stack(tmp_path):
+    path = tmp_path / "ds.json"
+    items = np.arange(24.0).reshape(4, 3, 2)
+    save_dataset(path, "vectors", list(items))
+    back = load_dataset(path)["items"]
+    assert isinstance(back, np.ndarray) and back.dtype == float
+    assert np.array_equal(back, items)
+
+
+def test_load_dataset_rejects_ragged_and_mislabelled_items(tmp_path):
+    path = tmp_path / "ds.json"
+    payload = {"kind": "vectors", "count": 2, "shape": [2], "items": [[1.0, 2.0], [3.0]]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MalformedFileError, match="ds.json"):
+        load_dataset(path)
+    payload["items"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BadShapeError):
+        load_dataset(path)
+    payload["items"] = []
+    path.write_text(json.dumps(payload))
+    with pytest.raises(EmptySetError):
+        load_dataset(path)
+
+
+def test_stack_items(tmp_path):
+    items = [np.eye(2), 2.0 * np.eye(2)]
+    assert np.array_equal(stack_items(items), np.stack(items))
+    with pytest.raises(DimMismatchError):
+        stack_items([np.eye(2), np.eye(3)])
+    with pytest.raises(EmptySetError):
+        stack_items([])
+    with pytest.raises(EmptySetError):
+        save_dataset(tmp_path / "x.json", "spd", [])
+
+
+def test_load_matrix_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "m.csv"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"# header\n1.0,2.0\n3.0,{bad}\n")
+        with pytest.raises(NonFiniteError, match="m.csv"):
+            load_matrix_csv(path)
+
+
 def test_matrix_csv_round_trip(tmp_path):
     mat = np.array([[1.5, 2.25], [-3.0, 4.125]])
     path = tmp_path / "m.csv"
@@ -59,6 +125,32 @@ def test_synth_spd_blobs_deterministic_and_spd():
     for a, b in zip(pts1, pts2):
         np.testing.assert_array_equal(a, b)
         assert np.linalg.eigvalsh(a)[0] > 0
+
+
+def test_synth_spd_blobs_equals_per_point_draws():
+    # the generator draws each stack in one call from the same stream
+    points, labels = synth_spd_blobs(3, 4, 3, seed=8, center_scale=0.7, noise_scale=0.4)
+    rng = np.random.default_rng(8)
+
+    def sym():
+        a = rng.standard_normal((3, 3))
+        return (a + a.T) / 2.0
+
+    centers = [0.7 * sym() for _ in range(3)]
+    loop = [spd_exp(c + 0.4 * sym()) for c in centers for _ in range(4)]
+    assert np.array_equal(points, np.stack(loop))
+    assert labels.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+
+
+def test_synth_grassmann_clusters_equals_per_point_draws():
+    points, labels = synth_grassmann_clusters(2, 5, 6, 2, seed=9, noise_scale=0.2)
+    rng = np.random.default_rng(9)
+    centers = [rng.standard_normal((6, 2)) for _ in range(2)]
+    loop = [
+        make_grassmann(c + 0.2 * rng.standard_normal((6, 2))) for c in centers for _ in range(5)
+    ]
+    assert np.array_equal(points, np.stack(loop))
+    assert labels.tolist() == [0] * 5 + [1] * 5
 
 
 def test_synth_grassmann_clusters_orthonormal():

@@ -3,6 +3,7 @@ import pytest
 
 from manikernels.errors import (
     BadParamError,
+    DimMismatchError,
     FrameMismatchError,
     NoPositivesError,
     RectOutOfBoundsError,
@@ -10,7 +11,6 @@ from manikernels.errors import (
     TooSmallError,
 )
 from manikernels.features import (
-    SubwindowSpec,
     candidate_grid,
     normalize_by_full_window,
     overlap_ratio,
@@ -22,16 +22,13 @@ from manikernels.features import (
     structure_tensor_field,
     texture_feature_maps,
 )
+from manikernels.matrixops import spd_log
 
 from oracles import dispersion_stat, karcher_mean_log_euclidean, write_pgm
 
 
-def random_stack(rng, c=3, h=12, w=15):
-    from manikernels.features import FeatureStack
-
-    return FeatureStack(
-        channels=rng.uniform(size=(c, h, w)), names=tuple(f"f{i}" for i in range(c))
-    )
+def random_maps(rng, c=3, h=12, w=15):
+    return rng.uniform(size=(c, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -39,56 +36,56 @@ def random_stack(rng, c=3, h=12, w=15):
 # ---------------------------------------------------------------------------
 
 def test_pedestrian_constant_image():
-    stack = pedestrian_feature_maps(np.full((5, 7), 3.0))
-    assert stack.depth == 8
-    np.testing.assert_allclose(stack.channels[2:7], 0.0, atol=1e-12)
-    np.testing.assert_allclose(stack.channels[0][2], np.arange(7.0))
-    np.testing.assert_allclose(stack.channels[1][:, 3], np.arange(5.0))
+    maps = pedestrian_feature_maps(np.full((5, 7), 3.0))
+    assert maps.shape == (8, 5, 7)
+    np.testing.assert_allclose(maps[2:7], 0.0, atol=1e-12)
+    np.testing.assert_allclose(maps[0][2], np.arange(7.0))
+    np.testing.assert_allclose(maps[1][:, 3], np.arange(5.0))
 
 
 def test_pedestrian_ramp_image():
     h, w = 6, 8
     img = np.tile(np.arange(w, dtype=float), (h, 1))  # I(x, y) = x
-    stack = pedestrian_feature_maps(img)
-    np.testing.assert_allclose(stack.channels[2][:, 1:-1], 1.0, atol=1e-12)  # |Ix|
-    np.testing.assert_allclose(stack.channels[3], 0.0, atol=1e-12)  # |Iy|
+    maps = pedestrian_feature_maps(img)
+    np.testing.assert_allclose(maps[2][:, 1:-1], 1.0, atol=1e-12)  # |Ix|
+    np.testing.assert_allclose(maps[3], 0.0, atol=1e-12)  # |Iy|
 
 
 def test_pedestrian_magnitude_channel_pointwise():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(9, 11))
-    stack = pedestrian_feature_maps(img)
-    recomputed = np.sqrt(stack.channels[2] ** 2 + stack.channels[3] ** 2)
-    np.testing.assert_allclose(stack.channels[4], recomputed, atol=1e-12)
+    maps = pedestrian_feature_maps(img)
+    recomputed = np.sqrt(maps[2] ** 2 + maps[3] ** 2)
+    np.testing.assert_allclose(maps[4], recomputed, atol=1e-12)
 
 
 def test_pedestrian_angle_channel_bounded():
     rng = np.random.default_rng(1)
-    stack = pedestrian_feature_maps(rng.uniform(size=(7, 7)))
-    angle = stack.channels[7]
+    maps = pedestrian_feature_maps(rng.uniform(size=(7, 7)))
+    angle = maps[7]
     assert np.all(angle >= 0.0) and np.all(angle <= np.pi / 2 + 1e-12)
 
 
 def test_texture_constant_image():
-    stack = texture_feature_maps(np.full((4, 4), 2.5))
-    assert stack.depth == 5
-    np.testing.assert_allclose(stack.channels[0], 2.5)
-    np.testing.assert_allclose(stack.channels[1:], 0.0, atol=1e-12)
+    maps = texture_feature_maps(np.full((4, 4), 2.5))
+    assert maps.shape == (5, 4, 4)
+    np.testing.assert_allclose(maps[0], 2.5)
+    np.testing.assert_allclose(maps[1:], 0.0, atol=1e-12)
 
 
 def test_texture_ramp_gradient():
     img = np.tile(np.arange(9, dtype=float), (5, 1))
-    stack = texture_feature_maps(img)
-    np.testing.assert_allclose(stack.channels[1][:, 1:-1], 1.0, atol=1e-12)  # |Ix|
+    maps = texture_feature_maps(img)
+    np.testing.assert_allclose(maps[1][:, 1:-1], 1.0, atol=1e-12)  # |Ix|
 
 
 def test_texture_second_derivative_matches_stencil():
     rng = np.random.default_rng(2)
     img = rng.uniform(size=(8, 10))
-    stack = texture_feature_maps(img)
+    maps = texture_feature_maps(img)
     # interior |Ixx| via the 1, -2, 1 stencil
     expect = np.abs(img[:, 2:] - 2.0 * img[:, 1:-1] + img[:, :-2])
-    np.testing.assert_allclose(stack.channels[3][:, 1:-1], expect, atol=1e-12)
+    np.testing.assert_allclose(maps[3][:, 1:-1], expect, atol=1e-12)
 
 
 def test_feature_maps_too_small():
@@ -103,54 +100,48 @@ def test_feature_maps_too_small():
 # ---------------------------------------------------------------------------
 
 def test_region_covariance_constant_stack_is_epsilon_identity():
-    from manikernels.features import FeatureStack
-
-    stack = FeatureStack(channels=np.ones((3, 6, 6)), names=("a", "b", "c"))
-    cov = region_covariance(stack, (0, 0, 6, 6), epsilon=1e-4)
+    cov = region_covariance(np.ones((3, 6, 6)), (0, 0, 6, 6), epsilon=1e-4)
     np.testing.assert_allclose(cov, 1e-4 * np.eye(3), atol=1e-12)
 
 
 def test_region_covariance_correlated_channels():
-    from manikernels.features import FeatureStack
-
     rng = np.random.default_rng(3)
     base = rng.uniform(size=(7, 9))
-    stack = FeatureStack(channels=np.stack([base, 2.0 * base]), names=("a", "b"))
-    cov = region_covariance(stack, (0, 0, 9, 7), epsilon=1e-5)
+    cov = region_covariance(np.stack([base, 2.0 * base]), (0, 0, 9, 7), epsilon=1e-5)
     w = np.linalg.eigvalsh(cov)
     assert w[0] == pytest.approx(1e-5, rel=1e-6)
 
 
 def test_region_covariance_matches_direct_summation():
     rng = np.random.default_rng(4)
-    stack = random_stack(rng, c=4, h=14, w=17)
+    maps = random_maps(rng, c=4, h=14, w=17)
     for _ in range(50):
         w = int(rng.integers(3, 10))
         h = int(rng.integers(3, 9))
-        x0 = int(rng.integers(0, stack.width - w + 1))
-        y0 = int(rng.integers(0, stack.height - h + 1))
-        cov = region_covariance(stack, (x0, y0, w, h), epsilon=1e-9)
-        pixels = stack.channels[:, y0 : y0 + h, x0 : x0 + w].reshape(stack.depth, -1)
-        direct = np.cov(pixels, ddof=1) + 1e-9 * np.eye(stack.depth)
+        x0 = int(rng.integers(0, maps.shape[2] - w + 1))
+        y0 = int(rng.integers(0, maps.shape[1] - h + 1))
+        cov = region_covariance(maps, (x0, y0, w, h), epsilon=1e-9)
+        pixels = maps[:, y0 : y0 + h, x0 : x0 + w].reshape(maps.shape[0], -1)
+        direct = np.cov(pixels, ddof=1) + 1e-9 * np.eye(maps.shape[0])
         assert np.linalg.norm(cov - direct) <= 1e-8 * max(1.0, np.linalg.norm(direct))
 
 
 def test_region_covariance_errors():
     rng = np.random.default_rng(5)
-    stack = random_stack(rng)
+    maps = random_maps(rng)
     with pytest.raises(RectOutOfBoundsError):
-        region_covariance(stack, (10, 0, 10, 5))
+        region_covariance(maps, (10, 0, 10, 5))
     with pytest.raises(TooFewPixelsError):
-        region_covariance(stack, (0, 0, 3, 1))
+        region_covariance(maps, (0, 0, 3, 1))
 
 
-def _random_rects(rng, stack, count):
+def _random_rects(rng, maps, count):
     rects = []
     for _ in range(count):
-        w = int(rng.integers(3, stack.width + 1))
-        h = int(rng.integers(3, stack.height + 1))
-        x0 = int(rng.integers(0, stack.width - w + 1))
-        y0 = int(rng.integers(0, stack.height - h + 1))
+        w = int(rng.integers(3, maps.shape[2] + 1))
+        h = int(rng.integers(3, maps.shape[1] + 1))
+        x0 = int(rng.integers(0, maps.shape[2] - w + 1))
+        y0 = int(rng.integers(0, maps.shape[1] - h + 1))
         rects.append((x0, y0, w, h))
     return np.array(rects)
 
@@ -158,31 +149,31 @@ def _random_rects(rng, stack, count):
 def test_region_covariance_batch_equals_per_rect_calls():
     rng = np.random.default_rng(14)
     for c in (3, 8):
-        stack = random_stack(rng, c=c, h=14, w=17)
-        rects = _random_rects(rng, stack, 40)
+        maps = random_maps(rng, c=c, h=14, w=17)
+        rects = _random_rects(rng, maps, 40)
         for epsilon in (None, 1e-3):
-            batch = region_covariance(stack, rects, epsilon=epsilon)
-            single = np.stack([region_covariance(stack, tuple(r), epsilon=epsilon) for r in rects])
+            batch = region_covariance(maps, rects, epsilon=epsilon)
+            single = np.stack([region_covariance(maps, tuple(r), epsilon=epsilon) for r in rects])
             assert batch.shape == (40, c, c)
             assert np.array_equal(batch, single)
 
 
 def test_region_covariance_batch_fails_on_any_bad_rect():
     rng = np.random.default_rng(15)
-    stack = random_stack(rng)
-    good = _random_rects(rng, stack, 5)
+    maps = random_maps(rng)
+    good = _random_rects(rng, maps, 5)
     for bad, error in [((10, 0, 10, 5), RectOutOfBoundsError), ((0, 0, 3, 1), TooFewPixelsError)]:
         for at in (0, 2, 5):
             rects = np.insert(good, at, bad, axis=0)
             with pytest.raises(error):
-                region_covariance(stack, rects)
+                region_covariance(maps, rects)
 
 
 def test_normalize_by_full_window_preserves_spd():
     rng = np.random.default_rng(6)
-    stack = random_stack(rng)
-    full = region_covariance(stack, (0, 0, stack.width, stack.height))
-    sub = region_covariance(stack, (2, 3, 6, 5))
+    maps = random_maps(rng)
+    full = region_covariance(maps, (0, 0, maps.shape[2], maps.shape[1]))
+    sub = region_covariance(maps, (2, 3, 6, 5))
     normed = normalize_by_full_window(sub, full)
     assert np.all(np.linalg.eigvalsh(normed) > 0)
     scale = np.diag(1.0 / np.sqrt(np.diag(full)))
@@ -195,7 +186,8 @@ def test_normalize_by_full_window_preserves_spd():
 
 def test_candidate_grid_contains_full_window_and_respects_bounds():
     cands = candidate_grid(20, 30)
-    rects = {c.rect for c in cands}
+    assert cands.ndim == 2 and cands.shape[1] == 4 and cands.dtype.kind == "i"
+    rects = {tuple(c) for c in cands.tolist()}
     assert (0, 0, 30, 20) in rects
     for x0, y0, w, h in rects:
         assert 0 <= x0 and 0 <= y0 and x0 + w <= 30 and y0 + h <= 20
@@ -218,51 +210,68 @@ def _descriptor(rng, scale=1.0):
 
 def test_single_candidate_always_selected():
     rng = np.random.default_rng(7)
-    cands = [SubwindowSpec(rect=(0, 0, 4, 4))]
+    cands = np.array([(0, 0, 4, 4)])
     descs = [[_descriptor(rng)] for _ in range(3)]
-    out = select_subwindows(cands, descs, [True, True, True], count=1, max_overlap=0.75)
-    assert len(out) == 1 and out[0].rect == (0, 0, 4, 4)
+    idx, scores = select_subwindows(cands, descs, [True, True, True], count=1, max_overlap=0.75)
+    assert len(idx) == 1 and tuple(cands[idx[0]]) == (0, 0, 4, 4)
+    assert scores.shape == (1,)
 
 
 def test_fully_overlapping_candidates_pruned():
     rng = np.random.default_rng(8)
-    cands = [SubwindowSpec(rect=(0, 0, 4, 4)), SubwindowSpec(rect=(0, 0, 4, 4))]
+    cands = np.array([(0, 0, 4, 4), (0, 0, 4, 4)])
     descs = [[_descriptor(rng), _descriptor(rng, scale=3.0)] for _ in range(4)]
-    out = select_subwindows(cands, descs, [True] * 4, count=2, max_overlap=0.75)
-    assert len(out) == 1
+    idx, _ = select_subwindows(cands, descs, [True] * 4, count=2, max_overlap=0.75)
+    assert len(idx) == 1
 
 
 def test_zero_dispersion_candidate_selected_first():
     rng = np.random.default_rng(9)
     constant = _descriptor(rng)
-    cands = [SubwindowSpec(rect=(0, 0, 4, 4)), SubwindowSpec(rect=(10, 10, 4, 4))]
+    cands = np.array([(0, 0, 4, 4), (10, 10, 4, 4)])
     descs = [[_descriptor(rng), constant] for _ in range(5)]
-    out = select_subwindows(cands, descs, [True] * 5, count=2, max_overlap=0.75)
-    assert out[0].rect == (10, 10, 4, 4)
-    assert out[0].score == pytest.approx(0.0, abs=1e-9)
+    idx, scores = select_subwindows(cands, descs, [True] * 5, count=2, max_overlap=0.75)
+    assert tuple(cands[idx[0]]) == (10, 10, 4, 4)
+    assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_selection_scores_are_log_euclidean_dispersion():
     rng = np.random.default_rng(13)
-    cands = [SubwindowSpec(rect=(0, 0, 4, 4)), SubwindowSpec(rect=(10, 10, 4, 4))]
+    cands = np.array([(0, 0, 4, 4), (10, 10, 4, 4)])
     descs = [[_descriptor(rng), _descriptor(rng, scale=3.0)] for _ in range(6)]
-    out = select_subwindows(cands, descs, [True] * 6, count=2, max_overlap=0.75)
-    assert len(out) == 2
-    for spec in out:
-        j = [c.rect for c in cands].index(spec.rect)
+    idx, scores = select_subwindows(cands, descs, [True] * 6, count=2, max_overlap=0.75)
+    assert len(idx) == 2
+    for j, score in zip(idx, scores):
         column = [descs[i][j] for i in range(6)]
         want = dispersion_stat("log-euclidean", column, 1.0, karcher_mean_log_euclidean(column))
-        assert spec.score == pytest.approx(want, rel=1e-12)
+        assert score == pytest.approx(want, rel=1e-12)
+
+
+def test_selection_scores_equal_the_per_candidate_formula():
+    # one stacked log per sample gives bit for bit the scores of one
+    # log per candidate over its column of samples; the 8 positives take
+    # numpy's unrolled summation path for the mean of each column
+    rng = np.random.default_rng(16)
+    cands = np.array([(4 * k, 0, 4, 4) for k in range(40)])  # disjoint: all are taken
+    descs = [np.stack([_descriptor(rng, scale=2.0) for _ in cands]) for _ in range(9)]
+    positives = [True] * 8 + [False]
+    idx, scores = select_subwindows(cands, descs, positives, count=len(cands), max_overlap=0.0)
+    want = np.empty(len(cands))
+    for j in range(len(cands)):
+        logs = spd_log(np.stack([descs[i][j] for i in range(8)]))
+        want[j] = np.mean(np.linalg.norm(logs - logs.mean(axis=0), axis=(1, 2)))
+    assert np.array_equal(idx, np.argsort(want, kind="stable"))
+    assert np.array_equal(scores, want[idx])
 
 
 def test_selected_set_obeys_overlap_cap():
     rng = np.random.default_rng(10)
     cands = candidate_grid(16, 16)
     descs = [[_descriptor(rng) for _ in cands] for _ in range(3)]
-    out = select_subwindows(cands, descs, [True, True, False], count=6, max_overlap=0.5)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert overlap_ratio(out[i].rect, out[j].rect) <= 0.5
+    idx, _ = select_subwindows(cands, descs, [True, True, False], count=6, max_overlap=0.5)
+    for i in range(len(idx)):
+        for j in range(i + 1, len(idx)):
+            assert overlap_ratio(cands[idx[i]], cands[idx[j]]) <= 0.5
 
 
 def test_selection_deterministic():
@@ -271,11 +280,11 @@ def test_selection_deterministic():
     descs = [[_descriptor(rng) for _ in cands] for _ in range(3)]
     a = select_subwindows(cands, descs, [True] * 3, count=4, max_overlap=0.75)
     b = select_subwindows(cands, descs, [True] * 3, count=4, max_overlap=0.75)
-    assert [s.rect for s in a] == [s.rect for s in b]
+    assert cands[a[0]].tolist() == cands[b[0]].tolist()
 
 
 def test_selection_errors():
-    cands = [SubwindowSpec(rect=(0, 0, 4, 4))]
+    cands = np.array([(0, 0, 4, 4)])
     descs = [[np.eye(3)]]
     with pytest.raises(NoPositivesError):
         select_subwindows(cands, descs, [False], count=1, max_overlap=0.5)
@@ -283,6 +292,8 @@ def test_selection_errors():
         select_subwindows(cands, descs, [True], count=0, max_overlap=0.5)
     with pytest.raises(BadParamError):
         select_subwindows(cands, descs, [True], count=1, max_overlap=1.0)
+    with pytest.raises(DimMismatchError):
+        select_subwindows(np.vstack([cands, cands]), descs, [True], count=1, max_overlap=0.5)
 
 
 # ---------------------------------------------------------------------------

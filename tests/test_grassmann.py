@@ -61,6 +61,34 @@ def test_make_grassmann_errors():
         make_grassmann(np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 1), (40, 5, 2), (3, 4, 6, 3)])
+def test_make_grassmann_stack_equals_item_loop(shape):
+    raw = np.random.default_rng(20).standard_normal(shape)
+    stack = make_grassmann(raw)
+    loop = np.stack([make_grassmann(x) for x in raw.reshape(-1, *shape[-2:])])
+    assert stack.shape == shape
+    assert np.array_equal(stack.reshape(loop.shape), loop)
+
+
+def test_make_grassmann_stack_fails_with_the_item_error():
+    rng = np.random.default_rng(21)
+    good = rng.standard_normal((4, 5, 2))
+    deficient = np.array([[1.0, 2.0]] * 5)
+    with pytest.raises(RankDeficientError):
+        make_grassmann(deficient)
+    for at in (0, 2, 4):
+        with pytest.raises(RankDeficientError):
+            make_grassmann(np.insert(good, at, deficient, axis=0))
+    with pytest.raises(RankDeficientError):
+        make_grassmann(np.insert(good, 1, np.zeros((5, 2)), axis=0))
+    # n <= r is a shape error for one basis and for a stack of them
+    for wide in (rng.standard_normal((2, 2)), rng.standard_normal((2, 3))):
+        with pytest.raises(BadShapeError):
+            make_grassmann(wide)
+        with pytest.raises(BadShapeError):
+            make_grassmann(np.stack([wide] * 3))
+
+
 # ---------------------------------------------------------------------------
 # principal angles
 # ---------------------------------------------------------------------------

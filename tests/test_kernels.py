@@ -23,7 +23,6 @@ from manikernels.kernels import (
     gram_matrix,
     gram_to_csv,
     gram_to_json,
-    sample_grassmann,
     sample_spd,
     squared_distance_matrix,
 )
@@ -35,6 +34,7 @@ from oracles import (
     median_heuristic_gamma,
     projection_linear_gram,
     psd_check,
+    sample_grassmann,
     spd_distance,
 )
 
@@ -336,6 +336,17 @@ def test_definiteness_spd_witness_points_are_single_draws():
     assert len(report.witness_points) == 40
     for point in report.witness_points:
         assert np.array_equal(point, sample_spd(rng, 3))
+
+
+def test_definiteness_grassmann_witness_points_are_single_draws():
+    report = definiteness_search(
+        "grassmann", "arc-length", GRID, m=20, trials=50, seed=3, dim=5, subspace_dim=2
+    )
+    assert report.verdict == "witness_found"
+    rng = _trial_rng(3, report.witness_trial)
+    assert len(report.witness_points) == 20
+    for point in report.witness_points:
+        assert np.array_equal(point, sample_grassmann(rng, 5, 2))
 
 
 def test_definiteness_search_bad_grid():
