@@ -109,7 +109,7 @@ def _provenance(command: str, args: argparse.Namespace) -> dict:
     }
     return {
         "command": command,
-        "config": {k: (list(v) if isinstance(v, (tuple,)) else v) for k, v in config.items()},
+        "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
@@ -187,9 +187,7 @@ def _cmd_definiteness(args) -> int:
         subspace_dim=args.subspace_dim,
         alpha=args.alpha,
     )
-    payload = report.to_dict()
-    payload["provenance"] = _provenance("definiteness", args)
-    save_json(args.out, payload)
+    save_json(args.out, {**vars(report), "provenance": _provenance("definiteness", args)})
     return EXIT_OK
 
 
@@ -247,29 +245,6 @@ def _binary_labels(labels) -> np.ndarray:
     if len(uniq) == 2:
         return np.where(np.asarray(labels) == uniq[1], 1.0, -1.0)
     raise BadParamError("binary SVM needs exactly two label values")
-
-
-def _svm_model_payload(model: SvmModel) -> dict:
-    return {
-        "dual_coefs": model.dual_coefs.tolist(),
-        "bias": model.bias,
-        "support_indices": model.support_indices.tolist(),
-        "C": model.C,
-        "kkt_violation": model.kkt_violation,
-        "n_iter": model.n_iter,
-    }
-
-
-def _svm_model_from_payload(raw: dict) -> SvmModel:
-    """Inverse of :func:`_svm_model_payload`."""
-    return SvmModel(
-        dual_coefs=np.array(raw["dual_coefs"], dtype=float),
-        bias=float(raw["bias"]),
-        support_indices=np.array(raw["support_indices"], dtype=int),
-        C=float(raw["C"]),
-        kkt_violation=float(raw.get("kkt_violation", 0.0)),
-        n_iter=int(raw.get("n_iter", 0)),
-    )
 
 
 def _items_digest(points) -> str:
@@ -341,25 +316,17 @@ def _cmd_svm_train(args) -> int:
     gram = gram_from_squared_distances(spec, d2, audit=True)
     classes = np.unique(labels)
     payload = {
-        "spec": spec.to_dict(),
+        "spec": spec,
         "provenance": _provenance("svm-train", args),
         "train_sha256": _items_digest(points),
     }
     if len(classes) == 2:
-        y = _binary_labels(labels)
-        model = svm_train(gram, y, c_val, kkt_tol=args.kkt_tol)
-        payload["type"] = "svm"
-        payload["classes"] = [int(classes[0]), int(classes[1])]
-        payload["model"] = _svm_model_payload(model)
+        model = svm_train(gram, _binary_labels(labels), c_val, kkt_tol=args.kkt_tol)
+        payload.update(type="svm", classes=classes, model=model)
     else:
         model = multiclass_svm_train(gram, labels, c_val, mode=args.mode, kkt_tol=args.kkt_tol)
         payload["type"] = "multiclass-svm"
-        payload["mode"] = model.mode
-        payload["classes"] = [int(c) for c in model.classes]
-        payload["models"] = [_svm_model_payload(mdl) for mdl in model.models]
-        if model.pairs is not None:
-            payload["pairs"] = [[int(a), int(b)] for a, b in model.pairs]
-            payload["pair_indices"] = [idx.tolist() for idx in model.pair_indices]
+        payload.update((k, v) for k, v in vars(model).items() if v is not None)
     save_json(args.out, payload)
     return EXIT_OK
 
@@ -369,13 +336,13 @@ def _model_from_payload(payload):
     :func:`~manikernels.data.parse_errors` so its errors name the file."""
     if payload["type"] not in ("svm", "multiclass-svm"):
         raise ValueError(f"model type {payload['type']!r} is not an svm-train model")
-    spec = KernelSpec.from_dict(payload["spec"])
+    spec = KernelSpec(**payload["spec"])
     if payload["type"] == "svm":
-        return spec, _svm_model_from_payload(payload["model"]), payload.get("classes")
+        return spec, SvmModel(**payload["model"]), payload.get("classes")
     multi = MulticlassSvmModel(
         mode=payload["mode"],
         classes=np.array(payload["classes"]),
-        models=[_svm_model_from_payload(raw) for raw in payload["models"]],
+        models=[SvmModel(**raw) for raw in payload["models"]],
         pair_indices=[np.array(v, dtype=int) for v in payload.get("pair_indices", [])] or None,
         pairs=[tuple(p) for p in payload.get("pairs", [])] or None,
     )
@@ -420,31 +387,23 @@ def _cmd_mkl_train(args) -> int:
         raise BadParamError("--gamma-grid expands kernels from a single input")
     grams = []
     labels = None
-    manifold_spec = None
-    if gammas and len(args.inputs) == 1:
-        points, labels, spec = _dataset_points(args.inputs[0], args)
-        specs = [replace(spec, gamma=g) for g in gammas]
+    for path in args.inputs:
+        points, lab, spec = _dataset_points(path, args)
+        if labels is None:
+            labels = lab
         d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
-        grams = [gram_from_squared_distances(s, d2, audit=True) for s in specs]
-        manifold_spec = [s.to_dict() for s in specs]
-    else:
-        manifold_spec = []
-        for path in args.inputs:
-            points, lab, spec = _dataset_points(path, args)
-            if labels is None:
-                labels = lab
-            grams.append(gram_matrix(spec, points, audit=True))
-            manifold_spec.append(spec.to_dict())
+        for gamma in gammas or [spec.gamma]:
+            grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2, audit=True))
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")
     y = _binary_labels(labels)
     model = mkl_train(grams, y, args.C, max_outer_iter=args.max_outer, tol=args.tol)
     payload = {
         "type": "mkl-svm",
-        "weights": model.weights.tolist(),
-        "objective_trace": [float(v) for v in model.objective_trace],
-        "kernel_specs": manifold_spec,
-        "model": _svm_model_payload(model.svm),
+        "weights": model.weights,
+        "objective_trace": model.objective_trace,
+        "kernel_specs": [gram.spec for gram in grams],
+        "model": model.svm,
         "provenance": _provenance("mkl-train", args),
     }
     save_json(args.out, payload)
@@ -480,13 +439,10 @@ def _cmd_covdesc(args) -> int:
     )
     payload = {
         "features": args.features,
-        "image_shape": list(shape),
+        "image_shape": shape,
         "selected": [
-            {
-                "rect": candidates[j].tolist(),
-                "score": float(score),
-                "descriptors": [covs[j].tolist() for covs in descriptors],
-            }
+            {"rect": candidates[j], "score": score,
+             "descriptors": [covs[j] for covs in descriptors]}
             for j, score in zip(chosen, scores)
         ],
         "provenance": prov,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -42,10 +43,22 @@ def parse_errors(path):
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 
+def _json_default(obj):
+    """The JSON form of what :mod:`json` has no rule for: a dataclass is
+    the dict of all its fields, a numpy array or scalar its ``tolist()``."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+
 def save_json(path, payload) -> None:
     """Write ``payload`` as JSON with indent 1, sorted keys and a trailing
-    newline to ``path``, or to stdout when ``path`` is ``-``."""
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    newline to ``path``, or to stdout when ``path`` is ``-``. Dataclasses
+    (result objects, specs, models) and numpy values may appear anywhere
+    in it; see :func:`_json_default`."""
+    text = json.dumps(payload, indent=1, sort_keys=True, default=_json_default) + "\n"
     if path == "-":
         sys.stdout.write(text)
         return
@@ -70,17 +83,12 @@ def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = 
     if kind not in DATASET_KINDS:
         raise BadParamError(f"unknown dataset kind {kind!r}")
     stack = stack_items(items)
-    payload = {
-        "kind": kind,
-        "count": len(stack),
-        "shape": list(stack.shape[1:]),
-        "items": stack.tolist(),
-    }
+    payload = {"kind": kind, "count": len(stack), "shape": stack.shape[1:], "items": stack}
     if labels is not None:
-        labels = np.asarray(labels)
+        labels = np.asarray(labels, dtype=int)
         if labels.shape != (len(stack),):
             raise DimMismatchError(f"labels shape {labels.shape} != ({len(stack)},)")
-        payload["labels"] = [int(v) for v in labels]
+        payload["labels"] = labels
     if provenance is not None:
         payload["provenance"] = provenance
     save_json(path, payload)

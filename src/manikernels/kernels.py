@@ -27,7 +27,7 @@ writes Gram matrices to CSV and JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -121,23 +121,6 @@ class KernelSpec:
             raise BadParamError(f"gamma must be positive and finite, got {self.gamma}")
         if not np.isfinite(self.alpha) or self.alpha == 0:
             raise BadParamError(f"alpha must be finite and nonzero, got {self.alpha}")
-
-    def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "metric": self.metric,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(
-            manifold=d["manifold"],
-            metric=d["metric"],
-            gamma=float(d["gamma"]),
-            alpha=float(d.get("alpha", DEFAULT_POWER_ALPHA)),
-        )
 
 
 def _manifold_points(manifold: str, points) -> np.ndarray:
@@ -286,22 +269,6 @@ class DefinitenessReport:
     witness_trial: int | None = None
     witness_points: np.ndarray | list = field(default_factory=list)  # the (m, ...) trial stack
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_eigen": self.min_eigen,
-            "gamma": self.gamma,
-            "manifold": self.manifold,
-            "metric": self.metric,
-            "m": self.m,
-            "trials_run": self.trials_run,
-            "gamma_grid": list(self.gamma_grid),
-            "alpha": self.alpha,
-            "witness_seed": self.witness_seed,
-            "witness_trial": self.witness_trial,
-            "witness_points": [p.tolist() for p in self.witness_points],
-        }
-
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # Per-trial streams so trial results do not depend on evaluation order.
@@ -335,64 +302,60 @@ def definiteness_search(
     ``-WITNESS_TOL_FACTOR * m`` (re-verified with an extended-precision
     Rayleigh quotient before being accepted). Deterministic given
     (seed, grid, m, trials): trial t uses the stream seeded by (seed, t)
-    and trials are scanned in index order.
+    and trials are scanned in index order. The sizes, the grid and the
+    metric are checked before any point is drawn.
     """
+    _lookup(manifold, metric)
     grid = [float(g) for g in gamma_grid]
     if not grid or any(g <= 0 for g in grid):
         raise BadParamError("gamma grid must be non-empty with positive entries")
     if m < 3:
         raise BadParamError(f"need at least 3 points per trial, got {m}")
+    if trials < 1:
+        raise BadParamError(f"need at least 1 trial, got {trials}")
+    if dim < 1:
+        raise BadParamError(f"dim must be positive, got {dim}")
+    if manifold == "grassmann" and not 1 <= subspace_dim < dim:
+        raise BadParamError(f"need 1 <= r < n, got r={subspace_dim}, n={dim}")
     witness_tol = WITNESS_TOL_FACTOR * m
-    global_min = np.inf
-    global_min_gamma = grid[0]
-    trials_run = 0
+    report = DefinitenessReport(
+        verdict="psd_within_tol",
+        min_eigen=np.inf,
+        gamma=grid[0],
+        manifold=manifold,
+        metric=metric,
+        m=m,
+        trials_run=0,
+        gamma_grid=tuple(grid),
+        alpha=alpha,
+    )
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         if manifold == "spd":
             points = sample_spd(rng, dim, m)
         elif manifold == "grassmann":
             points = gr.make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
-        elif manifold == "euclidean":
-            points = rng.standard_normal((m, dim))
         else:
-            raise BadParamError(f"unknown manifold {manifold!r}")
+            points = rng.standard_normal((m, dim))
         d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)
-        trials_run = trial + 1
+        report.trials_run = trial + 1
         for gamma in grid:
             k = np.exp(-gamma * d2)
             np.fill_diagonal(k, 1.0)
             w, u = np.linalg.eigh(k)
-            if w[0] < global_min:
-                global_min = float(w[0])
-                global_min_gamma = gamma
-            if w[0] < -witness_tol:
-                rayleigh = _rayleigh_longdouble(d2, gamma, u[:, 0])
-                if rayleigh < -witness_tol:
-                    return DefinitenessReport(
-                        verdict="witness_found",
-                        min_eigen=float(w[0]),
-                        gamma=gamma,
-                        manifold=manifold,
-                        metric=metric,
-                        m=m,
-                        trials_run=trials_run,
-                        gamma_grid=tuple(grid),
-                        alpha=alpha,
-                        witness_seed=seed,
-                        witness_trial=trial,
-                        witness_points=points,
-                    )
-    return DefinitenessReport(
-        verdict="psd_within_tol",
-        min_eigen=float(global_min),
-        gamma=global_min_gamma,
-        manifold=manifold,
-        metric=metric,
-        m=m,
-        trials_run=trials_run,
-        gamma_grid=tuple(grid),
-        alpha=alpha,
-    )
+            if w[0] < report.min_eigen:
+                report.min_eigen, report.gamma = float(w[0]), gamma
+            if w[0] < -witness_tol and _rayleigh_longdouble(d2, gamma, u[:, 0]) < -witness_tol:
+                return replace(
+                    report,
+                    verdict="witness_found",
+                    min_eigen=float(w[0]),
+                    gamma=gamma,
+                    witness_seed=seed,
+                    witness_trial=trial,
+                    witness_points=points,
+                )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +376,7 @@ def gram_to_csv(gram: GramMatrix, path, extra_header: list[str] | None = None) -
 
 def gram_to_json(gram: GramMatrix, path, provenance: dict | None = None) -> None:
     payload = {
-        "spec": gram.spec.to_dict(),
-        "m": gram.size,
-        "entries": gram.entries.tolist(),
-        "min_eigen": gram.min_eigen,
+        "spec": gram.spec, "m": gram.size, "entries": gram.entries, "min_eigen": gram.min_eigen
     }
     if provenance is not None:
         payload["provenance"] = provenance

@@ -367,6 +367,13 @@ class SvmModel:
     kkt_violation: float = 0.0
     n_iter: int = 0
 
+    def __post_init__(self):
+        # a model read back from JSON arrives with lists and plain numbers
+        self.dual_coefs = np.asarray(self.dual_coefs, dtype=float)
+        self.support_indices = np.asarray(self.support_indices, dtype=int)
+        self.bias, self.C = float(self.bias), float(self.C)
+        self.kkt_violation, self.n_iter = float(self.kkt_violation), int(self.n_iter)
+
 
 def svm_train(
     k,

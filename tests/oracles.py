@@ -267,7 +267,7 @@ def gram_from_json(path) -> GramMatrix:
         payload = json.load(fh)
     return GramMatrix(
         entries=np.array(payload["entries"], dtype=float),
-        spec=KernelSpec.from_dict(payload["spec"]),
+        spec=KernelSpec(**payload["spec"]),
         min_eigen=payload.get("min_eigen"),
     )
 

@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+import manikernels.cli as cli
 from manikernels.cli import _model_from_payload, run
-from manikernels.data import load_dataset, load_matrix_csv, save_dataset, synth_spd_blobs
+from manikernels.data import load_dataset, load_matrix_csv, save_dataset, save_json, synth_spd_blobs
 from manikernels.grassmann import make_grassmann
+from manikernels.kernels import DefinitenessReport, KernelSpec
+from manikernels.learn import MulticlassSvmModel, SvmModel
 
 from oracles import gram_from_csv, gram_from_json, write_pgm
 
@@ -95,6 +99,7 @@ def test_definiteness_cli_psd_verdict(tmp_path):
     report = json.loads(out.read_text())
     assert report["verdict"] == "psd_within_tol"
     assert report["provenance"]["seed"] == 7
+    assert set(report) == {f.name for f in fields(DefinitenessReport)} | {"provenance"}
 
 
 def test_definiteness_cli_witness_verdict(tmp_path):
@@ -115,6 +120,25 @@ def test_definiteness_cli_witness_verdict(tmp_path):
     report = json.loads(out.read_text())
     assert report["verdict"] == "witness_found"
     assert report["witness_points"]
+    assert set(report) == {f.name for f in fields(DefinitenessReport)} | {"provenance"}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--manifold", "spd", "--metric", "log-euclidean", "--trials", "0"],
+        ["--manifold", "spd", "--metric", "log-euclidean", "--dim", "0"],
+        ["--manifold", "grassmann", "--metric", "projection", "--dim", "2", "--subspace-dim", "2"],
+        ["--manifold", "grassmann", "--metric", "projection", "--subspace-dim", "0"],
+        ["--manifold", "spd", "--metric", "nope", "--trials", "0"],
+        ["--manifold", "euclidean", "--metric", "projection"],
+        ["--manifold", "bogus", "--metric", "euclidean"],
+    ],
+)
+def test_definiteness_bad_sizes_and_metrics_exit_1_writing_nothing(tmp_path, flags):
+    out = tmp_path / "report.json"
+    assert run(["definiteness", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_kpca_and_kfda_outputs(tmp_path):
@@ -618,6 +642,85 @@ def test_malformed_dataset_and_model_files_exit_2_naming_file_and_key(tmp_path, 
         bad.write_text(json.dumps(broken))
         _assert_data_error(predict, bad, [repr(key)], capsys)
     assert not out.exists()
+
+
+def test_unknown_model_and_spec_keys_exit_2_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--out", str(model)])
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.csv"
+    predict = ["svm-predict", "--model", str(bad), "--train", str(data), "--test", str(data),
+               "--out", str(out)]
+    for part in ("model", "spec"):
+        broken = json.loads(model.read_text())
+        broken[part]["extra"] = 1
+        bad.write_text(json.dumps(broken))
+        _assert_data_error(predict, bad, ["'extra'"], capsys)
+    assert not out.exists()
+
+
+def _assert_same(got, want):
+    """Equal values; arrays of the same dtype; dataclasses field by field."""
+    if is_dataclass(want):
+        assert type(got) is type(want)
+        for f in fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "clusters, mode", [(2, "one-vs-all"), (3, "one-vs-all"), (3, "one-vs-one")]
+)
+def test_svm_model_files_decode_to_the_trained_models(tmp_path, monkeypatch, clusters, mode):
+    data = tmp_path / "blobs.json"
+    model_file = tmp_path / "model.json"
+    run_ok(
+        [
+            "synth", "--kind", "spd-blobs", "--clusters", str(clusters), "--per-cluster", "6",
+            "--dim", "3", "--center-scale", "2.0", "--noise-scale", "0.1",
+            "--seed", "9", "--out", str(data),
+        ]
+    )
+    trained = []
+    for name in ("svm_train", "multiclass_svm_train"):
+        def record(*args, train=getattr(cli, name), **kwargs):
+            trained.append(train(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(cli, name, record)
+    run_ok(
+        ["svm-train", "--input", str(data), "--C", "10", "--mode", mode, "--out", str(model_file)]
+    )
+    text = model_file.read_text()
+    payload = json.loads(text)
+    spec, model, _ = _model_from_payload(payload)
+    _assert_same(model, trained[0])
+    assert spec == KernelSpec("spd", "log-euclidean", 1.0)
+    assert set(payload["spec"]) == {f.name for f in fields(KernelSpec)}
+    if clusters == 2:
+        raw_models = [payload["model"]]
+        rewritten = {**payload, "spec": spec, "model": model}
+    else:
+        raw_models = payload["models"]
+        decoded = {k: v for k, v in vars(model).items() if v is not None}
+        assert set(decoded) <= set(payload)
+        if mode == "one-vs-one":
+            assert set(decoded) == {f.name for f in fields(MulticlassSvmModel)}
+        rewritten = {**payload, "spec": spec, **decoded}
+    assert all(set(raw) == {f.name for f in fields(SvmModel)} for raw in raw_models)
+    again = tmp_path / "again.json"
+    save_json(again, rewritten)
+    assert again.read_text() == text
 
 
 def test_unparsable_images_exit_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from manikernels.data import (
     load_dataset,
     load_matrix_csv,
     save_dataset,
+    save_json,
     save_matrix_csv,
     stack_items,
     synth_grassmann_clusters,
@@ -108,6 +110,27 @@ def test_load_matrix_csv_rejects_non_finite_values(tmp_path):
         path.write_text(f"# header\n1.0,2.0\n3.0,{bad}\n")
         with pytest.raises(NonFiniteError, match="m.csv"):
             load_matrix_csv(path)
+
+
+@dataclass
+class _Pair:
+    left: object
+    right: object = None
+
+
+def test_save_json_writes_dataclass_fields_and_numpy_values(tmp_path):
+    path = tmp_path / "out.json"
+    pair = _Pair(np.arange(3), _Pair(np.int64(2)))
+    save_json(path, {"pair": pair, "x": np.float32(0.5), "b": np.bool_(True)})
+    assert json.loads(path.read_text()) == {
+        "pair": {"left": [0, 1, 2], "right": {"left": 2, "right": None}},
+        "x": 0.5,
+        "b": True,
+    }
+    for unknown in ({1, 2}, _Pair, object()):
+        with pytest.raises(TypeError, match=type(unknown).__name__):
+            save_json(tmp_path / "bad.json", {"value": unknown})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_matrix_csv_round_trip(tmp_path):
