@@ -34,6 +34,7 @@ from .errors import (
     BadShapeError,
     DimMismatchError,
     FrameMismatchError,
+    MalformedFileError,
     ManiKernelsError,
     NoConvergenceError,
     NotPsdError,
@@ -72,6 +73,7 @@ from .learn import (
     mkl_train,
     multiclass_svm_predict,
     multiclass_svm_train,
+    principal_gram,
     svm_decision,
     svm_predict,
     svm_train,
@@ -193,7 +195,9 @@ def _cmd_definiteness(args) -> int:
 
 def _cmd_gram(args) -> int:
     points, _, spec = _dataset_points(args.input, args)
-    gram = gram_matrix(spec, points, audit=args.audit)
+    gram = gram_matrix(spec, points)
+    if args.audit:
+        gram.audit()
     prov = _provenance("gram", args)
     if args.out.endswith(".json"):
         gram_to_json(gram, args.out, provenance=prov)
@@ -264,8 +268,9 @@ def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
 
 def _cv_select(d2, labels, spec, args):
     """Seeded grid search over gamma and C on one squared-distance matrix;
-    returns (spec, C). Each fold's training Gram is audited once and
-    serves every C; ties go to the earlier gamma, then the earlier C."""
+    returns (gram, C), the winning Gram over all points and C. Each gamma
+    builds one Gram, audited once, whose principal submatrices are the
+    folds' training Grams; ties go to the earlier gamma, then the earlier C."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
@@ -278,8 +283,7 @@ def _cv_select(d2, labels, spec, args):
     folds = _cv_folds(len(labels), args.cv, args.seed)
     best = None
     for gamma in gammas:
-        candidate = replace(spec, gamma=gamma)
-        full = gram_from_squared_distances(candidate, d2).entries
+        gram = gram_from_squared_distances(replace(spec, gamma=gamma), d2)
         correct = [0] * len(cs)
         total = 0
         for f in range(args.cv):
@@ -287,8 +291,8 @@ def _cv_select(d2, labels, spec, args):
             train = ~test
             if len(np.unique(labels[train])) < 2:
                 continue
-            sub = gram_from_squared_distances(candidate, d2[np.ix_(train, train)], audit=True)
-            cols = full[np.ix_(train, test)]
+            sub = principal_gram(gram, train)
+            cols = gram.entries[np.ix_(train, test)]
             for c_index, c_val in enumerate(cs):
                 if binary:
                     model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
@@ -301,7 +305,7 @@ def _cv_select(d2, labels, spec, args):
         for c_index, c_val in enumerate(cs):
             score = correct[c_index] / total if total else 0.0
             if best is None or score > best[0]:
-                best = (score, candidate, c_val)
+                best = (score, gram, c_val)
     return best[1], best[2]
 
 
@@ -310,13 +314,13 @@ def _cmd_svm_train(args) -> int:
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
-    c_val = args.C
     if args.cv:
-        spec, c_val = _cv_select(d2, labels, spec, args)
-    gram = gram_from_squared_distances(spec, d2, audit=True)
+        gram, c_val = _cv_select(d2, labels, spec, args)
+    else:
+        gram, c_val = gram_from_squared_distances(spec, d2), args.C
     classes = np.unique(labels)
     payload = {
-        "spec": spec,
+        "spec": gram.spec,
         "provenance": _provenance("svm-train", args),
         "train_sha256": _items_digest(points),
     }
@@ -338,7 +342,9 @@ def _model_from_payload(payload):
         raise ValueError(f"model type {payload['type']!r} is not an svm-train model")
     spec = KernelSpec(**payload["spec"])
     if payload["type"] == "svm":
-        return spec, SvmModel(**payload["model"]), payload.get("classes")
+        if len(payload["classes"]) != 2 or len(set(payload["classes"])) != 2:
+            raise ValueError(f"a binary model needs 2 distinct classes, got {payload['classes']}")
+        return spec, SvmModel(**payload["model"]), payload["classes"]
     multi = MulticlassSvmModel(
         mode=payload["mode"],
         classes=np.array(payload["classes"]),
@@ -367,13 +373,15 @@ def _cmd_svm_predict(args) -> int:
     if isinstance(model, SvmModel):
         dec = svm_decision(model, cols)
         pred_sign = np.where(dec >= 0, 1, -1)
-        if classes and not set(classes) <= {-1, 1}:
+        if not set(classes) <= {-1, 1}:
             pred = np.where(pred_sign > 0, classes[1], classes[0])
         else:
             pred = pred_sign
         header.append("columns=index,decision,label")
         rows = np.column_stack([np.arange(len(test_points)), dec, pred.astype(float)])
     else:
+        if any(len(idx) and max(idx) >= len(train_points) for idx in model.pair_indices or ()):
+            raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
         pred = multiclass_svm_predict(model, cols)
         header.append("columns=index,label")
         rows = np.column_stack([np.arange(len(test_points)), pred.astype(float)])
@@ -393,7 +401,7 @@ def _cmd_mkl_train(args) -> int:
             labels = lab
         d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
         for gamma in gammas or [spec.gamma]:
-            grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2, audit=True))
+            grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2))
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")
     y = _binary_labels(labels)
@@ -433,10 +441,7 @@ def _cmd_covdesc(args) -> int:
         if args.normalize:
             covs = normalize_by_full_window(covs, covs[-1])
         descriptors.append(covs[:-1])
-    positives = np.ones(len(images), dtype=bool)
-    chosen, scores = select_subwindows(
-        candidates, descriptors, positives, args.select, args.max_overlap
-    )
+    chosen, scores = select_subwindows(candidates, descriptors, args.select, args.max_overlap)
     payload = {
         "features": args.features,
         "image_shape": shape,

@@ -23,6 +23,7 @@ from .errors import (
     EmptySetError,
     MalformedFileError,
     NonFiniteError,
+    UnsupportedMetricError,
 )
 from .grassmann import make_grassmann
 from .matrixops import spd_exp
@@ -33,13 +34,13 @@ DATASET_KINDS = ("spd", "grassmann", "vectors")
 @contextmanager
 def parse_errors(path):
     """Raise what goes wrong while parsing the file ``path`` in the block
-    (bad JSON or number, a missing key, a value of the wrong type) as a
-    MalformedFileError that names the file."""
+    (bad JSON or number, a missing key, a value of the wrong type, a
+    value out of its range) as a MalformedFileError that names the file."""
     try:
         yield
     except KeyError as exc:
         raise MalformedFileError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, BadParamError, UnsupportedMetricError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 
@@ -109,7 +110,7 @@ def load_dataset(path) -> dict:
             raise MalformedFileError(f"{path}: not a JSON object")
         kind = payload.get("kind")
         if kind not in DATASET_KINDS:
-            raise BadParamError(f"unknown dataset kind {kind!r} in {path}")
+            raise BadParamError(f"unknown dataset kind {kind!r}")
         shape = tuple(payload["shape"])
         items = np.asarray(payload["items"], dtype=float)
         if not len(items):

@@ -87,7 +87,3 @@ class TooSmallError(ManiKernelsError):
 
 class FrameMismatchError(ManiKernelsError):
     """Video frames disagree in number or size."""
-
-
-class NoPositivesError(ManiKernelsError):
-    """Subwindow ranking requires at least one positive sample."""

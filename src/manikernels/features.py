@@ -19,9 +19,9 @@ from .errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
+    EmptySetError,
     FrameMismatchError,
     MalformedFileError,
-    NoPositivesError,
     RectOutOfBoundsError,
     TooFewPixelsError,
     TooSmallError,
@@ -160,14 +160,12 @@ def normalize_by_full_window(cov_sub, cov_full) -> np.ndarray:
 # Subwindow candidates and selection
 # ---------------------------------------------------------------------------
 
-def candidate_grid(height: int, width: int, steps: int = 5, min_side: int = 3) -> np.ndarray:
+def candidate_grid(height: int, width: int) -> np.ndarray:
     """Candidate subwindows as an (R, 4) int array of (x0, y0, w, h) rows,
-    with sizes in ``steps`` geometric increments from (h/5, w/5) up to the
-    full window, placed at strides of a quarter of the subwindow side."""
-    if steps < 1:
-        raise BadParamError("steps must be >= 1")
-    heights = sorted({max(min_side, int(round(v))) for v in np.geomspace(height / 5.0, height, steps)})
-    widths = sorted({max(min_side, int(round(v))) for v in np.geomspace(width / 5.0, width, steps)})
+    with sides of at least 3 in 5 geometric steps from (h/5, w/5) up to
+    the full window, placed at strides of a quarter of the subwindow side."""
+    heights = sorted({max(3, int(round(v))) for v in np.geomspace(height / 5.0, height, 5)})
+    widths = sorted({max(3, int(round(v))) for v in np.geomspace(width / 5.0, width, 5)})
     rects = []
     for sh in heights:
         if sh > height:
@@ -197,14 +195,14 @@ def overlap_ratio(rect_a, rect_b) -> float:
     return inter / min(aw * ah, bw * bh)
 
 
-def select_subwindows(candidates, descriptors, positives, count: int, max_overlap: float):
+def select_subwindows(candidates, descriptors, count: int, max_overlap: float):
     """Greedy low-dispersion subwindow selection.
 
     ``candidates`` is an (R, 4) array of rectangles, and ``descriptors[i]``
-    the (R, c, c) stack of SPD descriptors of the candidates in sample
-    ``i``. Each candidate is scored by the mean distance (p = 1,
-    log-Euclidean) of the positive samples' descriptors to their Karcher
-    mean; candidates are taken in ascending score order, skipping any
+    the (R, c, c) stack of SPD descriptors of the candidates in positive
+    sample ``i``. Each candidate is scored by the mean distance (p = 1,
+    log-Euclidean) of the samples' descriptors to their Karcher mean;
+    candidates are taken in ascending score order, skipping any
     overlapping an already-selected one by more than ``max_overlap``.
     Returns the indices of the selected candidates and their scores.
     """
@@ -212,14 +210,12 @@ def select_subwindows(candidates, descriptors, positives, count: int, max_overla
         raise BadParamError("count must be >= 1")
     if not 0.0 <= max_overlap < 1.0:
         raise BadParamError(f"max_overlap must be in [0, 1), got {max_overlap}")
-    positives = np.asarray(positives, dtype=bool)
-    pos_idx = np.flatnonzero(positives)
-    if pos_idx.size == 0:
-        raise NoPositivesError("subwindow ranking needs at least one positive sample")
+    if not len(descriptors):
+        raise EmptySetError("subwindow ranking needs at least one sample")
     rects = np.asarray(candidates).tolist()
     # the log of the log-Euclidean mean exp(mean L) is mean L, so one log
     # per descriptor gives the distances to the mean
-    logs = [spd_log(descriptors[i]) for i in pos_idx]
+    logs = [spd_log(covs) for covs in descriptors]
     if any(len(log) != len(rects) for log in logs):
         raise DimMismatchError(f"each sample needs one descriptor per candidate ({len(rects)})")
     mean = sum(logs[1:], logs[0]) / len(logs)
@@ -321,7 +317,7 @@ def read_pgm(path) -> np.ndarray:
     gen = tokens(data)
     magic, _ = next(gen, (b"", 0))
     if magic not in (b"P2", b"P5"):
-        raise BadParamError(f"not a P2/P5 PGM file: magic {magic!r}")
+        raise MalformedFileError(f"{path}: not a P2/P5 PGM file: magic {magic!r}")
     header = list(itertools.islice(gen, 3))
     if len(header) < 3:
         raise MalformedFileError(f"{path}: truncated PGM header")
@@ -335,7 +331,9 @@ def read_pgm(path) -> np.ndarray:
             raster = data[end + 1 :]
             arr = np.frombuffer(raster, dtype=dtype, count=width * height).astype(float)
     if arr.size != width * height:
-        raise BadParamError(f"PGM raster holds {arr.size} values, expected {width * height}")
+        raise MalformedFileError(
+            f"{path}: PGM raster holds {arr.size} values, expected {width * height}"
+        )
     return arr.reshape(height, width)
 
 

@@ -21,8 +21,8 @@ metric), of one of two kinds:
   in :mod:`~manikernels.spd` and :mod:`~manikernels.grassmann`.
 
 This module builds distance and Gram matrices from the registry, audits
-their smallest eigenvalue, searches for indefiniteness witnesses, and
-writes Gram matrices to CSV and JSON.
+their smallest eigenvalue (once, on first use), searches for
+indefiniteness witnesses, and writes Gram matrices to CSV and JSON.
 """
 
 from __future__ import annotations
@@ -195,15 +195,15 @@ def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     return np.exp(-spec.gamma * d2)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GramMatrix:
-    """Kernel matrix over a point set, with an optional eigenvalue audit.
+    """Kernel matrix over a point set, with its eigenvalue audit.
 
-    ``min_eigen`` is the smallest eigenvalue when audited. A matrix no
-    single spec builds (a kernel combination) has ``spec`` None, and its
-    ``min_eigen`` may be a lower bound on the smallest eigenvalue.
-    ``symmetric`` marks entries that are exactly symmetric by
-    construction; the learners take those without a symmetry check.
+    ``min_eigen`` is the smallest eigenvalue once :meth:`audit` has run,
+    or a lower bound on it that the matrix was built with: a kernel
+    combination (which has ``spec`` None) or a principal submatrix
+    carries one. ``symmetric`` marks entries that are exactly symmetric
+    by construction; the learners take those without a symmetry check.
     """
 
     entries: np.ndarray
@@ -215,29 +215,27 @@ class GramMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
+    def audit(self) -> float:
+        """``min_eigen``, computed by ``eigvalsh`` on the first call
+        when the matrix carries none."""
+        if self.min_eigen is None:
+            self.min_eigen = float(np.linalg.eigvalsh(self.entries)[0])
+        return self.min_eigen
 
 
-def gram_matrix(spec: KernelSpec, points, audit: bool = False) -> GramMatrix:
-    """Gram matrix K_ij = exp(-gamma d^2(x_i, x_j)) with unit diagonal.
-
-    With ``audit`` the smallest eigenvalue is computed and recorded.
-    """
+def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
+    """Gram matrix K_ij = exp(-gamma d^2(x_i, x_j)) with unit diagonal."""
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
-    return gram_from_squared_distances(spec, d2, audit=audit)
+    return gram_from_squared_distances(spec, d2)
 
 
-def gram_from_squared_distances(spec: KernelSpec, d2, audit: bool = False) -> GramMatrix:
+def gram_from_squared_distances(spec: KernelSpec, d2) -> GramMatrix:
     """Gram matrix from a precomputed squared-distance matrix."""
     d2 = np.asarray(d2, dtype=float)
     k = np.exp(-spec.gamma * d2)
     np.fill_diagonal(k, 1.0)
     k = (k + k.T) / 2.0
-    min_eigen = float(np.linalg.eigvalsh(k)[0]) if audit else None
-    return GramMatrix(entries=k, spec=spec, min_eigen=min_eigen, symmetric=True)
+    return GramMatrix(entries=k, spec=spec, symmetric=True)
 
 
 def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:

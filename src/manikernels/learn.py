@@ -12,7 +12,7 @@ evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .matrixops import require_symmetric
 #: Default KKT tolerance for the SMO solver.
 KKT_TOL = 1e-3
 
+#: Iteration cap of the SMO solver, past which it raises NoConvergenceError.
+SMO_MAX_ITER = 100_000
+
 #: Default number of k-means restarts.
 DEFAULT_RESTARTS = 20
 
@@ -42,33 +45,42 @@ MAX_MOVES_PER_POINT = 100
 PSD_TOL_FACTOR = 1e-8
 
 
-def as_kernel_array(k) -> np.ndarray:
-    """Symmetrized ndarray from a GramMatrix or array-like kernel matrix.
+def as_gram(k) -> GramMatrix:
+    """``k`` (a GramMatrix or an array) as a GramMatrix marked ``symmetric``.
 
-    Each public learner calls this once on its input; the entries of a
-    GramMatrix marked ``symmetric`` pass through unchecked, and that is
-    how the learners hand checked matrices to their inner fits.
+    Each public learner calls this once on its input. A GramMatrix marked
+    ``symmetric`` passes through, audit included, and that is how the
+    learners hand checked matrices to their inner fits; anything else
+    gets one symmetry check, and a GramMatrix keeps its spec and audit.
     """
-    if isinstance(k, GramMatrix):
-        if k.symmetric:
-            return k.entries
-        k = k.entries
-    return require_symmetric(np.asarray(k, dtype=float))
+    gram = k if isinstance(k, GramMatrix) else GramMatrix(k)
+    if gram.symmetric:
+        return gram
+    return replace(gram, entries=require_symmetric(gram.entries), symmetric=True)
 
 
-def _require_psd(k: np.ndarray, min_eigen: float | None = None) -> float:
-    """Smallest eigenvalue of the symmetric kernel matrix ``k``.
-
-    ``min_eigen`` is an audit already made (``GramMatrix.min_eigen``, or
-    a lower bound on the smallest eigenvalue); ``eigvalsh`` runs only
-    without one. Raises NotPsdError below ``-PSD_TOL_FACTOR * m``.
-    """
-    m = k.shape[0]
-    if min_eigen is None:
-        min_eigen = float(np.linalg.eigvalsh(k)[0])
+def _require_psd(gram: GramMatrix) -> float:
+    """The audit of ``gram`` (:meth:`GramMatrix.audit`); raises
+    NotPsdError below ``-PSD_TOL_FACTOR * m``."""
+    m, min_eigen = gram.size, gram.audit()
     if min_eigen < -PSD_TOL_FACTOR * m:
         raise NotPsdError(f"kernel matrix has eigenvalue {min_eigen:.3e} below -{PSD_TOL_FACTOR * m:.1e}")
     return min_eigen
+
+
+def principal_gram(gram, idx) -> GramMatrix:
+    """The principal submatrix of ``gram`` on the points ``idx`` (indices
+    or a boolean mask). By Cauchy interlacing its smallest eigenvalue is
+    at least that of ``gram``, so it carries the audit of ``gram`` when
+    that clears its own slack, ``-PSD_TOL_FACTOR`` times its size, and is
+    otherwise audited alone on first use: every PSD verdict on it is the
+    one a direct audit of it gives.
+    """
+    gram = as_gram(gram)
+    sub = gram.entries[np.ix_(idx, idx)]
+    min_eigen = gram.audit()
+    carried = min_eigen if min_eigen >= -PSD_TOL_FACTOR * len(sub) else None
+    return GramMatrix(sub, spec=gram.spec, min_eigen=carried, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +208,14 @@ def kernel_kmeans(
     The lowest-energy restart wins. A restart still improving after
     ``MAX_MOVES_PER_POINT * m`` moves raises NoConvergenceError.
     """
-    k = as_kernel_array(k)
+    gram = as_gram(k)
+    k = gram.entries
     m = k.shape[0]
     if n_clusters < 1 or n_clusters > m:
         raise BadParamError(f"need 1 <= k <= {m}, got {n_clusters}")
     if restarts < 1:
         raise BadParamError("need at least one restart")
-    _require_psd(k)
+    _require_psd(gram)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -253,7 +266,7 @@ def kernel_pca(k, n_components: int) -> Embedding:
     to the c-th eigenvalue. Column signs follow the convention that the
     largest-magnitude coordinate is positive.
     """
-    k = as_kernel_array(k)
+    k = as_gram(k).entries
     m = k.shape[0]
     if n_components < 1 or n_components > m:
         raise BadParamError(f"need 1 <= l <= {m}, got {n_components}")
@@ -284,7 +297,7 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     SingularScatterError. Returns the training projections plus the
     coefficient matrix for out-of-sample use via :func:`fda_project`.
     """
-    k = as_kernel_array(k)
+    k = as_gram(k).entries
     m = k.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (m,):
@@ -373,15 +386,12 @@ class SvmModel:
         self.support_indices = np.asarray(self.support_indices, dtype=int)
         self.bias, self.C = float(self.bias), float(self.C)
         self.kkt_violation, self.n_iter = float(self.kkt_violation), int(self.n_iter)
+        sv = self.support_indices
+        if sv.size and not 0 <= sv.min() <= sv.max() < len(self.dual_coefs):
+            raise BadParamError(f"support indices must lie in [0, {len(self.dual_coefs)})")
 
 
-def svm_train(
-    k,
-    y,
-    C: float,
-    kkt_tol: float = KKT_TOL,
-    max_iter: int = 100_000,
-) -> SvmModel:
+def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
     """Soft-margin dual SVM solved by sequential minimal optimization.
 
     Second-order working set, audited once. Each step takes i = argmax
@@ -389,14 +399,14 @@ def svm_train(
     b^2 / a over the "low" set, with b = f_i - f_j > 0 and
     a = K_ii + K_jj - 2 K_ij (Fan, Chen & Lin, JMLR 2005; the LIBSVM
     rule); ties go to the lowest index. It stops once the KKT violation
-    gap max_up f - min_low f drops to ``kkt_tol``. The PSD audit is the
-    ``min_eigen`` of a GramMatrix when it carries one, else one
-    ``eigvalsh``. The bias averages y_i - sum_j alpha_j y_j K_ij over
-    unbounded support vectors (midpoint of the feasible interval when
-    none are unbounded).
+    gap max_up f - min_low f drops to ``kkt_tol``; after ``SMO_MAX_ITER``
+    steps it raises NoConvergenceError. The PSD audit is the input's
+    :meth:`GramMatrix.audit`. The bias averages y_i - sum_j alpha_j
+    y_j K_ij over unbounded support vectors (midpoint of the feasible
+    interval when none are unbounded).
     """
-    min_eigen = getattr(k, "min_eigen", None)
-    k = as_kernel_array(k)
+    gram = as_gram(k)
+    k = gram.entries
     m = k.shape[0]
     y = np.asarray(y, dtype=float).ravel()
     if y.shape != (m,):
@@ -407,7 +417,7 @@ def svm_train(
         raise OneClassError("training labels contain a single class")
     if C <= 0:
         raise BadParamError(f"C must be positive, got {C}")
-    _require_psd(k, min_eigen)
+    _require_psd(gram)
 
     # scalars live in lists: numpy scalar arithmetic would dominate the loop
     labels = y.tolist()
@@ -421,7 +431,7 @@ def svm_train(
     curv_rows = {}  # i -> K_ii + K_tt - 2 K_it floored at 1e-12, built on first use
     f_up, score, delta = np.empty(m), np.empty(m), np.empty(m)
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, SMO_MAX_ITER + 1):
         np.add(f, up_mask, out=f_up)
         i = int(f_up.argmax())
         f_i = float(f_up[i])
@@ -454,7 +464,7 @@ def svm_train(
             up_mask[t] = 0.0 if (below if y_t > 0 else above) else -np.inf
             low_mask[t] = 0.0 if (above if y_t > 0 else below) else np.inf
     else:
-        raise NoConvergenceError(f"SMO did not converge in {max_iter} iterations")
+        raise NoConvergenceError(f"SMO did not converge in {SMO_MAX_ITER} iterations")
 
     alpha = np.array(alpha)
     up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
@@ -505,7 +515,7 @@ def svm_objectives(model: SvmModel, k, y) -> tuple[float, float]:
     dual = sum(alpha) - (1/2) dc^T K dc, primal = (1/2) dc^T K dc
     + C * sum(hinge); their gap certifies solution quality.
     """
-    k = as_kernel_array(k)
+    k = as_gram(k).entries
     y = np.asarray(y, dtype=float).ravel()
     dc = model.dual_coefs
     quad = float(dc @ k @ dc)
@@ -527,6 +537,29 @@ class MulticlassSvmModel:
     pair_indices: list | None = None  # training-subset indices per pair (ovo)
     pairs: list | None = None  # (class_a, class_b) per model (ovo)
 
+    def __post_init__(self):
+        # a model read back from a file predicts only once its parts agree
+        n = len(self.classes)
+        if self.mode not in ("one-vs-all", "one-vs-one"):
+            raise BadParamError(f"unknown multiclass mode {self.mode!r}")
+        if n < 2 or len(np.unique(self.classes)) != n:
+            raise BadParamError(f"need at least 2 distinct classes, got {list(self.classes)}")
+        if self.mode == "one-vs-all":
+            if len(self.models) != n:
+                raise BadParamError(f"one-vs-all needs {n} models, got {len(self.models)}")
+            return
+        n_pairs = n * (n - 1) // 2
+        if not len(self.models) == len(self.pairs or ()) == len(self.pair_indices or ()) == n_pairs:
+            raise BadParamError(
+                f"one-vs-one over {n} classes needs {n_pairs} models, pairs and index sets"
+            )
+        known = set(self.classes.tolist())
+        for model, (a, b), idx in zip(self.models, self.pairs, self.pair_indices):
+            if a == b or not {a, b} <= known:
+                raise BadParamError(f"pair {(a, b)} is not two distinct classes of {sorted(known)}")
+            if len(idx) != len(model.dual_coefs) or (len(idx) and min(idx) < 0):
+                raise BadParamError(f"pair {(a, b)} needs {len(model.dual_coefs)} indices >= 0")
+
 
 def multiclass_svm_train(
     k,
@@ -534,19 +567,13 @@ def multiclass_svm_train(
     C: float,
     mode: str = "one-vs-all",
     kkt_tol: float = KKT_TOL,
-    max_iter: int = 100_000,
 ) -> MulticlassSvmModel:
     """One-vs-all or one-vs-one reduction to binary SVMs.
 
-    One-vs-all audits the kernel matrix once and hands every class the
-    audited matrix. One-vs-one hands each pair's submatrix the audit of
-    ``k``, when ``k`` is a GramMatrix that carries one and it clears the
-    pair's slack (Cauchy interlacing: a principal submatrix's smallest
-    eigenvalue is at least that of ``k``), and audits the submatrix
-    otherwise.
+    One-vs-all hands every class the one kernel matrix, audited once.
+    One-vs-one hands each pair its :func:`principal_gram`.
     """
-    min_eigen = getattr(k, "min_eigen", None)
-    k = as_kernel_array(k)
+    gram = as_gram(k)
     y = np.asarray(y).ravel()
     classes = np.unique(y)
     if len(classes) < 2:
@@ -554,22 +581,14 @@ def multiclass_svm_train(
     if mode not in ("one-vs-all", "one-vs-one"):
         raise BadParamError(f"unknown multiclass mode {mode!r}")
     if mode == "one-vs-all":
-        audited = GramMatrix(k, min_eigen=_require_psd(k, min_eigen), symmetric=True)
-        models = []
-        for cls in classes:
-            y_bin = np.where(y == cls, 1.0, -1.0)
-            models.append(svm_train(audited, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
+        models = [svm_train(gram, np.where(y == c, 1.0, -1.0), C, kkt_tol=kkt_tol) for c in classes]
         return MulticlassSvmModel(mode=mode, classes=classes, models=models)
     models, pair_indices, pairs = [], [], []
     for a in range(len(classes)):
         for b in range(a + 1, len(classes)):
             idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
             y_bin = np.where(y[idx] == classes[a], 1.0, -1.0)
-            audit = min_eigen
-            if audit is not None and audit < -PSD_TOL_FACTOR * idx.size:
-                audit = None  # below the pair's slack: the submatrix is audited anew
-            sub = GramMatrix(k[np.ix_(idx, idx)], min_eigen=audit, symmetric=True)
-            models.append(svm_train(sub, y_bin, C, kkt_tol=kkt_tol, max_iter=max_iter))
+            models.append(svm_train(principal_gram(gram, idx), y_bin, C, kkt_tol=kkt_tol))
             pair_indices.append(idx)
             pairs.append((classes[a], classes[b]))
     return MulticlassSvmModel(
@@ -618,7 +637,7 @@ class MklModel:
 
 
 def combine_kernels(kernels, weights) -> np.ndarray:
-    mats = [as_kernel_array(k) for k in kernels]
+    mats = [as_gram(k).entries for k in kernels]
     out = np.zeros_like(mats[0])
     for w, mat in zip(weights, mats):
         out += w * mat
@@ -631,7 +650,6 @@ def mkl_train(
     C: float,
     max_outer_iter: int = 50,
     tol: float = 1e-6,
-    kkt_tol: float = KKT_TOL,
 ) -> MklModel:
     """Simplex-constrained multiple kernel learning around an SVM.
 
@@ -645,26 +663,21 @@ def mkl_train(
     eigenvalue of K(lambda) from below, so the inner solves run neither
     check nor eigenvalue audit.
     """
-    kernels = list(kernels)
-    mats = [as_kernel_array(k) for k in kernels]
-    if not mats:
+    grams = [as_gram(k) for k in kernels]
+    if not grams:
         raise BadParamError("need at least one kernel")
-    size = mats[0].shape
-    min_eigens = []
-    for k, mat in zip(kernels, mats):
-        if mat.shape != size:
-            raise DimMismatchError("kernel matrices differ in size")
-        min_eigens.append(_require_psd(mat, getattr(k, "min_eigen", None)))
-    n_kernels = len(mats)
+    if any(gram.size != grams[0].size for gram in grams):
+        raise DimMismatchError("kernel matrices differ in size")
+    min_eigens = [_require_psd(gram) for gram in grams]
+    n_kernels = len(grams)
     lam = np.full(n_kernels, 1.0 / n_kernels)
-    checked = [GramMatrix(mat, symmetric=True) for mat in mats]
 
     def solve(weights):
         # a weighted sum of exactly symmetric matrices is exactly symmetric
         combined = GramMatrix(
-            combine_kernels(checked, weights), min_eigen=float(weights @ min_eigens), symmetric=True
+            combine_kernels(grams, weights), min_eigen=float(weights @ min_eigens), symmetric=True
         )
-        model = svm_train(combined, y, C, kkt_tol=kkt_tol)
+        model = svm_train(combined, y, C)
         dual, _ = svm_objectives(model, combined, y)
         return model, dual
 
@@ -672,7 +685,7 @@ def mkl_train(
     trace = [objective]
     for _ in range(max_outer_iter):
         dc = model.dual_coefs
-        grad = np.array([-0.5 * float(dc @ mat @ dc) for mat in mats])
+        grad = np.array([-0.5 * float(dc @ gram.entries @ dc) for gram in grams])
         pivot = int(np.argmax(lam))
         direction = -(grad - grad[pivot])
         direction[(lam <= 0) & (direction < 0)] = 0.0

@@ -279,9 +279,10 @@ def test_svm_train_cv_audits_once_per_gamma_and_fold(tmp_path, eigvalsh_calls, m
             "--c-grid", "1,10", "--mode", mode, "--out", str(tmp_path / "model.json"),
         ]
     )
-    # one audit per (gamma, fold) whatever the C grid, classes and pairs,
-    # and one for the final fit
-    assert len(eigvalsh_calls) == 2 * 5 + 1
+    # one audit per gamma whatever the folds, C grid, classes and pairs:
+    # each fold's Gram is a principal submatrix that carries it, and the
+    # final fit reuses the winning gamma's Gram
+    assert len(eigvalsh_calls) == 2
 
 
 def test_svm_train_rejects_indefinite_gram(tmp_path):
@@ -644,6 +645,55 @@ def test_malformed_dataset_and_model_files_exit_2_naming_file_and_key(tmp_path, 
     assert not out.exists()
 
 
+def test_out_of_range_file_values_exit_2_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--out", str(model)])
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.csv"
+    predict = ["svm-predict", "--model", str(bad), "--train", str(data), "--test", str(data),
+               "--out", str(out)]
+    for key, value in (("gamma", -1), ("metric", "bogus")):
+        broken = json.loads(model.read_text())
+        broken["spec"][key] = value
+        bad.write_text(json.dumps(broken))
+        _assert_data_error(predict, bad, [str(value)], capsys)
+    dataset = json.loads(data.read_text())
+    dataset["kind"] = "nope"
+    bad.write_text(json.dumps(dataset))
+    _assert_data_error(["gram", "--input", str(bad), "--out", str(out)], bad, ["'nope'"], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "clusters, breaks, words",
+    [
+        (3, lambda p: p["models"].pop(), ["3 models, pairs and index sets"]),
+        (3, lambda p: p["pair_indices"][1].__setitem__(0, 999), ["pair index"]),
+        (2, lambda p: p.update(classes=[5]), ["2 distinct classes"]),
+        (2, lambda p: p["model"].update(support_indices=[99]), ["support indices"]),
+    ],
+    ids=["one-model-missing", "pair-index-999", "one-class", "support-index-99"],
+)
+def test_svm_predict_rejects_inconsistent_models_naming_the_file(
+    tmp_path, capsys, clusters, breaks, words
+):
+    data = tmp_path / "blobs.json"
+    run_ok(["synth", "--kind", "spd-blobs", "--clusters", str(clusters), "--per-cluster", "4",
+            "--dim", "3", "--seed", "4", "--out", str(data)])
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--mode", "one-vs-one", "--out", str(model)])
+    payload = json.loads(model.read_text())
+    breaks(payload)
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    predict = ["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
+               "--out", str(out)]
+    _assert_data_error(predict, model, words, capsys)
+    assert not out.exists()
+
+
 def test_unknown_model_and_spec_keys_exit_2_naming_the_file(tmp_path, capsys):
     data = tmp_path / "blobs.json"
     make_blobs_file(data)
@@ -726,7 +776,8 @@ def test_svm_model_files_decode_to_the_trained_models(tmp_path, monkeypatch, clu
 def test_unparsable_images_exit_2(tmp_path, capsys):
     image = tmp_path / "img.pgm"
     out = tmp_path / "desc.json"
-    for raw in [b"P2\n4 x\n255\n", b"P2\n4", b"P5\n4 4\n255\n\x00\x01"]:
+    for raw in [b"P2\n4 x\n255\n", b"P2\n4", b"P5\n4 4\n255\n\x00\x01",
+                b"P3\n2 2\n255\n" + b"1 " * 12, b"P2\n3 3\n255\n1 2 3 4 5 6 7 8\n"]:
         image.write_bytes(raw)
         _assert_data_error(["covdesc", "--inputs", str(image), "--out", str(out)], image, [], capsys)
     table = tmp_path / "img.csv"

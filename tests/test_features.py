@@ -4,8 +4,8 @@ import pytest
 from manikernels.errors import (
     BadParamError,
     DimMismatchError,
+    EmptySetError,
     FrameMismatchError,
-    NoPositivesError,
     RectOutOfBoundsError,
     TooFewPixelsError,
     TooSmallError,
@@ -212,7 +212,7 @@ def test_single_candidate_always_selected():
     rng = np.random.default_rng(7)
     cands = np.array([(0, 0, 4, 4)])
     descs = [[_descriptor(rng)] for _ in range(3)]
-    idx, scores = select_subwindows(cands, descs, [True, True, True], count=1, max_overlap=0.75)
+    idx, scores = select_subwindows(cands, descs, count=1, max_overlap=0.75)
     assert len(idx) == 1 and tuple(cands[idx[0]]) == (0, 0, 4, 4)
     assert scores.shape == (1,)
 
@@ -221,7 +221,7 @@ def test_fully_overlapping_candidates_pruned():
     rng = np.random.default_rng(8)
     cands = np.array([(0, 0, 4, 4), (0, 0, 4, 4)])
     descs = [[_descriptor(rng), _descriptor(rng, scale=3.0)] for _ in range(4)]
-    idx, _ = select_subwindows(cands, descs, [True] * 4, count=2, max_overlap=0.75)
+    idx, _ = select_subwindows(cands, descs, count=2, max_overlap=0.75)
     assert len(idx) == 1
 
 
@@ -230,7 +230,7 @@ def test_zero_dispersion_candidate_selected_first():
     constant = _descriptor(rng)
     cands = np.array([(0, 0, 4, 4), (10, 10, 4, 4)])
     descs = [[_descriptor(rng), constant] for _ in range(5)]
-    idx, scores = select_subwindows(cands, descs, [True] * 5, count=2, max_overlap=0.75)
+    idx, scores = select_subwindows(cands, descs, count=2, max_overlap=0.75)
     assert tuple(cands[idx[0]]) == (10, 10, 4, 4)
     assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -239,7 +239,7 @@ def test_selection_scores_are_log_euclidean_dispersion():
     rng = np.random.default_rng(13)
     cands = np.array([(0, 0, 4, 4), (10, 10, 4, 4)])
     descs = [[_descriptor(rng), _descriptor(rng, scale=3.0)] for _ in range(6)]
-    idx, scores = select_subwindows(cands, descs, [True] * 6, count=2, max_overlap=0.75)
+    idx, scores = select_subwindows(cands, descs, count=2, max_overlap=0.75)
     assert len(idx) == 2
     for j, score in zip(idx, scores):
         column = [descs[i][j] for i in range(6)]
@@ -249,13 +249,12 @@ def test_selection_scores_are_log_euclidean_dispersion():
 
 def test_selection_scores_equal_the_per_candidate_formula():
     # one stacked log per sample gives bit for bit the scores of one
-    # log per candidate over its column of samples; the 8 positives take
+    # log per candidate over its column of samples; the 8 samples take
     # numpy's unrolled summation path for the mean of each column
     rng = np.random.default_rng(16)
     cands = np.array([(4 * k, 0, 4, 4) for k in range(40)])  # disjoint: all are taken
     descs = [np.stack([_descriptor(rng, scale=2.0) for _ in cands]) for _ in range(9)]
-    positives = [True] * 8 + [False]
-    idx, scores = select_subwindows(cands, descs, positives, count=len(cands), max_overlap=0.0)
+    idx, scores = select_subwindows(cands, descs[:8], count=len(cands), max_overlap=0.0)
     want = np.empty(len(cands))
     for j in range(len(cands)):
         logs = spd_log(np.stack([descs[i][j] for i in range(8)]))
@@ -268,7 +267,7 @@ def test_selected_set_obeys_overlap_cap():
     rng = np.random.default_rng(10)
     cands = candidate_grid(16, 16)
     descs = [[_descriptor(rng) for _ in cands] for _ in range(3)]
-    idx, _ = select_subwindows(cands, descs, [True, True, False], count=6, max_overlap=0.5)
+    idx, _ = select_subwindows(cands, descs[:2], count=6, max_overlap=0.5)
     for i in range(len(idx)):
         for j in range(i + 1, len(idx)):
             assert overlap_ratio(cands[idx[i]], cands[idx[j]]) <= 0.5
@@ -278,22 +277,22 @@ def test_selection_deterministic():
     rng = np.random.default_rng(11)
     cands = candidate_grid(12, 12)
     descs = [[_descriptor(rng) for _ in cands] for _ in range(3)]
-    a = select_subwindows(cands, descs, [True] * 3, count=4, max_overlap=0.75)
-    b = select_subwindows(cands, descs, [True] * 3, count=4, max_overlap=0.75)
+    a = select_subwindows(cands, descs, count=4, max_overlap=0.75)
+    b = select_subwindows(cands, descs, count=4, max_overlap=0.75)
     assert cands[a[0]].tolist() == cands[b[0]].tolist()
 
 
 def test_selection_errors():
     cands = np.array([(0, 0, 4, 4)])
     descs = [[np.eye(3)]]
-    with pytest.raises(NoPositivesError):
-        select_subwindows(cands, descs, [False], count=1, max_overlap=0.5)
+    with pytest.raises(EmptySetError):
+        select_subwindows(cands, [], count=1, max_overlap=0.5)
     with pytest.raises(BadParamError):
-        select_subwindows(cands, descs, [True], count=0, max_overlap=0.5)
+        select_subwindows(cands, descs, count=0, max_overlap=0.5)
     with pytest.raises(BadParamError):
-        select_subwindows(cands, descs, [True], count=1, max_overlap=1.0)
+        select_subwindows(cands, descs, count=1, max_overlap=1.0)
     with pytest.raises(DimMismatchError):
-        select_subwindows(np.vstack([cands, cands]), descs, [True], count=1, max_overlap=0.5)
+        select_subwindows(np.vstack([cands, cands]), descs, count=1, max_overlap=0.5)
 
 
 # ---------------------------------------------------------------------------

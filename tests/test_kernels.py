@@ -123,7 +123,8 @@ def test_gram_single_point():
 def test_gram_duplicated_points_rank_one():
     rng = np.random.default_rng(1)
     s = sample_spd(rng, 3)
-    gram = gram_matrix(spd_spec("log-euclidean"), [s] * 6, audit=True)
+    gram = gram_matrix(spd_spec("log-euclidean"), [s] * 6)
+    gram.audit()
     np.testing.assert_allclose(gram.entries, np.ones((6, 6)), atol=1e-12)
     assert abs(gram.min_eigen) <= 1e-10
 
@@ -142,7 +143,8 @@ def test_gram_audit_log_euclidean_psd_across_gammas():
     rng = np.random.default_rng(3)
     points = [sample_spd(rng, 5) for _ in range(30)]
     for gamma in GRID:
-        gram = gram_matrix(spd_spec("log-euclidean", gamma=gamma), points, audit=True)
+        gram = gram_matrix(spd_spec("log-euclidean", gamma=gamma), points)
+        gram.audit()
         assert gram.min_eigen >= -1e-8 * gram.size
 
 
@@ -380,7 +382,8 @@ def test_schoenberg_equivalence_on_yes_metrics():
 def test_gram_csv_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     points = [sample_spd(rng, 3) for _ in range(5)]
-    gram = gram_matrix(spd_spec("cholesky", gamma=2.5), points, audit=True)
+    gram = gram_matrix(spd_spec("cholesky", gamma=2.5), points)
+    gram.audit()
     path = tmp_path / "gram.csv"
     gram_to_csv(gram, path)
     back = gram_from_csv(path)
@@ -393,7 +396,8 @@ def test_gram_json_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     points = [sample_grassmann(rng, 5, 2) for _ in range(4)]
     spec = KernelSpec(manifold="grassmann", metric="projection", gamma=0.5)
-    gram = gram_matrix(spec, points, audit=True)
+    gram = gram_matrix(spec, points)
+    gram.audit()
     path = tmp_path / "gram.json"
     gram_to_json(gram, path)
     back = gram_from_json(path)

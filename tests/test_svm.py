@@ -13,11 +13,14 @@ from manikernels.grassmann import make_grassmann
 from manikernels.kernels import GramMatrix, KernelSpec, cross_gram, gram_matrix
 from manikernels.learn import (
     PSD_TOL_FACTOR,
+    MulticlassSvmModel,
     SvmModel,
     combine_kernels,
+    kernel_kmeans,
     mkl_train,
     multiclass_svm_predict,
     multiclass_svm_train,
+    principal_gram,
     svm_decision,
     svm_objectives,
     svm_predict,
@@ -153,12 +156,13 @@ def test_kkt_and_duality_gap_seeded_problems():
         assert -1e-9 <= gap <= 1e-6 * m
 
 
-def test_svm_iteration_cap():
+def test_svm_iteration_cap(monkeypatch):
     rng = np.random.default_rng(20)
     pts, y = separable_problem(rng, 30)
     gram = gram_matrix(gauss_spec(0.5), pts)
+    monkeypatch.setattr(learn, "SMO_MAX_ITER", 2)
     with pytest.raises(NoConvergenceError):
-        svm_train(gram, y, C=10.0, kkt_tol=1e-12, max_iter=2)
+        svm_train(gram, y, C=10.0, kkt_tol=1e-12)
 
 
 def test_svm_input_errors():
@@ -295,7 +299,10 @@ def arc_length_gram(m=30, gamma=0.1, audit=False):
     rng = np.random.default_rng(12)
     pts = [make_grassmann(rng.standard_normal((5, 2))) for _ in range(m)]
     spec = KernelSpec(manifold="grassmann", metric="arc-length", gamma=gamma)
-    return gram_matrix(spec, pts, audit=audit)
+    gram = gram_matrix(spec, pts)
+    if audit:
+        gram.audit()
+    return gram
 
 
 @pytest.mark.parametrize("audit", [False, True])
@@ -332,12 +339,15 @@ def test_multiclass_audits_once(mode, eigvalsh_calls):
     points, labels = spd_cluster_problem(np.random.default_rng(8), 3, 8)
     spec = KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5)
     # an audited Gram is not audited again, per class or per pair
-    model = multiclass_svm_train(gram_matrix(spec, points, audit=True), labels, C=10.0, mode=mode)
+    gram = gram_matrix(spec, points)
+    gram.audit()
+    model = multiclass_svm_train(gram, labels, C=10.0, mode=mode)
     assert len(model.models) == 3
     assert eigvalsh_calls == [24]
     eigvalsh_calls.clear()
+    # an unaudited one is audited once, and its pairs carry that audit
     multiclass_svm_train(gram_matrix(spec, points), labels, C=10.0, mode=mode)
-    assert eigvalsh_calls == ([24] if mode == "one-vs-all" else [16, 16, 16])
+    assert eigvalsh_calls == [24]
 
 
 def test_mkl_audits_each_kernel_once(eigvalsh_calls):
@@ -347,6 +357,94 @@ def test_mkl_audits_each_kernel_once(eigvalsh_calls):
     mkl = mkl_train(grams, y, C=5.0)
     assert len(mkl.objective_trace) >= 2  # the outer loop ran inner solves
     assert eigvalsh_calls == [24, 24, 24]
+
+
+def test_one_gram_is_audited_once_across_learners(eigvalsh_calls):
+    points, labels = spd_cluster_problem(np.random.default_rng(8), 3, 8)
+    gram = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points)
+    y = np.where(labels == 0, 1.0, -1.0)
+    kernel_kmeans(gram, 3, restarts=2)
+    svm_train(gram, y, C=10.0)
+    for mode in ("one-vs-all", "one-vs-one"):
+        multiclass_svm_train(gram, labels, C=10.0, mode=mode)
+    mkl_train([gram], y, C=10.0)
+    assert eigvalsh_calls == [24]
+
+
+def _psd_verdict(gram):
+    try:
+        learn._require_psd(gram)
+    except NotPsdError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("metric", ["log-euclidean", "arc-length"])
+def test_principal_gram_verdicts_are_those_of_a_direct_audit(metric):
+    rng = np.random.default_rng(21)
+    if metric == "log-euclidean":
+        # ten points, each three times: rank 10 of 30, so the smallest
+        # eigenvalues are roundoff of either sign
+        a = rng.standard_normal((10, 3, 3))
+        points = np.repeat(spd_exp((a + np.swapaxes(a, 1, 2)) / 2.0), 3, axis=0)
+        gram = gram_matrix(KernelSpec(manifold="spd", metric=metric, gamma=0.5), points)
+    else:
+        gram = arc_length_gram()
+    m = gram.size
+    # eigvalsh is backward stable: each computed eigenvalue is within a
+    # small multiple of eps * ||K||_2 of the exact one, which interlaces
+    roundoff = m * np.finfo(float).eps * np.linalg.norm(gram.entries, 2)
+    verdicts = set()
+    for trial in range(60):
+        idx = np.sort(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False))
+        if trial % 2:
+            idx = np.isin(np.arange(m), idx)  # a boolean mask names the same points
+        sub = principal_gram(gram, idx)
+        direct = GramMatrix(gram.entries[np.ix_(idx, idx)], symmetric=True)
+        assert np.array_equal(sub.entries, direct.entries) and sub.symmetric
+        own = float(np.linalg.eigvalsh(direct.entries)[0])
+        if sub.min_eigen is not None:
+            assert sub.min_eigen <= own + roundoff
+        verdict = _psd_verdict(sub)
+        assert verdict == _psd_verdict(direct)
+        verdicts.add(verdict)
+    # the indefinite Gram has PSD and indefinite principal submatrices
+    assert verdicts == ({True} if metric == "log-euclidean" else {True, False})
+
+
+@pytest.mark.parametrize(
+    "mode, breaks",
+    [
+        ("one-vs-all", lambda parts: parts.update(mode="bogus")),
+        ("one-vs-all", lambda parts: parts.update(classes=np.array([0]))),
+        ("one-vs-all", lambda parts: parts.update(classes=np.array([0, 0, 1]))),
+        ("one-vs-all", lambda parts: parts["models"].pop()),
+        ("one-vs-one", lambda parts: parts["models"].pop()),
+        ("one-vs-one", lambda parts: parts["pairs"].pop()),
+        ("one-vs-one", lambda parts: parts.update(pair_indices=None)),
+        ("one-vs-one", lambda parts: parts["pairs"].__setitem__(0, (0, 0))),
+        ("one-vs-one", lambda parts: parts["pairs"].__setitem__(1, (0, 9))),
+        ("one-vs-one", lambda parts: parts["pair_indices"].__setitem__(2, np.arange(3))),
+        ("one-vs-one", lambda parts: parts["pair_indices"][0].__setitem__(0, -1)),
+    ],
+    ids=["mode", "one-class", "repeated-class", "ova-model-missing", "ovo-model-missing",
+         "pair-missing", "no-index-sets", "same-class-pair", "unknown-class-pair",
+         "short-index-set", "negative-index"],
+)
+def test_multiclass_model_parts_must_agree(mode, breaks):
+    points, labels = spd_cluster_problem(np.random.default_rng(8), 3, 4)
+    gram = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points)
+    parts = dict(vars(multiclass_svm_train(gram, labels, C=10.0, mode=mode)))
+    MulticlassSvmModel(**parts)
+    breaks(parts)
+    with pytest.raises(BadParamError):
+        MulticlassSvmModel(**parts)
+
+
+def test_svm_model_support_indices_lie_in_range():
+    for bad in ([3], [-1], [0, 7]):
+        with pytest.raises(BadParamError):
+            SvmModel(dual_coefs=[1.0, -1.0, 0.0], bias=0.0, support_indices=bad, C=1.0)
 
 
 # ---------------------------------------------------------------------------
