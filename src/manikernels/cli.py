@@ -67,16 +67,17 @@ from .kernels import (
 from .learn import (
     MulticlassSvmModel,
     SvmModel,
+    _binary_problems,
     kernel_fda,
     kernel_kmeans,
     kernel_pca,
     mkl_train,
     multiclass_svm_predict,
     multiclass_svm_train,
-    principal_gram,
     svm_decision,
     svm_predict,
     svm_train,
+    svm_train_batch,
 )
 from .spd import make_spd
 
@@ -127,13 +128,13 @@ def _provenance_lines(prov: dict) -> list[str]:
 
 
 def _grid(text: str, name: str) -> list[float]:
-    """The positive numbers of a comma-separated grid flag."""
+    """The positive finite numbers of a comma-separated grid flag."""
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise BadParamError(f"{name} must be comma-separated numbers, got {text!r}") from exc
-    if not vals or any(v <= 0 for v in vals):
-        raise BadParamError(f"{name} must be positive values, got {text!r}")
+    if not vals or not all(0 < v < float("inf") for v in vals):
+        raise BadParamError(f"{name} must be positive finite values, got {text!r}")
     return vals
 
 
@@ -269,8 +270,10 @@ def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
 def _cv_select(d2, labels, spec, args):
     """Seeded grid search over gamma and C on one squared-distance matrix;
     returns (gram, C), the winning Gram over all points and C. Each gamma
-    builds one Gram, audited once, whose principal submatrices are the
-    folds' training Grams; ties go to the earlier gamma, then the earlier C."""
+    builds one Gram, audited once, and solves every fold x C x binary
+    problem on it as one :func:`svm_train_batch`, each fold's training
+    points marked in its rows; ties go to the earlier gamma, then the
+    earlier C."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
@@ -281,24 +284,37 @@ def _cv_select(d2, labels, spec, args):
     # +-1 coding of every fold's training labels is this one
     y = _binary_labels(labels) if binary else labels
     folds = _cv_folds(len(labels), args.cv, args.seed)
+    splits, rows, row_cs = [], [], []
+    for f in range(args.cv):
+        test = folds == f
+        train = ~test
+        if len(np.unique(labels[train])) < 2:
+            continue
+        if binary:
+            classes, pairs, codes = None, None, y[train][None]
+        else:
+            classes, pairs, codes = _binary_problems(y[train], args.mode)
+        block = np.zeros((len(codes), len(labels)))
+        block[:, train] = codes
+        rows += [block] * len(cs)
+        row_cs += [c_val for c_val in cs for _ in codes]
+        indices = [np.flatnonzero(code) for code in codes] if pairs else None
+        splits.append((train, test, classes, pairs, indices, len(codes)))
+    Y = np.concatenate(rows) if rows else np.zeros((0, len(labels)))
     best = None
     for gamma in gammas:
         gram = gram_from_squared_distances(replace(spec, gamma=gamma), d2)
+        models = iter(svm_train_batch(gram, Y, row_cs, kkt_tol=args.kkt_tol))
         correct = [0] * len(cs)
         total = 0
-        for f in range(args.cv):
-            test = folds == f
-            train = ~test
-            if len(np.unique(labels[train])) < 2:
-                continue
-            sub = principal_gram(gram, train)
+        for train, test, classes, pairs, indices, n_problems in splits:
             cols = gram.entries[np.ix_(train, test)]
-            for c_index, c_val in enumerate(cs):
+            for c_index in range(len(cs)):
+                fits = [next(models) for _ in range(n_problems)]
                 if binary:
-                    model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
-                    pred = svm_predict(model, cols)
+                    pred = svm_predict(fits[0], cols)
                 else:
-                    model = multiclass_svm_train(sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol)
+                    model = MulticlassSvmModel(args.mode, classes, fits, pair_indices=indices, pairs=pairs)
                     pred = multiclass_svm_predict(model, cols)
                 correct[c_index] += int(np.sum(pred == y[test]))
             total += int(test.sum())
@@ -368,6 +384,15 @@ def _cmd_svm_predict(args) -> int:
     if train["kind"] != test["kind"]:
         raise DimMismatchError("train/test dataset kinds differ")
     test_points = _on_manifold(test["items"], spec.manifold)
+    n_train = len(train_points)
+    if isinstance(model, SvmModel) or model.mode == "one-vs-all":
+        for part in model.models if isinstance(model, MulticlassSvmModel) else [model]:
+            if len(part.dual_coefs) != n_train:
+                raise MalformedFileError(
+                    f"{args.model}: {len(part.dual_coefs)} dual_coefs for {n_train} training points"
+                )
+    elif any(len(idx) and max(idx) >= n_train for idx in model.pair_indices):
+        raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
     cols = cross_gram(spec, train_points, test_points)
     header = _provenance_lines(_provenance("svm-predict", args))
     if isinstance(model, SvmModel):
@@ -380,8 +405,6 @@ def _cmd_svm_predict(args) -> int:
         header.append("columns=index,decision,label")
         rows = np.column_stack([np.arange(len(test_points)), dec, pred.astype(float)])
     else:
-        if any(len(idx) and max(idx) >= len(train_points) for idx in model.pair_indices or ()):
-            raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
         pred = multiclass_svm_predict(model, cols)
         header.append("columns=index,label")
         rows = np.column_stack([np.arange(len(test_points)), pred.astype(float)])

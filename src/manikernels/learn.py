@@ -68,6 +68,14 @@ def _require_psd(gram: GramMatrix) -> float:
     return min_eigen
 
 
+def _require_c(C) -> None:
+    """Raises BadParamError unless ``C`` (a number or an array) is positive and finite."""
+    c = np.asarray(C, dtype=float)
+    bad = c[~((c > 0) & (c < np.inf))]
+    if bad.size:
+        raise BadParamError(f"C must be positive and finite, got {bad[0]}")
+
+
 def principal_gram(gram, idx) -> GramMatrix:
     """The principal submatrix of ``gram`` on the points ``idx`` (indices
     or a boolean mask). By Cauchy interlacing its smallest eigenvalue is
@@ -389,6 +397,38 @@ class SvmModel:
         sv = self.support_indices
         if sv.size and not 0 <= sv.min() <= sv.max() < len(self.dual_coefs):
             raise BadParamError(f"support indices must lie in [0, {len(self.dual_coefs)})")
+        values = {"dual_coefs": self.dual_coefs, "bias": self.bias, "kkt_violation": self.kkt_violation}
+        bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+        if bad:
+            raise BadParamError(f"{', '.join(bad)} must be finite")
+        _require_c(self.C)
+
+
+def _svm_model(alpha, y, f, C: float, n_iter: int) -> SvmModel:
+    """The model of an SMO solution ``alpha`` to labels ``y`` with
+    gradient ``f``: its KKT violation gap max_up f - min_low f, its bias
+    (the mean of f over unbounded support vectors, or the midpoint of the
+    feasible interval when none are unbounded) and its support set."""
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
+    violation = 0.0
+    if up.any() and low.any():
+        violation = max(float(f[up].max() - f[low].min()), 0.0)
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        bias = float(f[free].mean())
+    elif up.any() and low.any():
+        bias = float((f[up].max() + f[low].min()) / 2.0)
+    else:
+        bias = 0.0
+    return SvmModel(
+        dual_coefs=alpha * y,
+        bias=bias,
+        support_indices=np.flatnonzero(alpha > 0),
+        C=C,
+        kkt_violation=violation,
+        n_iter=n_iter,
+    )
 
 
 def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
@@ -401,9 +441,7 @@ def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
     rule); ties go to the lowest index. It stops once the KKT violation
     gap max_up f - min_low f drops to ``kkt_tol``; after ``SMO_MAX_ITER``
     steps it raises NoConvergenceError. The PSD audit is the input's
-    :meth:`GramMatrix.audit`. The bias averages y_i - sum_j alpha_j
-    y_j K_ij over unbounded support vectors (midpoint of the feasible
-    interval when none are unbounded).
+    :meth:`GramMatrix.audit`. The model comes from :func:`_svm_model`.
     """
     gram = as_gram(k)
     k = gram.entries
@@ -415,8 +453,7 @@ def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
         raise BadParamError("labels must be -1/+1")
     if len(np.unique(y)) < 2:
         raise OneClassError("training labels contain a single class")
-    if C <= 0:
-        raise BadParamError(f"C must be positive, got {C}")
+    _require_c(C)
     _require_psd(gram)
 
     # scalars live in lists: numpy scalar arithmetic would dominate the loop
@@ -465,28 +502,127 @@ def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
             low_mask[t] = 0.0 if (above if y_t > 0 else below) else np.inf
     else:
         raise NoConvergenceError(f"SMO did not converge in {SMO_MAX_ITER} iterations")
+    return _svm_model(np.array(alpha), y, f, C, n_iter)
 
-    alpha = np.array(alpha)
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-    violation = 0.0
-    if up.any() and low.any():
-        violation = max(float(f[up].max() - f[low].min()), 0.0)
-    free = (alpha > 0) & (alpha < C)
-    if free.any():
-        bias = float(f[free].mean())
-    elif up.any() and low.any():
-        bias = float((f[up].max() + f[low].min()) / 2.0)
+
+def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
+    """:func:`svm_train` on many binary problems over one Gram, in lockstep.
+
+    Row b of ``Y`` labels problem b: +1/-1 on its points and 0 on the
+    points outside it; ``C[b]`` is its C. Model b is bit for bit
+    ``svm_train(principal_gram(k, Y[b] != 0), Y[b][Y[b] != 0], C[b])``,
+    over the points of problem b. The solver holds alpha, f and the
+    up/low masks as (B, m) arrays on the shared Gram; a point marked 0
+    starts outside both sets, so no step picks it and its alpha stays 0.
+    Each step takes the WSS2 step of every live problem, in the
+    arithmetic order of :func:`svm_train` (Python's ``min``/``max``
+    become ``np.where`` so that even signed zeros agree), and a problem
+    leaves the batch on its own KKT gap. Each distinct set of points
+    takes its PSD verdict from :func:`principal_gram`, so the Gram is
+    audited once when its audit covers them all. A problem still live
+    after ``SMO_MAX_ITER`` steps raises NoConvergenceError.
+
+    One batched step costs several scalar steps, so the batch gains only
+    with many problems; single fits and small reductions stay on
+    :func:`svm_train`.
+    """
+    gram = as_gram(k)
+    k = gram.entries
+    m = k.shape[0]
+    Y = np.array(Y, dtype=float)  # a copy: the live rows are compacted in place
+    C = np.asarray(C, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != m or C.shape != Y.shape[:1]:
+        raise DimMismatchError(f"labels shape {Y.shape} and C shape {C.shape} do not fit (B, {m})")
+    if not np.isin(Y, (-1.0, 0.0, 1.0)).all():
+        raise BadParamError("labels must be -1/0/+1")
+    if not ((Y > 0).any(axis=1) & (Y < 0).any(axis=1)).all():
+        raise OneClassError("training labels contain a single class")
+    _require_c(C)
+    if not len(Y):
+        return []
+    masks = Y != 0
+    for b in np.sort(np.unique(masks, axis=0, return_index=True)[1]):
+        _require_psd(principal_gram(gram, masks[b]))
+
+    diag = np.diag(k)
+    # row i: K_ii + K_tt - 2 K_it floored at 1e-12, as svm_train builds it
+    curv_rows = k * -2.0
+    curv_rows += diag[:, None]
+    curv_rows += diag
+    np.maximum(curv_rows, 1e-12, out=curv_rows)
+    models = [None] * len(Y)
+    ids = np.arange(len(Y))  # the problem of each live row
+    first = masks.argmax(axis=1)  # the lowest point of each problem
+    # (B, m) state and work arrays, allocated once: the live rows come first
+    alpha = np.zeros(Y.shape)
+    f = Y.copy()
+    up = np.where(Y > 0, 0.0, -np.inf)
+    low = np.where(Y < 0, 0.0, np.inf)
+    score, work, rows = np.empty(Y.shape), np.empty(Y.shape), np.empty(Y.shape)
+    k_flat = k.ravel()
+    flat = np.arange(len(Y)) * m  # flat offset of each row
+
+    def clip(a):  # min(max(a, 0.0), C) with Python's choice among equals
+        a = np.where(0.0 > a, 0.0, a)
+        return np.where(C < a, C, a)
+
+    for n_iter in range(1, SMO_MAX_ITER + 1):
+        np.add(f, up, out=work)
+        i = work.argmax(axis=1)
+        f_i = work.take(flat + i)
+        np.add(f, low, out=score)
+        stop = f_i - score.min(axis=1) <= kkt_tol
+        if stop.any():
+            for r in np.flatnonzero(stop):
+                on = masks[r]
+                models[ids[r]] = _svm_model(alpha[r, on], Y[r, on], f[r, on], float(C[r]), n_iter)
+            keep = np.flatnonzero(~stop)
+            if not keep.size:
+                break
+            for a in (alpha, f, up, low, Y, masks, score):
+                a[: keep.size] = a[keep]
+            alpha, f, up, low, Y, masks, score, work, rows = (
+                a[: keep.size] for a in (alpha, f, up, low, Y, masks, score, work, rows)
+            )
+            ids, first, C, i, f_i = (a[keep] for a in (ids, first, C, i, f_i))
+            flat = flat[: keep.size]
+        np.subtract(f_i[:, None], score, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.square(score, out=score)
+        # mode="clip" (the indices are in range) spares the buffered copy of "raise"
+        score /= np.take(curv_rows, i, axis=0, out=rows, mode="clip")
+        j = score.argmax(axis=1)
+        j_flat = flat + j
+        # all-zero scores: svm_train's argmax takes the problem's lowest point
+        lost = score.take(j_flat) == 0.0
+        if lost.any():
+            j = np.where(lost, first, j)
+            j_flat = flat + j
+        i_flat = flat + i
+        curv = diag[i] + diag[j] - 2.0 * k_flat.take(i * m + j)
+        curv = np.where(curv <= 0, 1e-12, curv)
+        y_i, y_j = Y.take(i_flat), Y.take(j_flat)
+        a_i, a_j = alpha.take(i_flat), alpha.take(j_flat)
+        cap_i = np.where(y_i > 0, C - a_i, a_i)
+        cap_j = np.where(y_j > 0, a_j, C - a_j)
+        step = (f_i - f.take(j_flat)) / curv
+        step = np.where(cap_i < step, cap_i, step)
+        step = np.where(cap_j < step, cap_j, step)
+        alpha.put(i_flat, clip(alpha.take(i_flat) + y_i * step))
+        alpha.put(j_flat, clip(alpha.take(j_flat) - y_j * step))
+        np.take(k, i, axis=0, out=work, mode="clip")
+        work -= np.take(k, j, axis=0, out=rows, mode="clip")
+        work *= step[:, None]
+        f -= work
+        # i and j rejoin the up/low sets by their final alpha
+        t_flat = np.concatenate((i_flat, j_flat))
+        a_t, positive = alpha.take(t_flat), np.concatenate((y_i, y_j)) > 0
+        below, above = a_t < np.concatenate((C, C)), a_t > 0.0
+        up.put(t_flat, np.where(np.where(positive, below, above), 0.0, -np.inf))
+        low.put(t_flat, np.where(np.where(positive, above, below), 0.0, np.inf))
     else:
-        bias = 0.0
-    return SvmModel(
-        dual_coefs=alpha * y,
-        bias=bias,
-        support_indices=np.flatnonzero(alpha > 0),
-        C=C,
-        kkt_violation=violation,
-        n_iter=n_iter,
-    )
+        raise NoConvergenceError(f"SMO did not converge in {SMO_MAX_ITER} iterations")
+    return models
 
 
 def svm_decision(model: SvmModel, kernel_columns) -> np.ndarray:
@@ -561,6 +697,21 @@ class MulticlassSvmModel:
                 raise BadParamError(f"pair {(a, b)} needs {len(model.dual_coefs)} indices >= 0")
 
 
+def _binary_problems(y, mode: str):
+    """The binary problems of the one-vs-all or one-vs-one reduction of
+    the labels ``y``, as (classes, pairs, codes). Row p of ``codes``
+    labels problem p with +1/-1 on its points and 0 off them, the form
+    :func:`svm_train_batch` takes; ``pairs`` holds the (class_a,
+    class_b) of each one-vs-one problem, +1 on class_a, and is None for
+    one-vs-all."""
+    classes = np.unique(y)
+    if mode == "one-vs-all":
+        return classes, None, np.where(y == classes[:, None], 1.0, -1.0)
+    pairs = [(a, b) for n, a in enumerate(classes) for b in classes[n + 1:]]
+    codes = np.array([np.where(y == a, 1.0, np.where(y == b, -1.0, 0.0)) for a, b in pairs])
+    return classes, pairs, codes
+
+
 def multiclass_svm_train(
     k,
     y,
@@ -575,22 +726,19 @@ def multiclass_svm_train(
     """
     gram = as_gram(k)
     y = np.asarray(y).ravel()
-    classes = np.unique(y)
-    if len(classes) < 2:
+    if len(np.unique(y)) < 2:
         raise OneClassError("need at least two classes")
     if mode not in ("one-vs-all", "one-vs-one"):
         raise BadParamError(f"unknown multiclass mode {mode!r}")
-    if mode == "one-vs-all":
-        models = [svm_train(gram, np.where(y == c, 1.0, -1.0), C, kkt_tol=kkt_tol) for c in classes]
+    classes, pairs, codes = _binary_problems(y, mode)
+    if pairs is None:
+        models = [svm_train(gram, code, C, kkt_tol=kkt_tol) for code in codes]
         return MulticlassSvmModel(mode=mode, classes=classes, models=models)
-    models, pair_indices, pairs = [], [], []
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            idx = np.flatnonzero((y == classes[a]) | (y == classes[b]))
-            y_bin = np.where(y[idx] == classes[a], 1.0, -1.0)
-            models.append(svm_train(principal_gram(gram, idx), y_bin, C, kkt_tol=kkt_tol))
-            pair_indices.append(idx)
-            pairs.append((classes[a], classes[b]))
+    pair_indices = [np.flatnonzero(code) for code in codes]
+    models = [
+        svm_train(principal_gram(gram, idx), code[idx], C, kkt_tol=kkt_tol)
+        for code, idx in zip(codes, pair_indices)
+    ]
     return MulticlassSvmModel(
         mode=mode, classes=classes, models=models, pair_indices=pair_indices, pairs=pairs
     )

@@ -4,14 +4,16 @@ The package computes every distance through the metric registry of
 ``manikernels.kernels`` and audits Gram matrices with one ``eigvalsh``;
 the functions here restate the definitions directly (a pairwise SPD
 distance per metric, Karcher means, the PSD and CND tests, linear
-Grams, Gram readers, an inverse square root) so the tests can check the
-package against them, and keeps a few input fixtures.
+Grams, Gram readers, an inverse square root, the per-problem CV grid
+search) so the tests can check the package against them, and keeps a
+few input fixtures.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +26,19 @@ from manikernels.errors import (
 )
 from manikernels.data import stack_items
 from manikernels.grassmann import make_grassmann
-from manikernels.kernels import GramMatrix, KernelSpec, squared_distance_matrix
+from manikernels.kernels import (
+    GramMatrix,
+    KernelSpec,
+    gram_from_squared_distances,
+    squared_distance_matrix,
+)
+from manikernels.learn import (
+    multiclass_svm_predict,
+    multiclass_svm_train,
+    principal_gram,
+    svm_predict,
+    svm_train,
+)
 from manikernels.matrixops import (
     _spectral,
     cholesky_lower,
@@ -308,3 +322,49 @@ def write_pgm(path, image, maxval: int = 255) -> None:
         lines.append(" ".join(str(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Cross-validated grid search, one SMO solve per problem
+# ---------------------------------------------------------------------------
+
+def cv_select_per_problem(d2, labels, spec, args):
+    """``cli._cv_select`` as one ``svm_train`` (or ``multiclass_svm_train``)
+    call per fold and C on the fold's principal Gram, the loop the batched
+    solve replaced; it must pick the same (gram, C)."""
+    from manikernels.cli import _binary_labels, _cv_folds, _grid
+
+    if args.cv < 2:
+        raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
+    gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
+    cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
+    labels = np.asarray(labels)
+    binary = len(np.unique(labels)) == 2
+    y = _binary_labels(labels) if binary else labels
+    folds = _cv_folds(len(labels), args.cv, args.seed)
+    best = None
+    for gamma in gammas:
+        gram = gram_from_squared_distances(replace(spec, gamma=gamma), d2)
+        correct = [0] * len(cs)
+        total = 0
+        for f in range(args.cv):
+            test = folds == f
+            train = ~test
+            if len(np.unique(labels[train])) < 2:
+                continue
+            sub = principal_gram(gram, train)
+            cols = gram.entries[np.ix_(train, test)]
+            for c_index, c_val in enumerate(cs):
+                if binary:
+                    model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
+                    pred = svm_predict(model, cols)
+                else:
+                    model = multiclass_svm_train(sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol)
+                    pred = multiclass_svm_predict(model, cols)
+                correct[c_index] += int(np.sum(pred == y[test]))
+            total += int(test.sum())
+        for c_index, c_val in enumerate(cs):
+            score = correct[c_index] / total if total else 0.0
+            if best is None or score > best[0]:
+                best = (score, gram, c_val)
+    return best[1], best[2]

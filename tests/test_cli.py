@@ -601,6 +601,24 @@ def test_grid_flags_that_are_not_numbers_exit_1(tmp_path):
         assert not out.exists()
 
 
+def test_non_finite_c_and_grid_values_exit_1(tmp_path):
+    # they exited 0, writing NaN or Infinity into the model file
+    data = tmp_path / "blobs.json"
+    out = tmp_path / "out.json"
+    make_blobs_file(data)
+    svm = ["svm-train", "--input", str(data), "--out", str(out)]
+    for argv in [
+        [*svm, "--C", "nan"],
+        [*svm, "--C", "inf"],
+        [*svm, "--cv", "2", "--c-grid", "1,nan"],
+        [*svm, "--cv", "2", "--c-grid", "inf"],
+        [*svm, "--cv", "2", "--gamma-grid", "0.1,inf"],
+        ["mkl-train", "--inputs", str(data), "--C", "nan", "--out", str(out)],
+    ]:
+        assert run(argv) == 1, argv
+        assert not out.exists()
+
+
 def _assert_data_error(argv, path, words, capsys):
     capsys.readouterr()
     assert run(argv) == 2, argv
@@ -684,6 +702,48 @@ def test_svm_predict_rejects_inconsistent_models_naming_the_file(
             "--dim", "3", "--seed", "4", "--out", str(data)])
     model = tmp_path / "model.json"
     run_ok(["svm-train", "--input", str(data), "--mode", "one-vs-one", "--out", str(model)])
+    payload = json.loads(model.read_text())
+    breaks(payload)
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    predict = ["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
+               "--out", str(out)]
+    _assert_data_error(predict, model, words, capsys)
+    assert not out.exists()
+
+
+def _drop_last_coef(raw):
+    """Remove the last dual coefficient, keeping the support indices in range."""
+    raw["dual_coefs"].pop()
+    raw["support_indices"] = [i for i in raw["support_indices"] if i < len(raw["dual_coefs"])]
+
+
+@pytest.mark.parametrize(
+    "clusters, mode, breaks, words",
+    [
+        (2, "one-vs-all", lambda p: p["model"].update(bias=float("nan")), ["bias must be finite"]),
+        (2, "one-vs-all", lambda p: p["model"]["dual_coefs"].__setitem__(0, float("inf")),
+         ["dual_coefs must be finite"]),
+        (2, "one-vs-all", lambda p: p["model"].update(kkt_violation=float("nan")),
+         ["kkt_violation must be finite"]),
+        (2, "one-vs-all", lambda p: p["model"].update(C=0), ["C must be positive and finite"]),
+        (2, "one-vs-all", lambda p: p["model"].update(C=float("inf")), ["C must be positive and finite"]),
+        (3, "one-vs-one", lambda p: p["models"][2].update(bias=float("-inf")), ["bias must be finite"]),
+        (2, "one-vs-all", lambda p: _drop_last_coef(p["model"]), ["11 dual_coefs for 12 training points"]),
+        (3, "one-vs-all", lambda p: _drop_last_coef(p["models"][1]),
+         ["17 dual_coefs for 18 training points"]),
+    ],
+    ids=["nan-bias", "inf-dual-coef", "nan-kkt-violation", "zero-C", "inf-C", "ovo-inf-bias",
+         "binary-short-dual-coefs", "ova-short-dual-coefs"],
+)
+def test_svm_predict_rejects_bad_model_values_naming_the_file(
+    tmp_path, capsys, clusters, mode, breaks, words
+):
+    data = tmp_path / "blobs.json"
+    run_ok(["synth", "--kind", "spd-blobs", "--clusters", str(clusters), "--per-cluster", "6",
+            "--dim", "3", "--seed", "4", "--out", str(data)])
+    model = tmp_path / "model.json"
+    run_ok(["svm-train", "--input", str(data), "--C", "10", "--mode", mode, "--out", str(model)])
     payload = json.loads(model.read_text())
     breaks(payload)
     model.write_text(json.dumps(payload))

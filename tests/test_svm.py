@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import manikernels.cli as cli
 from manikernels import learn
+from manikernels.cli import run
+from manikernels.data import save_dataset, synth_spd_blobs
 from manikernels.errors import (
     BadParamError,
     DimMismatchError,
@@ -25,8 +28,11 @@ from manikernels.learn import (
     svm_objectives,
     svm_predict,
     svm_train,
+    svm_train_batch,
 )
 from manikernels.matrixops import spd_exp
+
+import oracles
 
 
 def gauss_spec(gamma):
@@ -178,6 +184,151 @@ def test_svm_input_errors():
     model = svm_train(np.eye(2), np.array([1.0, -1.0]), C=1.0)
     with pytest.raises(DimMismatchError):
         svm_decision(model, np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# batched SMO
+# ---------------------------------------------------------------------------
+
+def assert_bitwise(got, want):
+    """Two SVM models with the same bits: signed zeros and float reprs included."""
+    assert got.dual_coefs.tobytes() == want.dual_coefs.tobytes()
+    assert got.support_indices.tobytes() == want.support_indices.tobytes()
+    assert (repr(got.bias), repr(got.kkt_violation), got.C, got.n_iter) == (
+        repr(want.bias), repr(want.kkt_violation), want.C, want.n_iter
+    )
+
+
+def fold_problems(labels, n_folds, rng):
+    """Y and C of the binary, one-vs-all and one-vs-one problems of
+    ``n_folds`` training masks over ``labels``, a random C per row."""
+    m = len(labels)
+    folds = np.arange(m) % n_folds
+    rng.shuffle(folds)
+    rows = []
+    for f in range(n_folds):
+        train = folds != f
+        codes = [np.where(labels[train] == 1, -1.0, 1.0)[None]]
+        codes += [learn._binary_problems(labels[train], mode)[2] for mode in ("one-vs-all", "one-vs-one")]
+        block = np.zeros((sum(len(c) for c in codes), m))
+        block[:, train] = np.concatenate(codes)
+        rows.append(block)
+    Y = np.concatenate(rows)
+    return Y, rng.choice([0.1, 1.0, 10.0, 100.0], size=len(Y))
+
+
+def duplicated_blobs():
+    """Gram and labels of three overlapping SPD classes in which every
+    third point appears twice, so SMO meets ties in f and in the scores."""
+    points, labels = synth_spd_blobs(3, 12, 3, seed=3, center_scale=0.5, noise_scale=0.6)
+    points, labels = np.concatenate([points, points[::3]]), np.concatenate([labels, labels[::3]])
+    return gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points), labels
+
+
+def test_batch_matches_per_problem_svm_train_bit_for_bit():
+    gram, labels = duplicated_blobs()
+    Y, C = fold_problems(labels, 5, np.random.default_rng(15))
+    assert len(Y) == 5 * (1 + 3 + 3)
+    models = svm_train_batch(gram, Y, C)
+    for y, c_val, got in zip(Y, C, models):
+        on = y != 0
+        assert_bitwise(got, svm_train(principal_gram(gram, on), y[on], c_val))
+    # every row stopped on its own gap, and some alphas sit at C
+    assert len({model.n_iter for model in models}) > 1
+    assert any(np.any(np.abs(model.dual_coefs) == model.C) for model in models)
+
+
+def test_batch_takes_the_lowest_point_of_its_problem_when_every_score_underflows():
+    # At this scale the gap after the first step is roundoff, and its
+    # square over a curvature near 1e302 is 0 for every point: svm_train's
+    # argmax then takes the lowest point of its problem, which in the
+    # batch is point 1, not point 0 outside the problem.
+    a = np.random.default_rng(6).standard_normal((3, 2))
+    k = 1e302 * (a @ a.T)
+    assert np.array_equal(k, k.T)  # marked symmetric: the check's norm would overflow
+    gram = GramMatrix(k, symmetric=True)
+    y = np.array([0.0, 1.0, -1.0])
+    want = svm_train(principal_gram(gram, y != 0), y[1:], 1.0, kkt_tol=0.0)
+    assert_bitwise(svm_train_batch(gram, [y], [1.0], kkt_tol=0.0)[0], want)
+
+
+def test_batch_iteration_cap_is_that_of_svm_train(monkeypatch):
+    gram, labels = duplicated_blobs()
+    Y, C = fold_problems(labels, 3, np.random.default_rng(16))
+    models = svm_train_batch(gram, Y, C)
+    need = max(model.n_iter for model in models)
+    monkeypatch.setattr(learn, "SMO_MAX_ITER", need)
+    for got, want in zip(svm_train_batch(gram, Y, C), models):
+        assert_bitwise(got, want)
+    monkeypatch.setattr(learn, "SMO_MAX_ITER", need - 1)
+    with pytest.raises(NoConvergenceError):
+        svm_train_batch(gram, Y, C)
+    monkeypatch.setattr(learn, "SMO_MAX_ITER", 2)
+    with pytest.raises(NoConvergenceError):
+        svm_train_batch(gram, Y, C, kkt_tol=1e-12)
+
+
+def test_batch_rejects_a_fold_whose_gram_is_not_psd(eigvalsh_calls):
+    gram = arc_length_gram()
+    m = gram.size
+    y = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    fold = np.arange(m) >= 6
+    assert np.linalg.eigvalsh(gram.entries[np.ix_(fold, fold)])[0] < -PSD_TOL_FACTOR * fold.sum()
+    pair = np.where(np.arange(m) < 2, y, 0.0)  # a 2x2 Gaussian Gram is PSD
+    (model,) = svm_train_batch(gram, [pair], [1.0])
+    assert_bitwise(model, svm_train(principal_gram(gram, pair != 0), y[:2], 1.0))
+    with pytest.raises(NotPsdError):
+        svm_train_batch(gram, [pair, np.where(fold, y, 0.0)], [1.0, 1.0])
+
+
+def test_batch_audits_one_gram_once_for_every_problem(eigvalsh_calls):
+    gram, labels = duplicated_blobs()
+    Y, C = fold_problems(labels, 5, np.random.default_rng(17))
+    svm_train_batch(gram, Y, C)
+    svm_train_batch(gram, Y, C)
+    assert eigvalsh_calls == [gram.size]
+
+
+def test_batch_input_errors():
+    k = np.eye(3)
+    with pytest.raises(DimMismatchError):
+        svm_train_batch(k, np.ones((2, 4)), [1.0, 1.0])
+    with pytest.raises(DimMismatchError):
+        svm_train_batch(k, [[1.0, -1.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(BadParamError):
+        svm_train_batch(k, [[1.0, -1.0, 0.5]], [1.0])
+    with pytest.raises(OneClassError):
+        svm_train_batch(k, [[1.0, -1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0])
+    for bad_c in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(BadParamError):
+            svm_train_batch(k, [[1.0, -1.0, 0.0]], [bad_c])
+    assert svm_train_batch(k, np.zeros((0, 3)), []) == []
+
+
+@pytest.mark.parametrize(
+    "classes, mode", [(2, "one-vs-all"), (3, "one-vs-all"), (3, "one-vs-one")]
+)
+def test_svm_train_cv_files_match_the_per_problem_search(tmp_path, monkeypatch, classes, mode):
+    points, labels = synth_spd_blobs(classes, 15, 3, seed=4, center_scale=0.5, noise_scale=0.6)
+    data = tmp_path / "data.json"
+    save_dataset(data, "spd", points, labels=labels)
+    model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+    train = ["svm-train", "--input", str(data), "--cv", "4", "--gamma-grid", "0.05,0.5,5",
+             "--c-grid", "0.1,1,100", "--mode", mode, "--seed", "2", "--out", str(model)]
+    predict = ["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
+               "--out", str(pred)]
+    written = []
+    for select in (cli._cv_select, oracles.cv_select_per_problem):
+        monkeypatch.setattr(cli, "_cv_select", select)
+        assert run(train) == 0 and run(predict) == 0
+        written.append((model.read_bytes(), pred.read_bytes()))
+    assert written[0] == written[1]
+
+
+def test_svm_c_must_be_positive_and_finite():
+    for bad_c in (np.inf, np.nan):
+        with pytest.raises(BadParamError):
+            svm_train(np.eye(2), np.array([1.0, -1.0]), C=bad_c)
 
 
 # ---------------------------------------------------------------------------
