@@ -39,6 +39,7 @@ from .errors import (
     NoConvergenceError,
     NotPsdError,
     NumericalError,
+    OneClassError,
     SingularScatterError,
     TrainMismatchError,
     UnsupportedMetricError,
@@ -244,12 +245,13 @@ def _cmd_kfda(args) -> int:
 
 
 def _binary_labels(labels) -> np.ndarray:
+    """+-1 coding of two label values, the larger one +1."""
     uniq = np.unique(labels)
-    if set(uniq.tolist()) <= {-1, 1}:
-        return np.asarray(labels, dtype=float)
-    if len(uniq) == 2:
-        return np.where(np.asarray(labels) == uniq[1], 1.0, -1.0)
-    raise BadParamError("binary SVM needs exactly two label values")
+    if len(uniq) < 2:
+        raise OneClassError("training labels contain a single class")
+    if len(uniq) > 2:
+        raise BadParamError("binary SVM needs exactly two label values")
+    return np.where(np.asarray(labels) == uniq[1], 1.0, -1.0)
 
 
 def _items_digest(points) -> str:

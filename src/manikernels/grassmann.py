@@ -64,6 +64,14 @@ def make_grassmann(raw) -> np.ndarray:
     return q * signs[..., None, :]
 
 
+def require_orthonormal(y) -> np.ndarray:
+    """``y`` back, unless max |Y^T Y - I| of a basis exceeds the clamp width."""
+    defect = np.max(np.abs(np.swapaxes(y, -1, -2) @ y - np.eye(y.shape[-1])), initial=0.0)
+    if not defect <= _COS_CLAMP:
+        raise NumericalError(f"basis columns not orthonormal: max |Y^T Y - I| = {defect:.3e}")
+    return y
+
+
 def _check_pair(y1, y2):
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)

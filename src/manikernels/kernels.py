@@ -41,7 +41,7 @@ from .errors import (
     DimMismatchError,
     UnsupportedMetricError,
 )
-from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
+from .matrixops import cholesky_lower, require_symmetric, spd_exp, spd_log, spd_power
 from .spd import DEFAULT_POWER_ALPHA
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
@@ -133,6 +133,14 @@ def _manifold_points(manifold: str, points) -> np.ndarray:
     return pts
 
 
+def _check_points(manifold: str, pts: np.ndarray) -> np.ndarray:
+    """A stack checked once per driver call: SPD points for symmetry (each
+    metric checks definiteness), Grassmann bases for orthonormal columns."""
+    if manifold == "spd":
+        return require_symmetric(pts)
+    return gr.require_orthonormal(pts) if manifold == "grassmann" else pts
+
+
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """||fx_i - fy_j||^2 from inner products, clamped at 0."""
     sq_x = np.einsum("ij,ij->i", fx, fx)
@@ -155,7 +163,7 @@ def squared_distance_matrix(
     against the stack of later points, and the triangle is mirrored.
     """
     kind, fn = _lookup(manifold, metric)
-    pts = _manifold_points(manifold, points)
+    pts = _check_points(manifold, _manifold_points(manifold, points))
     if kind == "embed":
         feats, scale = fn(pts, alpha)
         d2 = _feature_sq_distances(feats, feats)
@@ -182,6 +190,7 @@ def cross_squared_distances(
     ys = _manifold_points(manifold, ys)
     if xs.shape[1:] != ys.shape[1:]:
         raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
+    xs, ys = _check_points(manifold, xs), _check_points(manifold, ys)
     if kind == "embed":
         fx, scale = fn(xs, alpha)
         fy, _ = fn(ys, alpha)

@@ -70,10 +70,10 @@ def _above_floor(w, floor):
     return w
 
 
-def _eigh(s):
-    """Ascending eigh with the solver-failure contract applied."""
+def _eigh(s, vectors=True):
+    """Ascending eigh (eigvalsh without ``vectors``), failures mapped."""
     try:
-        return np.linalg.eigh(s)
+        return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 Provides the validated SPD point constructor and the two SPD metrics
 that are not embeddings, as row functions from one point to a stack of
-points (S1, S2 SPD):
+points that the distance drivers checked for symmetry (S1, S2 SPD):
 
 * ``affine-invariant``   ||log(S1^{-1/2} S2 S1^{-1/2})||_F
 * ``root-stein``         [log det((S1+S2)/2) - (1/2) log det(S1 S2)]^{1/2}
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, NotSpdError, NumericalError
+from .errors import NotSpdError, NumericalError
 from .matrixops import _above_floor, _eigh, cholesky_lower, require_symmetric, spd_floor
 
 #: Default exponent for the power-Euclidean metric.
@@ -34,7 +34,7 @@ def make_spd(raw) -> np.ndarray:
     of any item is at or below the relative floor.
     """
     s = require_symmetric(raw)
-    _above_floor(_eigh(s)[0], spd_floor(s))
+    _above_floor(_eigh(s, vectors=False), spd_floor(s))
     return s
 
 
@@ -53,9 +53,6 @@ def log_det_spd(s):
 def stein_divergence_sq(x, ys):
     """Squared root-Stein divergence from ``x`` to one SPD matrix or each
     of a stack, with roundoff-scale negatives clamped."""
-    x, ys = require_symmetric(x), require_symmetric(ys)
-    if ys.shape[-2:] != x.shape:
-        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
     log_det_x = log_det_spd(x)
     log_det_ys = log_det_spd(ys)
     val = log_det_spd((x + ys) / 2.0) - 0.5 * (log_det_x + log_det_ys)
@@ -71,11 +68,8 @@ def affine_invariant_sq(x, ys):
     With x = L L^T, this is the sum of log^2 of the eigenvalues of the
     whitened L^{-1} Y L^{-T}, which are those of x^{-1} Y.
     """
-    x, ys = require_symmetric(x), require_symmetric(ys)
-    if ys.shape[-2:] != x.shape:
-        raise DimMismatchError(f"shape mismatch: {x.shape} vs {ys.shape}")
     inv_length = np.linalg.inv(cholesky_lower(x))
     whitened = inv_length @ ys @ inv_length.T
     whitened = (whitened + np.swapaxes(whitened, -1, -2)) / 2.0
-    w = _above_floor(np.linalg.eigvalsh(whitened), spd_floor(whitened))
+    w = _above_floor(_eigh(whitened, vectors=False), spd_floor(whitened))
     return np.sum(np.log(w) ** 2, axis=-1)

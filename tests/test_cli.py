@@ -396,6 +396,17 @@ def test_mkl_train_multiple_inputs(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("label", [0, 1])
+def test_mkl_train_one_class_is_a_data_error(tmp_path, capsys, label):
+    data = tmp_path / "one.json"
+    items, _ = synth_spd_blobs(1, 8, 3, seed=2)
+    save_dataset(data, "spd", items, labels=[label] * 8)
+    out = tmp_path / "mkl.json"
+    assert run(["mkl-train", "--inputs", str(data), "--gamma-grid", "0.1,1", "--out", str(out)]) == 2
+    assert "single class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mkl_train_cli(tmp_path):
     data = tmp_path / "blobs.json"
     model = tmp_path / "mkl.json"

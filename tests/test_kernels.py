@@ -1,11 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
-from manikernels import spd
+from manikernels import matrixops, spd
 from manikernels.errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
+    NoConvergenceError,
     NonSymmetricError,
     NotSpdError,
     NumericalError,
@@ -219,6 +222,52 @@ def test_registry_checks_fire_through_both_drivers(monkeypatch):
         spd, "log_det_spd", lambda s: real_log_det(s) + np.sum(np.asarray(s) ** 2, axis=(-2, -1))
     )
     assert_both_drivers_raise(NumericalError, "spd", "root-stein", good[:2], good[2])
+
+
+@pytest.mark.parametrize("metric", ["affine-invariant", "root-stein"])
+def test_spd_row_metrics_check_each_stack_once(monkeypatch, metric):
+    # the drivers check symmetry once per stack: O(m) matrices in all,
+    # where a check inside the row formula sees about m^2 / 2
+    m = 20
+    points = sample_spd(np.random.default_rng(3), 3, m)
+    seen = []
+    real = matrixops.require_symmetric
+
+    def counting(s):
+        seen.append(int(np.prod(np.shape(s)[:-2])))
+        return real(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("manikernels") and getattr(module, "require_symmetric", None) is real:
+            monkeypatch.setattr(module, "require_symmetric", counting)
+    squared_distance_matrix("spd", metric, points)
+    assert 0 < sum(seen) <= 4 * m
+    seen.clear()
+    cross_squared_distances("spd", metric, points, points)
+    assert 0 < sum(seen) <= 4 * m
+
+
+def test_affine_invariant_solver_failure_is_no_convergence():
+    # a NaN point defeats the eigensolver of the whitened stack; the
+    # failure comes out as the library's error, not numpy's
+    rng = np.random.default_rng(8)
+    good = [sample_spd(rng, 3) for _ in range(3)]
+    bad = good[0].copy()
+    bad[0, 0] = np.nan
+    assert_both_drivers_raise(NoConvergenceError, "spd", "affine-invariant", good, bad)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("metric", ["projection", "arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm"])
+def test_grassmann_drivers_reject_bases_that_are_not_orthonormal(metric, scale):
+    rng = np.random.default_rng(4)
+    bases = [sample_grassmann(rng, 6, 2) for _ in range(4)]
+    squared_distance_matrix("grassmann", metric, bases)
+    assert_both_drivers_raise(NumericalError, "grassmann", metric, bases[1:], scale * bases[0])
+    # a NaN entry fails the check as well
+    nan_basis = bases[0].copy()
+    nan_basis[0, 0] = np.nan
+    assert_both_drivers_raise(NumericalError, "grassmann", metric, bases[1:], nan_basis)
 
 
 def test_cross_gram_matches_scalar_kernel():

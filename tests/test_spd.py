@@ -55,6 +55,26 @@ def test_make_spd_strict_rejects():
         make_spd(np.zeros((2, 3)))
 
 
+def test_make_spd_reads_eigenvalues_only(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("make_spd computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    stack = np.stack([rand_spd(np.random.default_rng(seed), 4) for seed in range(5)])
+    np.testing.assert_array_equal(make_spd(stack), (stack + np.swapaxes(stack, -1, -2)) / 2.0)
+    with pytest.raises(NotSpdError):
+        make_spd(np.concatenate([stack, np.diag([1.0, 1.0, 1.0, -1.0])[None]]))
+
+
+def test_make_spd_solver_failure_is_no_convergence(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergenceError):
+        make_spd(np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
