@@ -80,6 +80,7 @@ from .learn import (
     svm_train,
     svm_train_batch,
 )
+from .matrixops import require_symmetric
 from .spd import make_spd
 
 EXIT_OK = 0
@@ -157,11 +158,11 @@ _KIND_MANIFOLDS = {"spd": "spd", "grassmann": "grassmann", "vectors": "euclidean
 
 
 def _on_manifold(items, manifold: str) -> np.ndarray:
-    """Dataset items as one stack, checked (and normalized) as points of
-    ``manifold``."""
+    """Dataset items as one stack, normalized as points of ``manifold``;
+    the metric that decomposes SPD items checks their floor."""
     stack = _manifold_points(manifold, items)
     if manifold == "spd":
-        return make_spd(stack)
+        return require_symmetric(stack)
     if manifold == "grassmann":
         return make_grassmann(stack)
     return stack
@@ -452,7 +453,7 @@ def _cmd_covdesc(args) -> int:
     if not args.select:
         full = [(0, 0, img.shape[1], img.shape[0]) for img in images]
         descs = [region_covariance(m, r, epsilon=args.epsilon) for m, r in zip(maps, full)]
-        save_dataset(args.out, "spd", descs, provenance=prov)
+        save_dataset(args.out, "spd", [make_spd(d) for d in descs], provenance=prov)
         return EXIT_OK
     for img in images:
         if img.shape != shape:

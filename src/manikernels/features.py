@@ -27,7 +27,6 @@ from .errors import (
     TooSmallError,
 )
 from .matrixops import frob, spd_log
-from .spd import make_spd
 
 DERIV_EPS = 1e-8
 
@@ -116,7 +115,8 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
 
     ``rects`` is one (x0, y0, w, h) rectangle, giving one (c, c) matrix,
     or an (R, 4) array, giving an (R, c, c) stack. All rectangles come
-    from one pair of integral images by four-corner sums.
+    from one pair of integral images by four-corner sums. The result is
+    not checked against the SPD floor: the code that decomposes it is.
     """
     c, height, width = np.shape(maps)
     rects = np.asarray(rects)
@@ -143,7 +143,7 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
     cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
     if epsilon is None:
         epsilon = 1e-6 * (np.trace(cov, axis1=-2, axis2=-1) + 1.0)
-    covs = make_spd(cov + np.multiply.outer(epsilon, np.eye(c)))
+    covs = cov + np.multiply.outer(epsilon, np.eye(c))
     return covs[0] if rects.ndim == 1 else covs
 
 

@@ -41,8 +41,8 @@ from .errors import (
     DimMismatchError,
     UnsupportedMetricError,
 )
-from .matrixops import cholesky_lower, require_symmetric, spd_exp, spd_log, spd_power
-from .spd import DEFAULT_POWER_ALPHA
+from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
+from .spd import DEFAULT_POWER_ALPHA, make_spd
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
 
@@ -80,7 +80,7 @@ def _grassmann_sq(metric, x, ys):
 #: function (a tracer's span, a test double) is the one that runs.
 METRICS = {
     ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_flat(spd_log(pts)), 1.0)),
-    ("spd", "cholesky"): ("embed", lambda pts, alpha: (_flat(cholesky_lower(pts)), 1.0)),
+    ("spd", "cholesky"): ("embed", lambda pts, alpha: (_flat(cholesky_lower(make_spd(pts))), 1.0)),
     ("spd", "power-euclidean"): ("embed", _power_features),
     ("euclidean", "euclidean"): ("embed", lambda pts, alpha: (_flat(pts), 1.0)),
     ("spd", "affine-invariant"): ("row", lambda x, ys: sp.affine_invariant_sq(x, ys)),
@@ -134,11 +134,10 @@ def _manifold_points(manifold: str, points) -> np.ndarray:
 
 
 def _check_points(manifold: str, pts: np.ndarray) -> np.ndarray:
-    """A stack checked once per driver call: SPD points for symmetry (each
-    metric checks definiteness), Grassmann bases for orthonormal columns."""
-    if manifold == "spd":
-        return require_symmetric(pts)
-    return gr.require_orthonormal(pts) if manifold == "grassmann" else pts
+    """A stack checked once per row-function driver call: SPD points
+    against the floor, Grassmann bases for orthonormal columns. An
+    embedding checks the points it maps itself."""
+    return make_spd(pts) if manifold == "spd" else gr.require_orthonormal(pts)
 
 
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
@@ -163,13 +162,14 @@ def squared_distance_matrix(
     against the stack of later points, and the triangle is mirrored.
     """
     kind, fn = _lookup(manifold, metric)
-    pts = _check_points(manifold, _manifold_points(manifold, points))
+    pts = _manifold_points(manifold, points)
     if kind == "embed":
         feats, scale = fn(pts, alpha)
         d2 = _feature_sq_distances(feats, feats)
         d2 = (d2 + d2.T) / 2.0
         np.fill_diagonal(d2, 0.0)
         return d2 * scale
+    pts = _check_points(manifold, pts)
     m = len(pts)
     d2 = np.zeros((m, m))
     for i in range(m - 1):
@@ -190,11 +190,11 @@ def cross_squared_distances(
     ys = _manifold_points(manifold, ys)
     if xs.shape[1:] != ys.shape[1:]:
         raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
-    xs, ys = _check_points(manifold, xs), _check_points(manifold, ys)
     if kind == "embed":
         fx, scale = fn(xs, alpha)
         fy, _ = fn(ys, alpha)
         return _feature_sq_distances(fx, fy) * scale
+    xs, ys = _check_points(manifold, xs), _check_points(manifold, ys)
     return np.stack([fn(x, ys) for x in xs])
 
 

@@ -303,7 +303,7 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     ``ridge * I`` (default 1e-4 * trace(W) / m), by Cholesky whitening of
     the within-class part; one that is not positive definite raises
     SingularScatterError. Returns the training projections plus the
-    coefficient matrix for out-of-sample use via :func:`fda_project`.
+    coefficient matrix that projects kernel columns of other points.
     """
     k = as_gram(k).entries
     m = k.shape[0]
@@ -313,7 +313,7 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     classes = np.unique(labels)
     n_classes = len(classes)
     if n_classes < 2:
-        raise BadParamError("kernel FDA needs at least two classes")
+        raise OneClassError("kernel FDA needs at least two classes")
     if dims is None:
         dims = n_classes - 1
     if dims < 1 or dims > n_classes - 1:
@@ -355,24 +355,6 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     coords = k @ a
     _fix_column_signs(coords, a)
     return Embedding(coords=coords, eigenvalues=w, weights=a)
-
-
-def fda_project(embedding: Embedding, kernel_columns) -> np.ndarray:
-    """Project out-of-sample points given their kernel columns (m x t).
-
-    The out-of-sample half of :func:`kernel_fda`, which fills
-    ``Embedding.weights`` for it; no CLI command projects new points yet.
-    """
-    if embedding.weights is None:
-        raise BadParamError("embedding has no projection coefficients")
-    cols = np.asarray(kernel_columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
-    if cols.shape[0] != embedding.weights.shape[0]:
-        raise DimMismatchError(
-            f"kernel columns have {cols.shape[0]} rows, expected {embedding.weights.shape[0]}"
-        )
-    return cols.T @ embedding.weights
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Provides the validated SPD point constructor and the two SPD metrics
 that are not embeddings, as row functions from one point to a stack of
-points that the distance drivers checked for symmetry (S1, S2 SPD):
+points that the distance drivers checked with :func:`make_spd`:
 
 * ``affine-invariant``   ||log(S1^{-1/2} S2 S1^{-1/2})||_F
 * ``root-stein``         [log det((S1+S2)/2) - (1/2) log det(S1 S2)]^{1/2}

@@ -6,7 +6,7 @@ the functions here restate the definitions directly (a pairwise SPD
 distance per metric, Karcher means, the PSD and CND tests, linear
 Grams, Gram readers, an inverse square root, the per-problem CV grid
 search) so the tests can check the package against them, and keeps a
-few input fixtures.
+few input fixtures and the out-of-sample Fisher projection.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from manikernels.kernels import (
     squared_distance_matrix,
 )
 from manikernels.learn import (
+    Embedding,
     multiclass_svm_predict,
     multiclass_svm_train,
     principal_gram,
@@ -243,6 +244,21 @@ def euclidean_linear_gram(points) -> np.ndarray:
     flat = np.stack([p.ravel() for p in pts])
     k = flat @ flat.T
     return (k + k.T) / 2.0
+
+
+def fda_project(embedding: Embedding, kernel_columns) -> np.ndarray:
+    """Project out-of-sample points given their kernel columns (m x t)
+    through the ``weights`` that ``learn.kernel_fda`` fills."""
+    if embedding.weights is None:
+        raise BadParamError("embedding has no projection coefficients")
+    cols = np.asarray(kernel_columns, dtype=float)
+    if cols.ndim == 1:
+        cols = cols[:, None]
+    if cols.shape[0] != embedding.weights.shape[0]:
+        raise DimMismatchError(
+            f"kernel columns have {cols.shape[0]} rows, expected {embedding.weights.shape[0]}"
+        )
+    return cols.T @ embedding.weights
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ import pytest
 import manikernels.cli as cli
 from manikernels.cli import _model_from_payload, run
 from manikernels.data import load_dataset, load_matrix_csv, save_dataset, save_json, synth_spd_blobs
+from manikernels.features import candidate_grid
 from manikernels.grassmann import make_grassmann
 from manikernels.kernels import DefinitenessReport, KernelSpec
 from manikernels.learn import MulticlassSvmModel, SvmModel
+from manikernels.spd import make_spd
 
 from oracles import gram_from_csv, gram_from_json, write_pgm
 
@@ -153,6 +155,17 @@ def test_kpca_and_kfda_outputs(tmp_path):
     run_ok(["kfda", "--input", str(data), "--gamma", "0.5", "--out", str(kfda_out)])
     proj = load_matrix_csv(kfda_out)
     assert proj.shape == (16, 1)
+
+
+def test_kfda_one_class_is_a_data_error(tmp_path, capsys):
+    # the exit of svm-train and mkl-train on the same file
+    data = tmp_path / "one.json"
+    points, _ = synth_spd_blobs(1, 8, 3, seed=2)
+    save_dataset(data, "spd", points, labels=[1] * 8)
+    out = tmp_path / "kfda.csv"
+    assert run(["kfda", "--input", str(data), "--out", str(out)]) == 2
+    assert "data error: kernel FDA needs at least two classes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_svm_train_predict_round_trip(tmp_path):
@@ -479,6 +492,74 @@ def test_covdesc_no_normalize(tmp_path):
     assert payload["selected"]
     desc = np.array(payload["selected"][0]["descriptors"][0])
     assert np.linalg.eigvalsh(desc)[0] > 0
+
+
+def count_eigen_matrices(monkeypatch):
+    """Matrices passed to ``np.linalg.eigh`` and ``eigvalsh``, counted by
+    (function name, matrix size); a stack counts each of its matrices."""
+    counts = {}
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _real=real, **kwargs):
+            key = (_name, np.shape(a)[-1])
+            counts[key] = counts.get(key, 0) + int(np.prod(np.shape(a)[:-2]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("gram", []), ("cluster", ["--k", "2"]), ("svm-train", [])],
+)
+def test_log_euclidean_inputs_are_decomposed_once_per_item(tmp_path, monkeypatch, command, extra):
+    # the embedding's eigh checks the floor: no eigvalsh at load before it
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    counts = count_eigen_matrices(monkeypatch)
+    run_ok([command, "--input", str(data), *extra, "--out", str(tmp_path / "out")])
+    items = {key: n for key, n in counts.items() if key[1] == 3}
+    assert items == {("eigh", 3): 16}
+
+
+def test_covdesc_select_decomposes_each_descriptor_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(15)
+    paths = []
+    for i in range(2):
+        p = tmp_path / f"img{i}.pgm"
+        write_pgm(p, rng.integers(0, 255, size=(12, 14)))
+        paths.append(str(p))
+    counts = count_eigen_matrices(monkeypatch)
+    run_ok(
+        [
+            "covdesc", "--inputs", *paths, "--features", "texture", "--select", "2",
+            "--out", str(tmp_path / "sel.json"),
+        ]
+    )
+    # one eigh per scored descriptor, inside the log that scores it
+    assert counts == {("eigh", 5): 2 * len(candidate_grid(12, 14))}
+
+
+@pytest.mark.parametrize("features", ["pedestrian", "texture"])
+def test_flat_image_descriptors_are_checked_where_they_are_used(tmp_path, capsys, features):
+    # a flat image leaves zero-variance channels, which an epsilon of
+    # 1e-300 does not lift over the floor; normalization rescales them
+    img = tmp_path / "flat.pgm"
+    write_pgm(img, np.full((12, 12), 7))
+    out = tmp_path / "descs.json"
+    base = ["covdesc", "--inputs", str(img), str(img), "--features", features, "--epsilon", "1e-300"]
+    for extra in ([], ["--select", "2", "--no-normalize"]):
+        capsys.readouterr()
+        assert run(base + extra + ["--out", str(out)]) == 2, extra
+        assert "at or below SPD floor" in capsys.readouterr().err
+        assert not out.exists()
+    run_ok(base + ["--select", "2", "--out", str(out)])
+    selected = json.loads(out.read_text())["selected"]
+    assert len(selected) == 2
+    for entry in selected:
+        make_spd(entry["descriptors"])
 
 
 def test_subspace_cli(tmp_path):

@@ -257,6 +257,27 @@ def test_affine_invariant_solver_failure_is_no_convergence():
     assert_both_drivers_raise(NoConvergenceError, "spd", "affine-invariant", good, bad)
 
 
+SPD_METRICS = ["log-euclidean", "cholesky", "power-euclidean", "affine-invariant", "root-stein"]
+
+
+@pytest.mark.parametrize("metric", SPD_METRICS)
+def test_spd_drivers_apply_the_floor_under_every_metric(metric):
+    # a positive eigenvalue under the floor passes Cholesky and the
+    # root-Stein log-dets; the embedding or the row driver checks it
+    good = list(sample_spd(np.random.default_rng(13), 3, 3))
+    assert_both_drivers_raise(NotSpdError, "spd", metric, good, np.diag([1.0, 1e-14, 1.0]))
+
+
+@pytest.mark.parametrize("metric", SPD_METRICS)
+def test_nan_spd_point_raises_under_every_metric(metric):
+    # one NaN entry among four points; the Cholesky factor and the
+    # root-Stein log-dets would carry it into the distances unnoticed
+    good = list(sample_spd(np.random.default_rng(14), 3, 3))
+    bad = sample_spd(np.random.default_rng(15), 3)
+    bad[0, 1] = np.nan
+    assert_both_drivers_raise(NoConvergenceError, "spd", metric, good, bad)
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("metric", ["projection", "arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm"])
 def test_grassmann_drivers_reject_bases_that_are_not_orthonormal(metric, scale):

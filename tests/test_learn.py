@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from manikernels import learn
-from manikernels.errors import BadParamError, NoConvergenceError, NotPsdError, SingularScatterError
+from manikernels.errors import (
+    BadParamError,
+    NoConvergenceError,
+    NotPsdError,
+    OneClassError,
+    SingularScatterError,
+)
 from manikernels.kernels import (
     KernelSpec,
     cross_gram,
@@ -11,14 +17,13 @@ from manikernels.kernels import (
 )
 from manikernels.learn import (
     Embedding,
-    fda_project,
     kernel_fda,
     kernel_kmeans,
     kernel_pca,
 )
 from manikernels.matrixops import spd_exp
 
-from oracles import euclidean_linear_gram, median_heuristic_gamma, synth_two_rings
+from oracles import euclidean_linear_gram, fda_project, median_heuristic_gamma, synth_two_rings
 
 
 def euclid_gauss_gram(points, gamma):
@@ -318,6 +323,12 @@ def test_kfda_singular_scatter_without_ridge():
     gram = euclid_gauss_gram(pts, 1.0)
     with pytest.raises(SingularScatterError):
         kernel_fda(gram, np.array([0, 0, 1, 1]), ridge=0.0)
+
+
+def test_kfda_one_class_is_a_one_class_error():
+    gram = euclid_gauss_gram([np.zeros(2), np.ones(2), 2 * np.ones(2)], 1.0)
+    with pytest.raises(OneClassError):
+        kernel_fda(gram, np.array([4, 4, 4]))
 
 
 def test_kfda_bad_dims():

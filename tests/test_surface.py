@@ -16,8 +16,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "manikernels"
 KEEP = {
     # the paper's spatio-temporal SPD descriptor, listed in the README
     ("features", "structure_tensor_field"),
-    # the out-of-sample half of kernel_fda, which fills Embedding.weights for it
-    ("learn", "fda_project"),
     # the console entry point
     ("cli", "main"),
 }
