@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -128,14 +129,39 @@ def load_dataset(path) -> dict:
     return {"kind": kind, "items": items, "labels": labels}
 
 
+def _csv_rows(mat):
+    """The rows of a 2-d float array as comma-separated ``repr`` strings.
+
+    A bitwise-symmetric matrix (every Gram matrix) formats each entry of
+    its upper triangle once: row i takes its first i strings from the
+    rows above it, and a column's strings are dropped once its row is
+    made. Bits, not values, are compared, because 0.0 and -0.0 (equal
+    values) print differently.
+    """
+    bits = mat.view(np.int64)
+    if mat.shape[0] != mat.shape[1] or not np.array_equal(bits, bits.T):
+        for row in mat:
+            yield ",".join(map(repr, row.tolist()))
+        return
+    cols = [[] for _ in mat]
+    for i, row in enumerate(mat):
+        upper = list(map(repr, row[i:].tolist()))
+        for col, text in zip(cols[i + 1 :], upper[1:]):
+            col.append(text)
+        left, cols[i] = cols[i], None
+        yield ",".join(left + upper)
+
+
 def save_matrix_csv(path, matrix, header_lines=()) -> None:
-    """Matrix rows as comma-separated ``repr`` floats after ``# `` header lines."""
+    """Matrix rows as comma-separated ``repr`` floats after ``# `` header
+    lines, one line each, written as each row is formatted."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [f"# {line}" for line in header_lines]
-    for row in mat:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = chain((f"# {line}" for line in header_lines), _csv_rows(mat))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(next(lines, ""))
+        for line in lines:
+            fh.write("\n" + line)
+        fh.write("\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:

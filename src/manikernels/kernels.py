@@ -50,6 +50,14 @@ MANIFOLDS = ("spd", "grassmann", "euclidean")
 #: is a genuine witness rather than roundoff (desk scale, m <= a few hundred).
 WITNESS_TOL_FACTOR = 1e-7
 
+#: Gap allowed, per m^2, between the smallest eigenvalue of one Gram from
+#: the stacked ``eigvalsh`` screen of :func:`definiteness_search` and from
+#: ``eigh``. Both solvers are backward stable, so each is within a modest
+#: multiple of m * eps * ||K||_2 of the exact value, and ||K||_2 <= m for
+#: entries in (0, 1]. Measured gaps at m = 40 are about 1e-15, far inside
+#: the 1.4e-12 this allows.
+_SCREEN_SLACK = 4 * np.finfo(float).eps
+
 #: Metrics whose Gaussian kernel is positive definite for every gamma > 0.
 PD_FOR_ALL_GAMMA = {
     ("spd", "log-euclidean"),
@@ -75,16 +83,23 @@ def _grassmann_sq(metric, x, ys):
 
 
 #: The metric registry: (manifold, metric) -> ("embed", points, alpha ->
-#: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys).
-#: Entries look their functions up at call time, so a wrapped module
-#: function (a tracer's span, a test double) is the one that runs.
+#: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys). A row
+#: entry may add per-point terms, points -> one value per point, that a
+#: driver computes once per stack; its row function then takes each point
+#: with its term, (x, term_x, ys, terms_ys). Entries look their functions
+#: up at call time, so a wrapped module function (a tracer's span, a test
+#: double) is the one that runs.
 METRICS = {
     ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_flat(spd_log(pts)), 1.0)),
     ("spd", "cholesky"): ("embed", lambda pts, alpha: (_flat(cholesky_lower(make_spd(pts))), 1.0)),
     ("spd", "power-euclidean"): ("embed", _power_features),
     ("euclidean", "euclidean"): ("embed", lambda pts, alpha: (_flat(pts), 1.0)),
     ("spd", "affine-invariant"): ("row", lambda x, ys: sp.affine_invariant_sq(x, ys)),
-    ("spd", "root-stein"): ("row", lambda x, ys: sp.stein_divergence_sq(x, ys)),
+    ("spd", "root-stein"): (
+        "row",
+        lambda x, ld_x, ys, ld_ys: sp.stein_divergence_sq(x, ld_x, ys, ld_ys),
+        lambda pts: sp.log_det_spd(pts),
+    ),
     ("grassmann", "projection"): ("row", lambda x, ys: gr.projection_dist_sq_fast(x, ys)),
     **{
         ("grassmann", metric): ("row", partial(_grassmann_sq, metric))
@@ -140,6 +155,13 @@ def _check_points(manifold: str, pts: np.ndarray) -> np.ndarray:
     return make_spd(pts) if manifold == "spd" else gr.require_orthonormal(pts)
 
 
+def _row_args(manifold: str, terms, pts: np.ndarray) -> list:
+    """A checked stack and the row function's per-point terms of it (the
+    root-Stein log-determinants), each indexed by point."""
+    pts = _check_points(manifold, pts)
+    return [pts, *(term(pts) for term in terms)]
+
+
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """||fx_i - fy_j||^2 from inner products, clamped at 0."""
     sq_x = np.einsum("ij,ij->i", fx, fx)
@@ -161,7 +183,7 @@ def squared_distance_matrix(
     row function fills the upper triangle one row at a time, each point
     against the stack of later points, and the triangle is mirrored.
     """
-    kind, fn = _lookup(manifold, metric)
+    kind, fn, *terms = _lookup(manifold, metric)
     pts = _manifold_points(manifold, points)
     if kind == "embed":
         feats, scale = fn(pts, alpha)
@@ -169,11 +191,11 @@ def squared_distance_matrix(
         d2 = (d2 + d2.T) / 2.0
         np.fill_diagonal(d2, 0.0)
         return d2 * scale
-    pts = _check_points(manifold, pts)
+    args = _row_args(manifold, terms, pts)
     m = len(pts)
     d2 = np.zeros((m, m))
     for i in range(m - 1):
-        d2[i, i + 1 :] = fn(pts[i], pts[i + 1 :])
+        d2[i, i + 1 :] = fn(*(a[i] for a in args), *(a[i + 1 :] for a in args))
     return d2 + d2.T
 
 
@@ -185,7 +207,7 @@ def cross_squared_distances(
     alpha: float = DEFAULT_POWER_ALPHA,
 ) -> np.ndarray:
     """Rectangular matrix of squared distances d^2(x_i, y_j)."""
-    kind, fn = _lookup(manifold, metric)
+    kind, fn, *terms = _lookup(manifold, metric)
     xs = _manifold_points(manifold, xs)
     ys = _manifold_points(manifold, ys)
     if xs.shape[1:] != ys.shape[1:]:
@@ -194,8 +216,8 @@ def cross_squared_distances(
         fx, scale = fn(xs, alpha)
         fy, _ = fn(ys, alpha)
         return _feature_sq_distances(fx, fy) * scale
-    xs, ys = _check_points(manifold, xs), _check_points(manifold, ys)
-    return np.stack([fn(x, ys) for x in xs])
+    x_args, y_args = _row_args(manifold, terms, xs), _row_args(manifold, terms, ys)
+    return np.stack([fn(*(a[i] for a in x_args), *y_args) for i in range(len(xs))])
 
 
 def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -307,10 +329,13 @@ def definiteness_search(
     Samples ``trials`` point sets of size ``m``, builds the Gram matrix for
     every gamma in the grid, and reports the first eigenvalue witness below
     ``-WITNESS_TOL_FACTOR * m`` (re-verified with an extended-precision
-    Rayleigh quotient before being accepted). Deterministic given
-    (seed, grid, m, trials): trial t uses the stream seeded by (seed, t)
-    and trials are scanned in index order. The sizes, the grid and the
-    metric are checked before any point is drawn.
+    Rayleigh quotient before being accepted). One stacked ``eigvalsh`` per
+    trial screens the grid; ``eigh``, which gives the reported eigenvalue
+    and the witness vector, runs only on a Gram whose screened smallest
+    eigenvalue could lower the running minimum or be a witness.
+    Deterministic given (seed, grid, m, trials): trial t uses the stream
+    seeded by (seed, t) and trials are scanned in index order. The sizes,
+    the grid and the metric are checked before any point is drawn.
     """
     _lookup(manifold, metric)
     grid = [float(g) for g in gamma_grid]
@@ -336,6 +361,8 @@ def definiteness_search(
         gamma_grid=tuple(grid),
         alpha=alpha,
     )
+    slack = _SCREEN_SLACK * m * m
+    diag = np.arange(m)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         if manifold == "spd":
@@ -346,9 +373,11 @@ def definiteness_search(
             points = rng.standard_normal((m, dim))
         d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)
         report.trials_run = trial + 1
-        for gamma in grid:
-            k = np.exp(-gamma * d2)
-            np.fill_diagonal(k, 1.0)
+        ks = np.exp(-np.array(grid)[:, None, None] * d2)
+        ks[:, diag, diag] = 1.0
+        for gamma, k, low in zip(grid, ks, np.linalg.eigvalsh(ks)[:, 0]):
+            if low >= max(report.min_eigen, -witness_tol) + slack:
+                continue  # eigh would move neither the minimum nor the verdict
             w, u = np.linalg.eigh(k)
             if w[0] < report.min_eigen:
                 report.min_eigen, report.gamma = float(w[0]), gamma

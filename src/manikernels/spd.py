@@ -2,7 +2,9 @@
 
 Provides the validated SPD point constructor and the two SPD metrics
 that are not embeddings, as row functions from one point to a stack of
-points that the distance drivers checked with :func:`make_spd`:
+points that the distance drivers checked with :func:`make_spd` (the
+root-Stein row also takes each point's log-determinant, which the
+drivers compute once per stack):
 
 * ``affine-invariant``   ||log(S1^{-1/2} S2 S1^{-1/2})||_F
 * ``root-stein``         [log det((S1+S2)/2) - (1/2) log det(S1 S2)]^{1/2}
@@ -50,11 +52,10 @@ def log_det_spd(s):
     return 2.0 * np.sum(np.log(np.diagonal(length, axis1=-2, axis2=-1)), axis=-1)
 
 
-def stein_divergence_sq(x, ys):
+def stein_divergence_sq(x, log_det_x, ys, log_det_ys):
     """Squared root-Stein divergence from ``x`` to one SPD matrix or each
-    of a stack, with roundoff-scale negatives clamped."""
-    log_det_x = log_det_spd(x)
-    log_det_ys = log_det_spd(ys)
+    of a stack, given their :func:`log_det_spd` values, with
+    roundoff-scale negatives clamped."""
     val = log_det_spd((x + ys) / 2.0) - 0.5 * (log_det_x + log_det_ys)
     if np.min(val) < -_STEIN_CLAMP:
         raise NumericalError(f"Stein radicand {np.min(val):.3e} negative beyond roundoff")

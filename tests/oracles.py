@@ -5,8 +5,9 @@ The package computes every distance through the metric registry of
 the functions here restate the definitions directly (a pairwise SPD
 distance per metric, Karcher means, the PSD and CND tests, linear
 Grams, Gram readers, an inverse square root, the per-problem CV grid
-search) so the tests can check the package against them, and keeps a
-few input fixtures and the out-of-sample Fisher projection.
+search, the per-gamma definiteness search, the per-entry CSV writer)
+so the tests can check the package against them, and keeps a few input
+fixtures and the out-of-sample Fisher projection.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ from manikernels.errors import (
 from manikernels.data import stack_items
 from manikernels.grassmann import make_grassmann
 from manikernels.kernels import (
+    WITNESS_TOL_FACTOR,
+    DefinitenessReport,
     GramMatrix,
     KernelSpec,
+    _lookup,
+    _rayleigh_longdouble,
+    _trial_rng,
     gram_from_squared_distances,
+    sample_spd,
     squared_distance_matrix,
 )
 from manikernels.learn import (
@@ -49,7 +56,12 @@ from manikernels.matrixops import (
     spd_log,
     spd_power,
 )
-from manikernels.spd import DEFAULT_POWER_ALPHA, affine_invariant_sq, stein_divergence_sq
+from manikernels.spd import (
+    DEFAULT_POWER_ALPHA,
+    affine_invariant_sq,
+    log_det_spd,
+    stein_divergence_sq,
+)
 
 # ---------------------------------------------------------------------------
 # Inverse square root with a roundoff clamp
@@ -117,7 +129,7 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
             raise BadParamError("power-euclidean alpha must be nonzero")
         return frob(spd_power(s1, alpha) - spd_power(s2, alpha)) / abs(alpha)
     # root-stein
-    return np.sqrt(stein_divergence_sq(s1, s2))
+    return np.sqrt(stein_divergence_sq(s1, log_det_spd(s1), s2, log_det_spd(s2)))
 
 
 def karcher_mean_log_euclidean(points) -> np.ndarray:
@@ -329,6 +341,17 @@ def synth_two_rings(
     return points, np.array(labels, dtype=int)
 
 
+def save_matrix_csv_per_entry(path, matrix, header_lines=()) -> None:
+    """``data.save_matrix_csv`` as one ``repr`` per entry, every row
+    formatted in full and the file written at once."""
+    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lines = [f"# {line}" for line in header_lines]
+    for row in mat:
+        lines.append(",".join(repr(float(v)) for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_pgm(path, image, maxval: int = 255) -> None:
     """Ascii (P2) PGM writer; values clipped into [0, maxval] and rounded."""
     img = np.asarray(image, dtype=float)
@@ -338,6 +361,68 @@ def write_pgm(path, image, maxval: int = 255) -> None:
         lines.append(" ".join(str(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Definiteness search, one eigh per (trial, gamma)
+# ---------------------------------------------------------------------------
+
+def definiteness_search_per_gamma(
+    manifold,
+    metric,
+    gamma_grid,
+    m=40,
+    trials=50,
+    seed=0,
+    *,
+    dim=3,
+    subspace_dim=2,
+    alpha=DEFAULT_POWER_ALPHA,
+):
+    """``kernels.definiteness_search`` with a full ``eigh`` of every
+    (trial, gamma) Gram, the loop the stacked ``eigvalsh`` screen
+    replaced; it must give the same report."""
+    _lookup(manifold, metric)
+    grid = [float(g) for g in gamma_grid]
+    witness_tol = WITNESS_TOL_FACTOR * m
+    report = DefinitenessReport(
+        verdict="psd_within_tol",
+        min_eigen=np.inf,
+        gamma=grid[0],
+        manifold=manifold,
+        metric=metric,
+        m=m,
+        trials_run=0,
+        gamma_grid=tuple(grid),
+        alpha=alpha,
+    )
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        if manifold == "spd":
+            points = sample_spd(rng, dim, m)
+        elif manifold == "grassmann":
+            points = make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
+        else:
+            points = rng.standard_normal((m, dim))
+        d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)
+        report.trials_run = trial + 1
+        for gamma in grid:
+            k = np.exp(-gamma * d2)
+            np.fill_diagonal(k, 1.0)
+            w, u = np.linalg.eigh(k)
+            if w[0] < report.min_eigen:
+                report.min_eigen, report.gamma = float(w[0]), gamma
+            if w[0] < -witness_tol and _rayleigh_longdouble(d2, gamma, u[:, 0]) < -witness_tol:
+                return replace(
+                    report,
+                    verdict="witness_found",
+                    min_eigen=float(w[0]),
+                    gamma=gamma,
+                    witness_seed=seed,
+                    witness_trial=trial,
+                    witness_points=points,
+                )
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from manikernels import data
 from manikernels.data import (
     load_dataset,
     load_matrix_csv,
@@ -25,7 +26,7 @@ from manikernels.errors import (
 from manikernels.grassmann import make_grassmann
 from manikernels.matrixops import spd_exp
 
-from oracles import synth_two_rings
+from oracles import save_matrix_csv_per_entry, synth_two_rings
 
 
 def test_dataset_round_trip(tmp_path):
@@ -138,6 +139,52 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix_csv(path, mat, header_lines=["hello"])
     np.testing.assert_array_equal(load_matrix_csv(path), mat)
+
+
+def symmetric_sample(m, seed=0):
+    a = np.random.default_rng(seed).standard_normal((m, m))
+    return a + a.T
+
+
+@pytest.mark.parametrize(
+    "matrix, header",
+    [
+        (symmetric_sample(7), ["m=7", "gamma=0.5"]),
+        (np.arange(12.0).reshape(3, 4) / 7.0, ["non-square"]),
+        (np.array([[1.0, 0.0], [-0.0, 1.0]]), []),  # equal values, bits differ
+        (np.array([[1.0, np.nan], [np.nan, 2.0]]), ["nan"]),
+        (np.array([[np.nan]]), []),
+        (np.array([[0.1]]), ["one"]),
+        (np.array([[2.0, 1e-300], [1e-300, -np.inf]]), []),
+        (symmetric_sample(5).T, []),  # a transposed view
+        (np.empty((0, 3)), ["only", "headers"]),
+        (np.empty((0, 3)), []),
+        ([1.0, 2.5], []),
+    ],
+)
+def test_matrix_csv_matches_the_per_entry_writer(tmp_path, matrix, header):
+    save_matrix_csv(tmp_path / "new.csv", matrix, header_lines=header)
+    save_matrix_csv_per_entry(tmp_path / "old.csv", matrix, header_lines=header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_symmetric_matrix_csv_formats_each_upper_entry_once(tmp_path, monkeypatch):
+    m = 50
+    mat = symmetric_sample(m, seed=3)
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return repr(v)
+
+    monkeypatch.setattr(data, "repr", counting, raising=False)
+    save_matrix_csv(tmp_path / "sym.csv", mat, header_lines=["h"])
+    assert len(calls) == m * (m + 1) // 2
+    save_matrix_csv_per_entry(tmp_path / "old.csv", mat, header_lines=["h"])
+    assert (tmp_path / "sym.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    calls.clear()
+    save_matrix_csv(tmp_path / "asym.csv", mat + np.triu(np.ones((m, m)), 1))
+    assert len(calls) == m * m
 
 
 def test_synth_spd_blobs_deterministic_and_spd():

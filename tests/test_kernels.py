@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from manikernels import matrixops, spd
+from manikernels import kernels, matrixops, spd
 from manikernels.errors import (
     BadParamError,
     BadShapeError,
@@ -32,6 +32,7 @@ from manikernels.kernels import (
 
 from oracles import (
     cnd_check,
+    definiteness_search_per_gamma,
     gram_from_csv,
     gram_from_json,
     median_heuristic_gamma,
@@ -247,6 +248,26 @@ def test_spd_row_metrics_check_each_stack_once(monkeypatch, metric):
     assert 0 < sum(seen) <= 4 * m
 
 
+def test_root_stein_factors_each_point_once_per_driver_call(monkeypatch):
+    # every point's log det once, plus one per pair midpoint; the row
+    # formula alone would factor the stacked points again on every row
+    rng = np.random.default_rng(9)
+    xs, ys = sample_spd(rng, 3, 12), sample_spd(rng, 3, 5)
+    seen = []
+    real = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        seen.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    squared_distance_matrix("spd", "root-stein", xs)
+    assert sum(seen) == 12 + 12 * 11 // 2
+    seen.clear()
+    cross_squared_distances("spd", "root-stein", ys, xs)
+    assert sum(seen) == 5 + 12 + 5 * 12
+
+
 def test_affine_invariant_solver_failure_is_no_convergence():
     # a NaN point defeats the eigensolver of the whitened stack; the
     # failure comes out as the library's error, not numpy's
@@ -419,6 +440,80 @@ def test_definiteness_grassmann_witness_points_are_single_draws():
     assert len(report.witness_points) == 20
     for point in report.witness_points:
         assert np.array_equal(point, sample_grassmann(rng, 5, 2))
+
+
+def gram_eigh_calls(monkeypatch, m):
+    """Counts ``np.linalg.eigh`` calls on one (m, m) matrix: the Gram
+    decompositions of a definiteness search, not the stacked SPD maps."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (m, m):
+            calls.append(m)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def assert_same_report(got, expect):
+    assert got.verdict == expect.verdict
+    assert got.min_eigen == expect.min_eigen
+    assert got.gamma == expect.gamma
+    assert got.trials_run == expect.trials_run
+    assert got.witness_trial == expect.witness_trial
+    assert got.witness_seed == expect.witness_seed
+    assert np.array_equal(got.witness_points, expect.witness_points)
+
+
+@pytest.mark.parametrize(
+    "manifold, metric, grid, kwargs, verdict",
+    [
+        # positive definite: every trial runs
+        ("spd", "log-euclidean", GRID, dict(m=20, trials=10, seed=7, dim=3), "psd_within_tol"),
+        ("grassmann", "arc-length", GRID, dict(m=20, trials=50, seed=3, dim=5, subspace_dim=2),
+         "witness_found"),
+        ("spd", "root-stein", GRID, dict(m=40, trials=200, seed=7, dim=3), "witness_found"),
+    ],
+)
+def test_definiteness_search_matches_per_gamma_oracle(monkeypatch, manifold, metric, grid, kwargs,
+                                                      verdict):
+    expect = definiteness_search_per_gamma(manifold, metric, grid, **kwargs)
+    assert expect.verdict == verdict
+    calls = gram_eigh_calls(monkeypatch, kwargs["m"])
+    assert_same_report(definiteness_search(manifold, metric, grid, **kwargs), expect)
+    if verdict == "psd_within_tol":
+        # the screen spares most Grams their eigh
+        assert len(calls) < expect.trials_run * len(grid) / 2
+
+
+def test_definiteness_search_follows_a_minimum_that_moves_late():
+    # a descending grid: the running minimum moves at later gammas, and
+    # again at a later trial
+    grid = GRID[::-1]
+    kwargs = dict(m=12, seed=2, dim=3)
+    first = definiteness_search_per_gamma("spd", "log-euclidean", grid, trials=1, **kwargs)
+    expect = definiteness_search_per_gamma("spd", "log-euclidean", grid, trials=8, **kwargs)
+    assert expect.min_eigen < first.min_eigen and expect.gamma != grid[0]
+    assert_same_report(definiteness_search("spd", "log-euclidean", grid, trials=8, **kwargs), expect)
+
+
+def test_definiteness_screen_sends_a_near_tie_to_eigh(monkeypatch):
+    # two gammas 1e-12 apart: the second Gram's smallest eigenvalue is
+    # below the first's by about 6e-14. A screen that reads it half the
+    # slack too high must still send it to eigh, or the minimum is missed.
+    m = 20
+    grid = (0.1 * (1 + 1e-12), 0.1)
+    kwargs = dict(m=m, trials=1, seed=5, dim=3)
+    expect = definiteness_search_per_gamma("spd", "log-euclidean", grid, **kwargs)
+    assert expect.gamma == grid[1]
+    shift = 0.5 * kernels._SCREEN_SLACK * m * m
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + shift)
+    calls = gram_eigh_calls(monkeypatch, m)
+    assert_same_report(definiteness_search("spd", "log-euclidean", grid, **kwargs), expect)
+    assert len(calls) == 2
 
 
 def test_definiteness_search_bad_grid():
