@@ -39,7 +39,6 @@ from .errors import (
     NoConvergenceError,
     NotPsdError,
     NumericalError,
-    OneClassError,
     SingularScatterError,
     TrainMismatchError,
     UnsupportedMetricError,
@@ -76,8 +75,6 @@ from .learn import (
     multiclass_svm_predict,
     multiclass_svm_train,
     svm_decision,
-    svm_predict,
-    svm_train,
     svm_train_batch,
 )
 from .matrixops import require_symmetric
@@ -245,16 +242,6 @@ def _cmd_kfda(args) -> int:
     return EXIT_OK
 
 
-def _binary_labels(labels) -> np.ndarray:
-    """+-1 coding of two label values, the larger one +1."""
-    uniq = np.unique(labels)
-    if len(uniq) < 2:
-        raise OneClassError("training labels contain a single class")
-    if len(uniq) > 2:
-        raise BadParamError("binary SVM needs exactly two label values")
-    return np.where(np.asarray(labels) == uniq[1], 1.0, -1.0)
-
-
 def _items_digest(points) -> str:
     """SHA-256 of a point stack as one C-ordered float64 array, shape included."""
     stack = np.ascontiguousarray(points, dtype=np.float64)
@@ -270,22 +257,18 @@ def _cv_folds(m: int, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _cv_select(d2, labels, spec, args):
+def _cv_select(d2, labels, spec, mode, args):
     """Seeded grid search over gamma and C on one squared-distance matrix;
     returns (gram, C), the winning Gram over all points and C. Each gamma
     builds one Gram, audited once, and solves every fold x C x binary
-    problem on it as one :func:`svm_train_batch`, each fold's training
-    points marked in its rows; ties go to the earlier gamma, then the
-    earlier C."""
+    problem of the ``mode`` reduction on it as one
+    :func:`svm_train_batch`, each fold's training points marked in its
+    rows; ties go to the earlier gamma, then the earlier C."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
     cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
     labels = np.asarray(labels)
-    binary = len(np.unique(labels)) == 2
-    # folds whose training part holds one class are skipped, so the
-    # +-1 coding of every fold's training labels is this one
-    y = _binary_labels(labels) if binary else labels
     folds = _cv_folds(len(labels), args.cv, args.seed)
     splits, rows, row_cs = [], [], []
     for f in range(args.cv):
@@ -293,10 +276,7 @@ def _cv_select(d2, labels, spec, args):
         train = ~test
         if len(np.unique(labels[train])) < 2:
             continue
-        if binary:
-            classes, pairs, codes = None, None, y[train][None]
-        else:
-            classes, pairs, codes = _binary_problems(y[train], args.mode)
+        classes, pairs, codes = _binary_problems(labels[train], mode)
         block = np.zeros((len(codes), len(labels)))
         block[:, train] = codes
         rows += [block] * len(cs)
@@ -314,12 +294,8 @@ def _cv_select(d2, labels, spec, args):
             cols = gram.entries[np.ix_(train, test)]
             for c_index in range(len(cs)):
                 fits = [next(models) for _ in range(n_problems)]
-                if binary:
-                    pred = svm_predict(fits[0], cols)
-                else:
-                    model = MulticlassSvmModel(args.mode, classes, fits, pair_indices=indices, pairs=pairs)
-                    pred = multiclass_svm_predict(model, cols)
-                correct[c_index] += int(np.sum(pred == y[test]))
+                model = MulticlassSvmModel(mode, classes, fits, pair_indices=indices, pairs=pairs)
+                correct[c_index] += int(np.sum(multiclass_svm_predict(model, cols) == labels[test]))
             total += int(test.sum())
         for c_index, c_val in enumerate(cs):
             score = correct[c_index] / total if total else 0.0
@@ -332,22 +308,22 @@ def _cmd_svm_train(args) -> int:
     points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
+    # --mode picks the reduction of three or more classes
+    mode = "binary" if len(np.unique(labels)) == 2 else args.mode
     d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
     if args.cv:
-        gram, c_val = _cv_select(d2, labels, spec, args)
+        gram, c_val = _cv_select(d2, labels, spec, mode, args)
     else:
         gram, c_val = gram_from_squared_distances(spec, d2), args.C
-    classes = np.unique(labels)
+    model = multiclass_svm_train(gram, labels, c_val, mode=mode, kkt_tol=args.kkt_tol)
     payload = {
         "spec": gram.spec,
         "provenance": _provenance("svm-train", args),
         "train_sha256": _items_digest(points),
     }
-    if len(classes) == 2:
-        model = svm_train(gram, _binary_labels(labels), c_val, kkt_tol=args.kkt_tol)
-        payload.update(type="svm", classes=classes, model=model)
+    if mode == "binary":
+        payload.update(type="svm", classes=model.classes, model=model.models[0])
     else:
-        model = multiclass_svm_train(gram, labels, c_val, mode=args.mode, kkt_tol=args.kkt_tol)
         payload["type"] = "multiclass-svm"
         payload.update((k, v) for k, v in vars(model).items() if v is not None)
     save_json(args.out, payload)
@@ -355,41 +331,42 @@ def _cmd_svm_train(args) -> int:
 
 
 def _model_from_payload(payload):
-    """(spec, model, classes) of an svm-train model; run it inside
+    """(spec, model) of an svm-train model, a binary file (type "svm",
+    one ``model``) read as the one-problem reduction; run it inside
     :func:`~manikernels.data.parse_errors` so its errors name the file."""
     if payload["type"] not in ("svm", "multiclass-svm"):
         raise ValueError(f"model type {payload['type']!r} is not an svm-train model")
     spec = KernelSpec(**payload["spec"])
-    if payload["type"] == "svm":
-        if len(payload["classes"]) != 2 or len(set(payload["classes"])) != 2:
-            raise ValueError(f"a binary model needs 2 distinct classes, got {payload['classes']}")
-        return spec, SvmModel(**payload["model"]), payload["classes"]
-    multi = MulticlassSvmModel(
-        mode=payload["mode"],
+    binary = payload["type"] == "svm"
+    model = MulticlassSvmModel(
+        mode="binary" if binary else payload["mode"],
         classes=np.array(payload["classes"]),
-        models=[SvmModel(**raw) for raw in payload["models"]],
+        models=[SvmModel(**raw) for raw in ([payload["model"]] if binary else payload["models"])],
         pair_indices=[np.array(v, dtype=int) for v in payload.get("pair_indices", [])] or None,
         pairs=[tuple(p) for p in payload.get("pairs", [])] or None,
     )
-    return spec, multi, payload["classes"]
+    return spec, model
 
 
 def _cmd_svm_predict(args) -> int:
     with parse_errors(args.model):
         with open(args.model) as fh:
             payload = json.load(fh)
-        spec, model, classes = _model_from_payload(payload)
+        spec, model = _model_from_payload(payload)
     train = load_dataset(args.train)
     train_points = _on_manifold(train["items"], spec.manifold)
     if payload.get("train_sha256") != _items_digest(train_points):
         raise TrainMismatchError(f"{args.train} is not the dataset the model was trained on")
     test = load_dataset(args.test)
-    if train["kind"] != test["kind"]:
-        raise DimMismatchError("train/test dataset kinds differ")
+    if (train["kind"], train["items"].shape[1:]) != (test["kind"], test["items"].shape[1:]):
+        raise DimMismatchError(
+            f"--train {args.train} holds {train['kind']} points of shape {train['items'].shape[1:]}, "
+            f"--test {args.test} {test['kind']} points of shape {test['items'].shape[1:]}"
+        )
     test_points = _on_manifold(test["items"], spec.manifold)
     n_train = len(train_points)
-    if isinstance(model, SvmModel) or model.mode == "one-vs-all":
-        for part in model.models if isinstance(model, MulticlassSvmModel) else [model]:
+    if model.mode != "one-vs-one":
+        for part in model.models:
             if len(part.dual_coefs) != n_train:
                 raise MalformedFileError(
                     f"{args.model}: {len(part.dual_coefs)} dual_coefs for {n_train} training points"
@@ -398,20 +375,14 @@ def _cmd_svm_predict(args) -> int:
         raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
     cols = cross_gram(spec, train_points, test_points)
     header = _provenance_lines(_provenance("svm-predict", args))
-    if isinstance(model, SvmModel):
-        dec = svm_decision(model, cols)
-        pred_sign = np.where(dec >= 0, 1, -1)
-        if not set(classes) <= {-1, 1}:
-            pred = np.where(pred_sign > 0, classes[1], classes[0])
-        else:
-            pred = pred_sign
+    columns = [np.arange(len(test_points)), multiclass_svm_predict(model, cols).astype(float)]
+    if model.mode == "binary":
+        # a binary prediction file also holds the decision values
+        columns.insert(1, svm_decision(model.models[0], cols))
         header.append("columns=index,decision,label")
-        rows = np.column_stack([np.arange(len(test_points)), dec, pred.astype(float)])
     else:
-        pred = multiclass_svm_predict(model, cols)
         header.append("columns=index,label")
-        rows = np.column_stack([np.arange(len(test_points)), pred.astype(float)])
-    save_matrix_csv(args.out, rows, header_lines=header)
+    save_matrix_csv(args.out, np.column_stack(columns), header_lines=header)
     return EXIT_OK
 
 
@@ -430,7 +401,7 @@ def _cmd_mkl_train(args) -> int:
             grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2))
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")
-    y = _binary_labels(labels)
+    y = _binary_problems(labels, "binary")[2][0]
     model = mkl_train(grams, y, args.C, max_outer_iter=args.max_outer, tol=args.tol)
     payload = {
         "type": "mkl-svm",

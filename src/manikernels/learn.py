@@ -505,8 +505,9 @@ def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
     after ``SMO_MAX_ITER`` steps raises NoConvergenceError.
 
     One batched step costs several scalar steps, so the batch gains only
-    with many problems; single fits and small reductions stay on
-    :func:`svm_train`.
+    with many problems. The CV search of ``svm-train --cv`` uses it; the
+    final fit of every reduction (:func:`multiclass_svm_train`, binary
+    included) and each MKL solve stay on :func:`svm_train`.
     """
     gram = as_gram(k)
     k = gram.entries
@@ -622,11 +623,6 @@ def svm_decision(model: SvmModel, kernel_columns) -> np.ndarray:
     return model.dual_coefs @ cols + model.bias
 
 
-def svm_predict(model: SvmModel, kernel_columns) -> np.ndarray:
-    """Class labels in {-1, +1}; ties at 0 go positive."""
-    return np.where(svm_decision(model, kernel_columns) >= 0, 1, -1)
-
-
 def svm_objectives(model: SvmModel, k, y) -> tuple[float, float]:
     """(dual, primal) objective values of a trained model.
 
@@ -647,9 +643,13 @@ def svm_objectives(model: SvmModel, k, y) -> tuple[float, float]:
 # Multiclass wrappers
 # ---------------------------------------------------------------------------
 
+#: The reductions of a classification problem to binary SVMs.
+_SVM_MODES = ("binary", "one-vs-all", "one-vs-one")
+
+
 @dataclass
 class MulticlassSvmModel:
-    mode: str  # "one-vs-all" | "one-vs-one"
+    mode: str  # "binary" | "one-vs-all" | "one-vs-one"
     classes: np.ndarray
     models: list
     pair_indices: list | None = None  # training-subset indices per pair (ovo)
@@ -658,13 +658,18 @@ class MulticlassSvmModel:
     def __post_init__(self):
         # a model read back from a file predicts only once its parts agree
         n = len(self.classes)
-        if self.mode not in ("one-vs-all", "one-vs-one"):
+        distinct = len(np.unique(self.classes)) == n
+        if self.mode not in _SVM_MODES:
             raise BadParamError(f"unknown multiclass mode {self.mode!r}")
-        if n < 2 or len(np.unique(self.classes)) != n:
+        if self.mode == "binary" and not (n == 2 and distinct):
+            got = np.asarray(self.classes).tolist()
+            raise BadParamError(f"a binary model needs 2 distinct classes, got {got}")
+        if n < 2 or not distinct:
             raise BadParamError(f"need at least 2 distinct classes, got {list(self.classes)}")
-        if self.mode == "one-vs-all":
-            if len(self.models) != n:
-                raise BadParamError(f"one-vs-all needs {n} models, got {len(self.models)}")
+        if self.mode != "one-vs-one":
+            n_models = 1 if self.mode == "binary" else n
+            if len(self.models) != n_models:
+                raise BadParamError(f"{self.mode} needs {n_models} models, got {len(self.models)}")
             return
         n_pairs = n * (n - 1) // 2
         if not len(self.models) == len(self.pairs or ()) == len(self.pair_indices or ()) == n_pairs:
@@ -680,13 +685,19 @@ class MulticlassSvmModel:
 
 
 def _binary_problems(y, mode: str):
-    """The binary problems of the one-vs-all or one-vs-one reduction of
-    the labels ``y``, as (classes, pairs, codes). Row p of ``codes``
-    labels problem p with +1/-1 on its points and 0 off them, the form
-    :func:`svm_train_batch` takes; ``pairs`` holds the (class_a,
-    class_b) of each one-vs-one problem, +1 on class_a, and is None for
-    one-vs-all."""
+    """The binary problems of the ``mode`` reduction of the labels ``y``,
+    as (classes, pairs, codes). Row p of ``codes`` labels problem p with
+    +1/-1 on its points and 0 off them, the form :func:`svm_train_batch`
+    takes; ``pairs`` holds the (class_a, class_b) of each one-vs-one
+    problem, +1 on class_a, and is None otherwise. The one problem of
+    "binary" codes the larger of exactly two classes +1."""
     classes = np.unique(y)
+    if mode == "binary":
+        if len(classes) < 2:
+            raise OneClassError("training labels contain a single class")
+        if len(classes) > 2:
+            raise BadParamError("binary SVM needs exactly two label values")
+        return classes, None, np.where(y == classes[1], 1.0, -1.0)[None]
     if mode == "one-vs-all":
         return classes, None, np.where(y == classes[:, None], 1.0, -1.0)
     pairs = [(a, b) for n, a in enumerate(classes) for b in classes[n + 1:]]
@@ -701,16 +712,17 @@ def multiclass_svm_train(
     mode: str = "one-vs-all",
     kkt_tol: float = KKT_TOL,
 ) -> MulticlassSvmModel:
-    """One-vs-all or one-vs-one reduction to binary SVMs.
+    """Binary, one-vs-all or one-vs-one reduction to binary SVMs.
 
-    One-vs-all hands every class the one kernel matrix, audited once.
-    One-vs-one hands each pair its :func:`principal_gram`.
+    A binary or one-vs-all reduction hands each of its problems the one
+    kernel matrix, audited once. One-vs-one hands each pair its
+    :func:`principal_gram`.
     """
     gram = as_gram(k)
     y = np.asarray(y).ravel()
     if len(np.unique(y)) < 2:
         raise OneClassError("need at least two classes")
-    if mode not in ("one-vs-all", "one-vs-one"):
+    if mode not in _SVM_MODES:
         raise BadParamError(f"unknown multiclass mode {mode!r}")
     classes, pairs, codes = _binary_problems(y, mode)
     if pairs is None:
@@ -727,12 +739,13 @@ def multiclass_svm_train(
 
 
 def multiclass_svm_decision(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
-    """Per-class scores (n_classes x t): decision values for one-vs-all,
-    vote counts (with summed-decision tie info folded in) for one-vs-one."""
+    """Scores (rows x t): the decision values of each binary or
+    one-vs-all model, one row per model; for one-vs-one, per-class vote
+    counts with summed-decision tie info folded in."""
     cols = np.asarray(kernel_columns, dtype=float)
     if cols.ndim == 1:
         cols = cols[:, None]
-    if model.mode == "one-vs-all":
+    if model.mode != "one-vs-one":
         return np.stack([svm_decision(mdl, cols) for mdl in model.models])
     votes = np.zeros((len(model.classes), cols.shape[1]))
     sums = np.zeros_like(votes)
@@ -750,8 +763,11 @@ def multiclass_svm_decision(model: MulticlassSvmModel, kernel_columns) -> np.nda
 
 
 def multiclass_svm_predict(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
-    """Predicted class ids; ties go to the lowest class id."""
+    """Predicted class ids; a binary decision of 0 goes to the larger
+    class, and other ties to the lowest class id."""
     scores = multiclass_svm_decision(model, kernel_columns)
+    if model.mode == "binary":
+        return model.classes[(scores[0] >= 0).astype(int)]
     return model.classes[np.argmax(scores, axis=0)]
 
 

@@ -4,8 +4,9 @@ The package computes every distance through the metric registry of
 ``manikernels.kernels`` and audits Gram matrices with one ``eigvalsh``;
 the functions here restate the definitions directly (a pairwise SPD
 distance per metric, Karcher means, the PSD and CND tests, linear
-Grams, Gram readers, an inverse square root, the per-problem CV grid
-search, the per-gamma definiteness search, the per-entry CSV writer)
+Grams, Gram readers, an inverse square root, the +-1 prediction of one
+binary SVM, the per-problem CV grid search, the per-gamma definiteness
+search, the per-entry CSV writer)
 so the tests can check the package against them, and keeps a few input
 fixtures and the out-of-sample Fisher projection.
 """
@@ -44,7 +45,7 @@ from manikernels.learn import (
     multiclass_svm_predict,
     multiclass_svm_train,
     principal_gram,
-    svm_predict,
+    svm_decision,
     svm_train,
 )
 from manikernels.matrixops import (
@@ -429,11 +430,18 @@ def definiteness_search_per_gamma(
 # Cross-validated grid search, one SMO solve per problem
 # ---------------------------------------------------------------------------
 
-def cv_select_per_problem(d2, labels, spec, args):
+def svm_predict(model, kernel_columns) -> np.ndarray:
+    """Class labels in {-1, +1} of one binary SVM; ties at 0 go positive."""
+    return np.where(svm_decision(model, kernel_columns) >= 0, 1, -1)
+
+
+def cv_select_per_problem(d2, labels, spec, mode, args):
     """``cli._cv_select`` as one ``svm_train`` (or ``multiclass_svm_train``)
     call per fold and C on the fold's principal Gram, the loop the batched
-    solve replaced; it must pick the same (gram, C)."""
-    from manikernels.cli import _binary_labels, _cv_folds, _grid
+    solve replaced; it must pick the same (gram, C). The reduction follows
+    from the labels as the CLI documents it, not from ``mode``: two classes
+    are one +-1 problem, the larger class +1, and more take ``--mode``."""
+    from manikernels.cli import _cv_folds, _grid
 
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
@@ -441,7 +449,7 @@ def cv_select_per_problem(d2, labels, spec, args):
     cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
     labels = np.asarray(labels)
     binary = len(np.unique(labels)) == 2
-    y = _binary_labels(labels) if binary else labels
+    y = np.where(labels == labels.max(), 1, -1) if binary else labels
     folds = _cv_folds(len(labels), args.cv, args.seed)
     best = None
     for gamma in gammas:

@@ -168,7 +168,8 @@ def test_kfda_one_class_is_a_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_svm_train_predict_round_trip(tmp_path):
+@pytest.mark.parametrize("classes", [(0, 1), (3, 7), (-1, 1)], ids=["0-1", "3-7", "-1-1"])
+def test_svm_train_predict_round_trip(tmp_path, classes):
     train = tmp_path / "train.json"
     test = tmp_path / "test.json"
     model = tmp_path / "model.json"
@@ -176,8 +177,9 @@ def test_svm_train_predict_round_trip(tmp_path):
     full = tmp_path / "full.json"
     make_blobs_file(full, seed=5)
     ds = load_dataset(full)
-    save_dataset(train, "spd", ds["items"][::2], labels=ds["labels"][::2])
-    save_dataset(test, "spd", ds["items"][1::2], labels=ds["labels"][1::2])
+    labels = np.array(classes)[ds["labels"]]
+    save_dataset(train, "spd", ds["items"][::2], labels=labels[::2])
+    save_dataset(test, "spd", ds["items"][1::2], labels=labels[1::2])
     run_ok(
         [
             "svm-train",
@@ -189,25 +191,29 @@ def test_svm_train_predict_round_trip(tmp_path):
         ]
     )
     payload = json.loads(model.read_text())
-    assert payload["type"] == "svm"
+    assert payload["type"] == "svm" and payload["classes"] == list(classes)
     n_iter = payload["model"]["n_iter"]
     assert isinstance(n_iter, int) and n_iter >= 1
-    assert _model_from_payload(payload)[1].n_iter == n_iter
+    assert _model_from_payload(payload)[1].models[0].n_iter == n_iter
     del payload["model"]["n_iter"]  # files written before the counter was saved
-    assert _model_from_payload(payload)[1].n_iter == 0
-    run_ok(
-        [
-            "svm-predict",
-            "--model", str(model),
-            "--train", str(train),
-            "--test", str(test),
-            "--out", str(preds),
-        ]
-    )
+    assert _model_from_payload(payload)[1].models[0].n_iter == 0
+    predict = ["svm-predict", "--model", str(model), "--train", str(train), "--test", str(test),
+               "--out", str(preds)]
+    run_ok(predict)
     rows = load_matrix_csv(preds)
     truth = load_dataset(test)["labels"]
     pred = rows[:, 2].astype(int)
     np.testing.assert_array_equal(pred, truth)
+    np.testing.assert_array_equal(np.sign(rows[:, 1]), np.where(truth == classes[1], 1.0, -1.0))
+    # a decision of exactly 0 goes to the larger class
+    payload = json.loads(model.read_text())
+    payload["model"]["dual_coefs"] = [0.0] * len(payload["model"]["dual_coefs"])
+    payload["model"]["bias"] = 0.0
+    model.write_text(json.dumps(payload))  # train_sha256 kept
+    run_ok(predict)
+    rows = load_matrix_csv(preds)
+    np.testing.assert_array_equal(rows[:, 1], 0.0)
+    np.testing.assert_array_equal(rows[:, 2], max(classes))
 
 
 def test_svm_train_honours_manifold_override(tmp_path):
@@ -611,7 +617,7 @@ def test_gram_rejects_nan_spd_item_as_non_finite(tmp_path, capsys):
     assert "NaN or infinite" in err and "eigenvalue" not in err
 
 
-def test_svm_predict_rejects_other_training_set(tmp_path):
+def test_svm_predict_rejects_other_training_set(tmp_path, capsys):
     datasets = []
     for seed in (0, 1):
         path = tmp_path / f"blobs{seed}.json"
@@ -628,6 +634,18 @@ def test_svm_predict_rejects_other_training_set(tmp_path):
     predict = ["svm-predict", "--model", str(model), "--test", datasets[0], "--out", str(preds)]
     run_ok(predict + ["--train", datasets[0]])
     assert run(predict + ["--train", datasets[1]]) == 2
+    # a test set of other points, or of another kind, names both datasets
+    other = tmp_path / "other.json"
+    preds.unlink()
+    for synth in (["--kind", "spd-blobs", "--dim", "4"],
+                  ["--kind", "grassmann-clusters", "--dim", "5", "--subspace-dim", "2"]):
+        run_ok(["synth", *synth, "--clusters", "2", "--per-cluster", "3", "--out", str(other)])
+        capsys.readouterr()
+        assert run(["svm-predict", "--model", str(model), "--train", datasets[0], "--test", str(other),
+                    "--out", str(preds)]) == 2
+        err = capsys.readouterr().err
+        assert f"--train {datasets[0]}" in err and f"--test {other}" in err, err
+        assert not preds.exists()
     payload = json.loads(model.read_text())
     del payload["train_sha256"]
     model.write_text(json.dumps(payload))
@@ -894,24 +912,27 @@ def test_svm_model_files_decode_to_the_trained_models(tmp_path, monkeypatch, clu
         ]
     )
     trained = []
-    for name in ("svm_train", "multiclass_svm_train"):
-        def record(*args, train=getattr(cli, name), **kwargs):
-            trained.append(train(*args, **kwargs))
-            return trained[-1]
 
-        monkeypatch.setattr(cli, name, record)
+    def record(*args, train=cli.multiclass_svm_train, **kwargs):
+        trained.append(train(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "multiclass_svm_train", record)
     run_ok(
         ["svm-train", "--input", str(data), "--C", "10", "--mode", mode, "--out", str(model_file)]
     )
     text = model_file.read_text()
     payload = json.loads(text)
-    spec, model, _ = _model_from_payload(payload)
+    spec, model = _model_from_payload(payload)
+    assert len(trained) == 1
     _assert_same(model, trained[0])
     assert spec == KernelSpec("spd", "log-euclidean", 1.0)
     assert set(payload["spec"]) == {f.name for f in fields(KernelSpec)}
     if clusters == 2:
+        # the label count picks the reduction, and --mode is not written
+        assert model.mode == "binary" and "mode" not in payload
         raw_models = [payload["model"]]
-        rewritten = {**payload, "spec": spec, "model": model}
+        rewritten = {**payload, "spec": spec, "model": model.models[0]}
     else:
         raw_models = payload["models"]
         decoded = {k: v for k, v in vars(model).items() if v is not None}

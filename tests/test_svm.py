@@ -26,7 +26,6 @@ from manikernels.learn import (
     principal_gram,
     svm_decision,
     svm_objectives,
-    svm_predict,
     svm_train,
     svm_train_batch,
 )
@@ -105,7 +104,7 @@ def test_separable_data_zero_training_error():
     pts, y = separable_problem(rng, 30)
     gram = gram_matrix(gauss_spec(0.5), pts)
     model = svm_train(gram, y, C=1e3)
-    pred = svm_predict(model, gram.entries)
+    pred = oracles.svm_predict(model, gram.entries)
     np.testing.assert_array_equal(pred, y)
 
 
@@ -141,7 +140,7 @@ def test_held_out_sign_agreement():
     gram = gram_matrix(spec, pts)
     model = svm_train(gram, y, C=10.0)
     test_pts, test_y = separable_problem(np.random.default_rng(6), 40)
-    pred = svm_predict(model, cross_gram(spec, pts, test_pts))
+    pred = oracles.svm_predict(model, cross_gram(spec, pts, test_pts))
     np.testing.assert_array_equal(pred, test_y)
 
 
@@ -356,6 +355,24 @@ def test_multiclass_two_classes_matches_binary():
     pred_multi = multiclass_svm_predict(multi, gram.entries)
     pred_binary = np.where(svm_decision(binary, gram.entries) >= 0, 1, 0)
     np.testing.assert_array_equal(pred_multi, pred_binary)
+
+
+def test_binary_reduction_is_svm_train_on_the_plus_minus_one_coding():
+    points, labels = spd_cluster_problem(np.random.default_rng(8), 2, 6, spread=1.5)
+    labels = np.array([7, 3])[labels]
+    gram = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points)
+    model = multiclass_svm_train(gram, labels, C=10.0, mode="binary")
+    assert model.classes.tolist() == [3, 7] and len(model.models) == 1
+    assert_bitwise(model.models[0], svm_train(gram, np.where(labels == 7, 1.0, -1.0), C=10.0))
+    # a decision of 0 or above is the larger class
+    dec = svm_decision(model.models[0], gram.entries)
+    np.testing.assert_array_equal(multiclass_svm_predict(model, gram.entries), np.where(dec >= 0, 7, 3))
+    with pytest.raises(BadParamError, match="exactly two label values"):
+        multiclass_svm_train(gram, np.arange(len(labels)) % 3, C=10.0, mode="binary")
+    # a binary model is two distinct classes and one SVM
+    for classes, n_models in [([3, 7, 9], 1), ([3, 3], 1), ([3, 7], 2)]:
+        with pytest.raises(BadParamError):
+            MulticlassSvmModel("binary", np.array(classes), model.models * n_models)
 
 
 @pytest.mark.parametrize("mode", ["one-vs-all", "one-vs-one"])
