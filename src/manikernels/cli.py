@@ -137,6 +137,13 @@ def _grid(text: str, name: str) -> list[float]:
     return vals
 
 
+def _seed(text: str) -> int:
+    """The value of a ``--seed`` flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _spec_for(args, manifold: str) -> KernelSpec:
     """Kernel spec from the kernel flags; ``--manifold``, where the
     subcommand has it, overrides the manifold of the dataset kind."""
@@ -518,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=40, help="points per trial")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_definiteness)
 
@@ -534,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cluster)
 
@@ -563,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid-search gamma/C with this many seeded folds")
     p.add_argument("--gamma-grid", default=None, help="gamma candidates for --cv")
     p.add_argument("--c-grid", default=None, help="C candidates for --cv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_svm_train)
 
@@ -611,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace-dim", type=int, default=2)
     p.add_argument("--center-scale", type=float, default=1.0)
     p.add_argument("--noise-scale", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

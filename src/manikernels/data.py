@@ -80,11 +80,21 @@ def stack_items(items) -> np.ndarray:
     return stack
 
 
+def _require_finite_items(items: np.ndarray, path) -> None:
+    """Raises NonFiniteError, naming the first item and the dataset file
+    ``path``, unless every value of the stack ``items`` is finite."""
+    finite = np.isfinite(items).reshape(len(items), -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"item {np.argmin(finite)} in {path} holds NaN or infinite values")
+
+
 def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = None) -> None:
-    """Write a stack of same-shape items (plus optional integer labels)."""
+    """Write a stack of same-shape items (plus optional integer labels);
+    NaN or infinite values are rejected before the file is opened."""
     if kind not in DATASET_KINDS:
         raise BadParamError(f"unknown dataset kind {kind!r}")
     stack = stack_items(items)
+    _require_finite_items(stack, path)
     payload = {"kind": kind, "count": len(stack), "shape": stack.shape[1:], "items": stack}
     if labels is not None:
         labels = np.asarray(labels, dtype=int)
@@ -118,9 +128,7 @@ def load_dataset(path) -> dict:
             raise EmptySetError(f"{path} holds no items")
         if items.shape[1:] != shape:
             raise BadShapeError(f"{path}: item shape {items.shape[1:]}, metadata {shape}")
-        finite = np.isfinite(items).reshape(len(items), -1).all(axis=1)
-        if not finite.all():
-            raise NonFiniteError(f"item {np.argmin(finite)} in {path} holds NaN or infinite values")
+        _require_finite_items(items, path)
         labels = payload.get("labels")
         if labels is not None:
             labels = np.asarray(labels, dtype=int)

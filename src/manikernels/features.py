@@ -118,6 +118,8 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
     from one pair of integral images by four-corner sums. The result is
     not checked against the SPD floor: the code that decomposes it is.
     """
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise BadParamError(f"epsilon must be positive and finite, got {epsilon}")
     c, height, width = np.shape(maps)
     rects = np.asarray(rects)
     if rects.ndim not in (1, 2) or rects.shape[-1] != 4:
@@ -132,8 +134,6 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
     n = w * h
     if np.any(n < c + 1):
         raise TooFewPixelsError(f"rect area {np.min(n)} below {c + 1} for {c} channels")
-    if epsilon is not None and epsilon <= 0:
-        raise BadParamError(f"epsilon must be positive, got {epsilon}")
     s1, s2 = integral_images(maps)
     ya, yb, xa, xb = y0, y0 + h, x0, x0 + w
     sums = (s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]).T

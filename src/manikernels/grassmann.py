@@ -3,14 +3,16 @@
 Points are n x r matrices with orthonormal columns; every function here
 depends on the column span only. Metrics are defined through the
 principal angles theta_i between two subspaces, the arccosines of the
-singular values of Y1^T Y2:
+singular values of Y1^T Y2, and each has one distance function here,
+from one basis to one basis or to each of a stack:
 
 * ``projection``     (sum_i sin^2 theta_i)^{1/2}
-                     = 2^{-1/2} ||Y1 Y1^T - Y2 Y2^T||_F
-* ``arc-length``     (sum_i theta_i^2)^{1/2}
-* ``fubini-study``   arccos(prod_i cos theta_i)
-* ``chordal-2norm``  2 max_i sin(theta_i / 2)
-* ``chordal-fnorm``  2 (sum_i sin^2(theta_i / 2))^{1/2}
+                     = 2^{-1/2} ||Y1 Y1^T - Y2 Y2^T||_F, squared by
+                     :func:`projection_dist_sq_fast` without the angles
+* ``arc-length``     (sum_i theta_i^2)^{1/2}, :func:`arc_length`
+* ``fubini-study``   arccos(prod_i cos theta_i), :func:`fubini_study`
+* ``chordal-2norm``  2 max_i sin(theta_i / 2), :func:`chordal_2norm`
+* ``chordal-fnorm``  2 (sum_i sin^2(theta_i / 2))^{1/2}, :func:`chordal_fnorm`
 """
 
 from __future__ import annotations
@@ -23,16 +25,8 @@ from .errors import (
     NoConvergenceError,
     NumericalError,
     RankDeficientError,
-    UnsupportedMetricError,
 )
-
-GRASSMANN_METRICS = (
-    "projection",
-    "arc-length",
-    "fubini-study",
-    "chordal-2norm",
-    "chordal-fnorm",
-)
+from .matrixops import _fix_column_signs
 
 # Singular values of Y1^T Y2 may exceed 1 by roundoff; anything beyond this
 # width is a genuine numerical problem.
@@ -96,24 +90,24 @@ def principal_angles(y1, y2) -> np.ndarray:
     return np.arccos(s)
 
 
-def grassmann_distance(metric: str, y1, y2):
-    """Distance between two subspaces under the selected metric.
+def arc_length(y1, y2):
+    """Arc-length distance from ``y1`` to one basis or each of a stack."""
+    return np.sqrt(np.sum(principal_angles(y1, y2) ** 2, axis=-1))
 
-    ``y2`` is one basis or a stack of them; a stack gives one distance each.
-    """
-    if metric not in GRASSMANN_METRICS:
-        raise UnsupportedMetricError(f"unknown Grassmann metric {metric!r}")
-    theta = principal_angles(y1, y2)
-    if metric == "projection":
-        return np.sqrt(np.sum(np.sin(theta) ** 2, axis=-1))
-    if metric == "arc-length":
-        return np.sqrt(np.sum(theta**2, axis=-1))
-    if metric == "fubini-study":
-        return np.arccos(np.clip(np.prod(np.cos(theta), axis=-1), 0.0, 1.0))
-    if metric == "chordal-2norm":
-        return 2.0 * np.max(np.sin(theta / 2.0), axis=-1)
-    # chordal-fnorm
-    return 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
+
+def fubini_study(y1, y2):
+    """Fubini-Study distance from ``y1`` to one basis or each of a stack."""
+    return np.arccos(np.clip(np.prod(np.cos(principal_angles(y1, y2)), axis=-1), 0.0, 1.0))
+
+
+def chordal_2norm(y1, y2):
+    """Chordal 2-norm distance from ``y1`` to one basis or each of a stack."""
+    return 2.0 * np.max(np.sin(principal_angles(y1, y2) / 2.0), axis=-1)
+
+
+def chordal_fnorm(y1, y2):
+    """Chordal Frobenius distance from ``y1`` to one basis or each of a stack."""
+    return 2.0 * np.sqrt(np.sum(np.sin(principal_angles(y1, y2) / 2.0) ** 2, axis=-1))
 
 
 def projection_dist_sq_fast(y1, y2):
@@ -148,8 +142,5 @@ def subspace_from_vectors(f, r: int) -> np.ndarray:
     if s[0] == 0.0 or s[r - 1] <= max(n, p) * np.finfo(float).eps * s[0]:
         raise RankDeficientError(f"rank below {r} (sv_{r} = {s[r - 1]:.3e})")
     basis = u[:, :r].copy()
-    for c in range(r):
-        j = int(np.argmax(np.abs(basis[:, c])))
-        if basis[j, c] < 0:
-            basis[:, c] = -basis[:, c]
+    _fix_column_signs(basis)
     return basis

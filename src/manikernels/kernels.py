@@ -28,7 +28,6 @@ indefiniteness witnesses, and writes Gram matrices to CSV and JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .errors import (
     BadParamError,
     BadShapeError,
     DimMismatchError,
+    NumericalError,
     UnsupportedMetricError,
 )
 from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
@@ -75,11 +75,11 @@ def _flat(stack) -> np.ndarray:
 def _power_features(points, alpha):
     if alpha == 0:
         raise BadParamError("alpha must be nonzero")
-    return _flat(spd_power(points, alpha)), 1.0 / alpha**2
-
-
-def _grassmann_sq(metric, x, ys):
-    return gr.grassmann_distance(metric, x, ys) ** 2
+    # numpy gives inf where Python floats raise on an overflowing square
+    # or a division by 0.0; the drivers reject a non-finite scale
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = 1.0 / np.float64(alpha) ** 2
+    return _flat(spd_power(points, alpha)), float(scale)
 
 
 #: The metric registry: (manifold, metric) -> ("embed", points, alpha ->
@@ -101,10 +101,10 @@ METRICS = {
         lambda pts: sp.log_det_spd(pts),
     ),
     ("grassmann", "projection"): ("row", lambda x, ys: gr.projection_dist_sq_fast(x, ys)),
-    **{
-        ("grassmann", metric): ("row", partial(_grassmann_sq, metric))
-        for metric in ("arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm")
-    },
+    ("grassmann", "arc-length"): ("row", lambda x, ys: gr.arc_length(x, ys) ** 2),
+    ("grassmann", "fubini-study"): ("row", lambda x, ys: gr.fubini_study(x, ys) ** 2),
+    ("grassmann", "chordal-2norm"): ("row", lambda x, ys: gr.chordal_2norm(x, ys) ** 2),
+    ("grassmann", "chordal-fnorm"): ("row", lambda x, ys: gr.chordal_fnorm(x, ys) ** 2),
 }
 
 
@@ -162,6 +162,15 @@ def _row_args(manifold: str, terms, pts: np.ndarray) -> list:
     return [pts, *(term(pts) for term in terms)]
 
 
+def _scaled(d2: np.ndarray, scale: float) -> np.ndarray:
+    """``d2 * scale`` of an embedding, unless the scale or a squared
+    distance is not finite (features that overflowed)."""
+    d2 = d2 * scale
+    if not (np.isfinite(scale) and np.isfinite(d2).all()):
+        raise NumericalError(f"embedding gives non-finite squared distances (scale {scale!r})")
+    return d2
+
+
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """||fx_i - fy_j||^2 from inner products, clamped at 0."""
     sq_x = np.einsum("ij,ij->i", fx, fx)
@@ -179,8 +188,9 @@ def squared_distance_matrix(
 ) -> np.ndarray:
     """Symmetric matrix of pairwise squared distances with exact-zero diagonal.
 
-    An embedding maps every point once and takes all pairs in one pass. A
-    row function fills the upper triangle one row at a time, each point
+    An embedding maps every point once and takes all pairs in one pass;
+    a non-finite scale or squared distance raises NumericalError. A row
+    function fills the upper triangle one row at a time, each point
     against the stack of later points, and the triangle is mirrored.
     """
     kind, fn, *terms = _lookup(manifold, metric)
@@ -190,7 +200,7 @@ def squared_distance_matrix(
         d2 = _feature_sq_distances(feats, feats)
         d2 = (d2 + d2.T) / 2.0
         np.fill_diagonal(d2, 0.0)
-        return d2 * scale
+        return _scaled(d2, scale)
     args = _row_args(manifold, terms, pts)
     m = len(pts)
     d2 = np.zeros((m, m))
@@ -215,7 +225,7 @@ def cross_squared_distances(
     if kind == "embed":
         fx, scale = fn(xs, alpha)
         fy, _ = fn(ys, alpha)
-        return _feature_sq_distances(fx, fy) * scale
+        return _scaled(_feature_sq_distances(fx, fy), scale)
     x_args, y_args = _row_args(manifold, terms, xs), _row_args(manifold, terms, ys)
     return np.stack([fn(*(a[i] for a in x_args), *y_args) for i in range(len(xs))])
 
@@ -335,12 +345,12 @@ def definiteness_search(
     eigenvalue could lower the running minimum or be a witness.
     Deterministic given (seed, grid, m, trials): trial t uses the stream
     seeded by (seed, t) and trials are scanned in index order. The sizes,
-    the grid and the metric are checked before any point is drawn.
+    and the kernel of each gamma as a :class:`KernelSpec`, are checked
+    before any point is drawn.
     """
-    _lookup(manifold, metric)
-    grid = [float(g) for g in gamma_grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise BadParamError("gamma grid must be non-empty with positive entries")
+    grid = [KernelSpec(manifold, metric, float(g), alpha).gamma for g in gamma_grid]
+    if not grid:
+        raise BadParamError("gamma grid must be non-empty")
     if m < 3:
         raise BadParamError(f"need at least 3 points per trial, got {m}")
     if trials < 1:

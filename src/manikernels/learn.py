@@ -25,7 +25,7 @@ from .errors import (
     SingularScatterError,
 )
 from .kernels import GramMatrix
-from .matrixops import require_symmetric
+from .matrixops import _fix_column_signs, require_symmetric
 
 #: Default KKT tolerance for the SMO solver.
 KKT_TOL = 1e-3
@@ -74,6 +74,13 @@ def _require_c(C) -> None:
     bad = c[~((c > 0) & (c < np.inf))]
     if bad.size:
         raise BadParamError(f"C must be positive and finite, got {bad[0]}")
+
+
+def _require_non_negative(name: str, value) -> None:
+    """Raises BadParamError unless ``value`` is finite and >= 0; NaN fails
+    the comparison, as in :func:`_require_c`."""
+    if not 0 <= value < np.inf:
+        raise BadParamError(f"{name} must be finite and non-negative, got {value}")
 
 
 def principal_gram(gram, idx) -> GramMatrix:
@@ -255,17 +262,6 @@ class Embedding:
     weights: np.ndarray | None = None  # (m, l) out-of-sample projection coefficients
 
 
-def _fix_column_signs(*mats):
-    """Flip columns (jointly across mats) so the largest-|entry| of the first
-    matrix's column is positive; deterministic tie-break via argmax."""
-    lead = mats[0]
-    for c in range(lead.shape[1]):
-        j = int(np.argmax(np.abs(lead[:, c])))
-        if lead[j, c] < 0:
-            for mat in mats:
-                mat[:, c] = -mat[:, c]
-
-
 def kernel_pca(k, n_components: int) -> Embedding:
     """Principal directions of the kernel-induced feature cloud.
 
@@ -305,6 +301,8 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     SingularScatterError. Returns the training projections plus the
     coefficient matrix that projects kernel columns of other points.
     """
+    if ridge is not None:
+        _require_non_negative("ridge", ridge)
     k = as_gram(k).entries
     m = k.shape[0]
     labels = np.asarray(labels)
@@ -336,8 +334,6 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
             # zero within-scatter (duplicated points per class) still needs
             # a strictly positive regularizer to pose the eigenproblem
             ridge = 1e-8 * float(np.trace(k)) / m
-    if ridge < 0:
-        raise BadParamError(f"ridge must be non-negative, got {ridge}")
     # B a = w N a by Cholesky whitening: with N = L L^T, the eigenvectors
     # v of L^-1 B L^-T give a = L^-T v, normalized so that a^T N a = I
     try:
@@ -436,6 +432,7 @@ def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
     if len(np.unique(y)) < 2:
         raise OneClassError("training labels contain a single class")
     _require_c(C)
+    _require_non_negative("kkt_tol", kkt_tol)
     _require_psd(gram)
 
     # scalars live in lists: numpy scalar arithmetic would dominate the loop
@@ -521,6 +518,7 @@ def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
     if not ((Y > 0).any(axis=1) & (Y < 0).any(axis=1)).all():
         raise OneClassError("training labels contain a single class")
     _require_c(C)
+    _require_non_negative("kkt_tol", kkt_tol)
     if not len(Y):
         return []
     masks = Y != 0
@@ -659,13 +657,13 @@ class MulticlassSvmModel:
         # a model read back from a file predicts only once its parts agree
         n = len(self.classes)
         distinct = len(np.unique(self.classes)) == n
+        got = np.asarray(self.classes).tolist()
         if self.mode not in _SVM_MODES:
             raise BadParamError(f"unknown multiclass mode {self.mode!r}")
         if self.mode == "binary" and not (n == 2 and distinct):
-            got = np.asarray(self.classes).tolist()
             raise BadParamError(f"a binary model needs 2 distinct classes, got {got}")
         if n < 2 or not distinct:
-            raise BadParamError(f"need at least 2 distinct classes, got {list(self.classes)}")
+            raise BadParamError(f"need at least 2 distinct classes, got {got}")
         if self.mode != "one-vs-one":
             n_models = 1 if self.mode == "binary" else n
             if len(self.models) != n_models:
@@ -809,6 +807,8 @@ def mkl_train(
     eigenvalue of K(lambda) from below, so the inner solves run neither
     check nor eigenvalue audit.
     """
+    _require_non_negative("max_outer_iter", max_outer_iter)
+    _require_non_negative("tol", tol)
     grams = [as_gram(k) for k in kernels]
     if not grams:
         raise BadParamError("need at least one kernel")

@@ -3,8 +3,9 @@
 Everything here is a thin, contract-checked layer over LAPACK (via
 ``numpy.linalg``): the symmetry check, the relative SPD eigenvalue
 floor, SPD matrix functions (log, exp, fractional power) computed
-through the eigendecomposition, and Cholesky with the positive-diagonal
-convention.
+through the eigendecomposition, Cholesky with the positive-diagonal
+convention, and the sign convention of eigen- and singular-vector
+columns.
 
 The symmetric-matrix functions take one ``(d, d)`` matrix or an
 ``(..., d, d)`` stack of them and act on each matrix of a stack alone;
@@ -110,6 +111,18 @@ def spd_power(s, alpha: float) -> np.ndarray:
     if alpha == 0:
         raise ZeroExponentError("matrix power with exponent 0 is not defined here")
     return _spectral(s, lambda w: w**alpha, _above_floor)
+
+
+def _fix_column_signs(*mats):
+    """Flip columns in place, jointly across ``mats``, so that the
+    largest-magnitude entry of each column of the first is positive; a
+    tie goes to the first index (``argmax``)."""
+    lead = mats[0]
+    for c in range(lead.shape[1]):
+        j = int(np.argmax(np.abs(lead[:, c])))
+        if lead[j, c] < 0:
+            for mat in mats:
+                mat[:, c] = -mat[:, c]
 
 
 def cholesky_lower(s) -> np.ndarray:

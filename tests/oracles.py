@@ -3,12 +3,14 @@
 The package computes every distance through the metric registry of
 ``manikernels.kernels`` and audits Gram matrices with one ``eigvalsh``;
 the functions here restate the definitions directly (a pairwise SPD
-distance per metric, Karcher means, the PSD and CND tests, linear
-Grams, Gram readers, an inverse square root, the +-1 prediction of one
-binary SVM, the per-problem CV grid search, the per-gamma definiteness
-search, the per-entry CSV writer)
-so the tests can check the package against them, and keeps a few input
-fixtures and the out-of-sample Fisher projection.
+distance per metric, a Grassmann distance per metric with the
+projection distance from the principal angles, Karcher means, the PSD
+and CND tests, linear Grams, Gram readers, an inverse square root, the
++-1 prediction of one binary SVM, the per-problem CV grid search, the
+per-gamma definiteness search, the per-entry CSV writer) so the tests
+can check the package against them, and keeps a few input fixtures (a
+dataset writer without the finiteness check among them) and the
+out-of-sample Fisher projection.
 """
 
 from __future__ import annotations
@@ -26,8 +28,15 @@ from manikernels.errors import (
     NotSpdError,
     UnsupportedMetricError,
 )
-from manikernels.data import stack_items
-from manikernels.grassmann import make_grassmann
+from manikernels.data import save_json, stack_items
+from manikernels.grassmann import (
+    arc_length,
+    chordal_2norm,
+    chordal_fnorm,
+    fubini_study,
+    make_grassmann,
+    principal_angles,
+)
 from manikernels.kernels import (
     WITNESS_TOL_FACTOR,
     DefinitenessReport,
@@ -131,6 +140,32 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
         return frob(spd_power(s1, alpha) - spd_power(s2, alpha)) / abs(alpha)
     # root-stein
     return np.sqrt(stein_divergence_sq(s1, log_det_spd(s1), s2, log_det_spd(s2)))
+
+
+GRASSMANN_METRICS = (
+    "projection",
+    "arc-length",
+    "fubini-study",
+    "chordal-2norm",
+    "chordal-fnorm",
+)
+
+
+def grassmann_distance(metric: str, y1, y2):
+    """Distance from ``y1`` to one subspace ``y2``, or to each of a stack,
+    under the selected metric; the projection distance is taken from the
+    principal angles, (sum_i sin^2 theta_i)^{1/2}."""
+    if metric not in GRASSMANN_METRICS:
+        raise UnsupportedMetricError(f"unknown Grassmann metric {metric!r}")
+    if metric == "projection":
+        return np.sqrt(np.sum(np.sin(principal_angles(y1, y2)) ** 2, axis=-1))
+    distance = {
+        "arc-length": arc_length,
+        "fubini-study": fubini_study,
+        "chordal-2norm": chordal_2norm,
+        "chordal-fnorm": chordal_fnorm,
+    }[metric]
+    return distance(y1, y2)
 
 
 def karcher_mean_log_euclidean(points) -> np.ndarray:
@@ -316,7 +351,8 @@ def gram_from_json(path) -> GramMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fixtures: a subspace sample, a planar two-class set and a PGM writer
+# Fixtures: a subspace sample, a planar two-class set, an unchecked
+# dataset writer and a PGM writer
 # ---------------------------------------------------------------------------
 
 def sample_grassmann(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -340,6 +376,13 @@ def synth_two_rings(
             points.append(np.array([r * np.cos(t), r * np.sin(t)]))
             labels.append(c)
     return points, np.array(labels, dtype=int)
+
+
+def save_dataset_unchecked(path, kind, items) -> None:
+    """A dataset file as ``data.save_dataset`` writes it, without its
+    finiteness check, so a test can write NaN and Infinity tokens."""
+    stack = np.asarray(items, dtype=float)
+    save_json(path, {"kind": kind, "count": len(stack), "shape": stack.shape[1:], "items": stack})
 
 
 def save_matrix_csv_per_entry(path, matrix, header_lines=()) -> None:

@@ -13,7 +13,7 @@ from manikernels.kernels import DefinitenessReport, KernelSpec
 from manikernels.learn import MulticlassSvmModel, SvmModel
 from manikernels.spd import make_spd
 
-from oracles import gram_from_csv, gram_from_json, write_pgm
+from oracles import gram_from_csv, gram_from_json, save_dataset_unchecked, write_pgm
 
 
 def run_ok(argv):
@@ -604,14 +604,14 @@ def test_reproducibility_byte_identical(tmp_path):
 def test_gram_rejects_non_finite_vectors(tmp_path):
     data = tmp_path / "vectors.json"
     out = tmp_path / "g.csv"
-    save_dataset(data, "vectors", [np.zeros(2), np.array([np.inf, 1.0])])
+    save_dataset_unchecked(data, "vectors", [np.zeros(2), np.array([np.inf, 1.0])])
     assert run(["gram", "--input", str(data), "--out", str(out)]) == 2
     assert not out.exists()
 
 
 def test_gram_rejects_nan_spd_item_as_non_finite(tmp_path, capsys):
     data = tmp_path / "spd.json"
-    save_dataset(data, "spd", [np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])])
+    save_dataset_unchecked(data, "spd", [np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])])
     assert run(["gram", "--input", str(data), "--out", str(tmp_path / "g.csv")]) == 2
     err = capsys.readouterr().err
     assert "NaN or infinite" in err and "eigenvalue" not in err
@@ -729,6 +729,58 @@ def test_non_finite_c_and_grid_values_exit_1(tmp_path):
         assert not out.exists()
 
 
+BAD_NUMERIC_VALUES = [
+    (1, ["svm-train", "--kkt-tol", "nan"], ["kkt_tol", "nan"]),
+    (1, ["svm-train", "--kkt-tol", "-1"], ["kkt_tol", "-1.0"]),
+    (1, ["svm-train", "--cv", "2", "--kkt-tol", "nan"], ["kkt_tol", "nan"]),
+    (1, ["kfda", "--ridge", "nan"], ["ridge", "nan"]),
+    (1, ["kfda", "--ridge", "inf"], ["ridge", "inf"]),
+    (1, ["mkl-train", "--tol", "nan"], ["tol", "nan"]),
+    (1, ["mkl-train", "--max-outer", "-3"], ["max_outer_iter", "-3"]),
+    (1, ["covdesc", "--epsilon", "nan"], ["epsilon", "nan"]),
+    (1, ["covdesc", "--epsilon", "inf"], ["epsilon", "inf"]),
+    (1, ["definiteness", "--metric", "power-euclidean", "--alpha", "nan"], ["alpha", "nan"]),
+    (1, ["definiteness", "--metric", "log-euclidean", "--alpha", "0"], ["alpha", "0.0"]),
+    (1, ["definiteness", "--metric", "log-euclidean", "--seed", "-1"], ["seed", "-1"]),
+    (1, ["cluster", "--k", "2", "--seed", "-1"], ["seed", "-1"]),
+    (1, ["svm-train", "--cv", "2", "--seed", "-1"], ["seed", "-1"]),
+    (1, ["synth", "--kind", "spd-blobs", "--seed", "-1"], ["seed", "-1"]),
+    (3, ["gram", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
+    (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e200"], ["non-finite"]),
+    (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e-200"], ["scale inf"]),
+    (3, ["cluster", "--k", "2", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
+    (3, ["definiteness", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
+    (2, ["synth", "--kind", "spd-blobs", "--center-scale", "1e300"], ["item 0", "NaN or infinite"]),
+    (2, ["synth", "--kind", "grassmann-clusters", "--dim", "4", "--noise-scale", "inf"],
+     ["item 0", "NaN or infinite"]),
+]
+
+
+@pytest.mark.parametrize(
+    "code, argv, words", BAD_NUMERIC_VALUES, ids=["_".join(argv) for _, argv, _ in BAD_NUMERIC_VALUES]
+)
+def test_bad_numeric_values_exit_without_traceback_or_output(tmp_path, capsys, code, argv, words):
+    # the SMO ran to its cap, NaN reached an eigensolver, numpy rejected the
+    # seed, or the file was written with NaN or Infinity tokens
+    data = tmp_path / "blobs.json"
+    make_blobs_file(data)
+    write_pgm(tmp_path / "img.pgm", np.random.default_rng(1).uniform(0, 255, (16, 12)))
+    inputs = {
+        "definiteness": ["--manifold", "spd", "--m", "10", "--trials", "2"],
+        "covdesc": ["--inputs", str(tmp_path / "img.pgm")],
+        "mkl-train": ["--inputs", str(data)],
+        "synth": [],
+    }.get(argv[0], ["--input", str(data)])
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([*argv, *inputs, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err, err
+    assert not out.exists()
+
+
 def _assert_data_error(argv, path, words, capsys):
     capsys.readouterr()
     assert run(argv) == 2, argv
@@ -801,8 +853,9 @@ def test_out_of_range_file_values_exit_2_naming_the_file(tmp_path, capsys):
         (3, lambda p: p["pair_indices"][1].__setitem__(0, 999), ["pair index"]),
         (2, lambda p: p.update(classes=[5]), ["2 distinct classes"]),
         (2, lambda p: p["model"].update(support_indices=[99]), ["support indices"]),
+        (3, lambda p: p.update(classes=[0, 0, 1]), ["got [0, 0, 1]"]),
     ],
-    ids=["one-model-missing", "pair-index-999", "one-class", "support-index-99"],
+    ids=["one-model-missing", "pair-index-999", "one-class", "support-index-99", "repeated-class"],
 )
 def test_svm_predict_rejects_inconsistent_models_naming_the_file(
     tmp_path, capsys, clusters, breaks, words

@@ -26,7 +26,7 @@ from manikernels.errors import (
 from manikernels.grassmann import make_grassmann
 from manikernels.matrixops import spd_exp
 
-from oracles import save_matrix_csv_per_entry, synth_two_rings
+from oracles import save_dataset_unchecked, save_matrix_csv_per_entry, synth_two_rings
 
 
 def test_dataset_round_trip(tmp_path):
@@ -54,7 +54,7 @@ def test_dataset_validation(tmp_path):
 def test_load_dataset_rejects_non_finite_items(tmp_path):
     path = tmp_path / "ds.json"
     for bad in (np.inf, -np.inf, np.nan):
-        save_dataset(path, "vectors", [np.zeros(3), np.array([1.0, bad, 0.0])])
+        save_dataset_unchecked(path, "vectors", [np.zeros(3), np.array([1.0, bad, 0.0])])
         with pytest.raises(NonFiniteError):
             load_dataset(path)
 
@@ -64,9 +64,19 @@ def test_load_dataset_names_the_first_non_finite_item(tmp_path):
     items = np.ones((6, 2, 2))
     items[4, 1, 0] = np.nan
     items[2, 0, 1] = np.inf
-    save_dataset(path, "spd", items)
+    save_dataset_unchecked(path, "spd", items)
     with pytest.raises(NonFiniteError, match=r"^item 2 in "):
         load_dataset(path)
+
+
+def test_save_dataset_rejects_non_finite_items_before_opening_the_file(tmp_path):
+    path = tmp_path / "ds.json"
+    items = np.ones((6, 2, 2))
+    items[4, 1, 0] = np.nan
+    items[2, 0, 1] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^item 2 in .*ds\.json"):
+        save_dataset(path, "spd", items)
+    assert not path.exists()
 
 
 def test_load_dataset_returns_one_stack(tmp_path):

@@ -14,7 +14,7 @@ from manikernels.errors import (
     NumericalError,
     UnsupportedMetricError,
 )
-from manikernels.grassmann import grassmann_distance, projection_dist_sq_fast
+from manikernels.grassmann import projection_dist_sq_fast
 from manikernels.kernels import (
     METRICS,
     PD_FOR_ALL_GAMMA,
@@ -35,6 +35,7 @@ from oracles import (
     definiteness_search_per_gamma,
     gram_from_csv,
     gram_from_json,
+    grassmann_distance,
     median_heuristic_gamma,
     projection_linear_gram,
     psd_check,
@@ -299,6 +300,17 @@ def test_nan_spd_point_raises_under_every_metric(metric):
     assert_both_drivers_raise(NoConvergenceError, "spd", metric, good, bad)
 
 
+@pytest.mark.parametrize("alpha", [1000.0, 1e200, 1e-200])
+def test_embedding_drivers_reject_non_finite_squared_distances(alpha):
+    # 10^alpha overflows, and at 1e-200 so does the scale 1 / alpha^2; the
+    # drivers returned NaN entries, or raised OverflowError or ZeroDivisionError
+    points = [np.eye(3), np.diag([10.0, 1.0, 2.0]), sample_spd(np.random.default_rng(16), 3)]
+    with pytest.raises(NumericalError):
+        squared_distance_matrix("spd", "power-euclidean", points, alpha=alpha)
+    with pytest.raises(NumericalError):
+        cross_squared_distances("spd", "power-euclidean", points[:1], points[1:], alpha=alpha)
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("metric", ["projection", "arc-length", "fubini-study", "chordal-2norm", "chordal-fnorm"])
 def test_grassmann_drivers_reject_bases_that_are_not_orthonormal(metric, scale):
@@ -516,13 +528,24 @@ def test_definiteness_screen_sends_a_near_tie_to_eigh(monkeypatch):
     assert len(calls) == 2
 
 
-def test_definiteness_search_bad_grid():
+def test_definiteness_search_bad_grid(monkeypatch):
+    def no_sampling(seed, trial):
+        raise AssertionError("points drawn before the arguments were checked")
+
+    monkeypatch.setattr(kernels, "_trial_rng", no_sampling)
     with pytest.raises(BadParamError):
         definiteness_search("spd", "log-euclidean", [], m=10, trials=1)
     with pytest.raises(BadParamError):
         definiteness_search("spd", "log-euclidean", [-1.0], m=10, trials=1)
     with pytest.raises(BadParamError):
         definiteness_search("spd", "log-euclidean", [1.0], m=2, trials=1)
+    # the KernelSpec of each gamma: an infinite or NaN gamma, and a zero or
+    # NaN alpha even where the metric ignores it
+    for grid, alpha in [([1.0, np.inf], 0.5), ([np.nan], 0.5), ([1.0], np.nan), ([1.0], 0.0)]:
+        with pytest.raises(BadParamError):
+            definiteness_search("spd", "log-euclidean", grid, m=10, trials=1, alpha=alpha)
+    with pytest.raises(BadParamError):
+        definiteness_search("spd", "power-euclidean", [1.0], m=10, trials=1, alpha=np.nan)
 
 
 def test_schoenberg_equivalence_on_yes_metrics():
