@@ -283,13 +283,12 @@ def _cv_select(d2, labels, spec, mode, args):
         train = ~test
         if len(np.unique(labels[train])) < 2:
             continue
-        classes, pairs, codes = _binary_problems(labels[train], mode)
+        codes, fields = _binary_problems(labels[train], mode)
         block = np.zeros((len(codes), len(labels)))
         block[:, train] = codes
         rows += [block] * len(cs)
         row_cs += [c_val for c_val in cs for _ in codes]
-        indices = [np.flatnonzero(code) for code in codes] if pairs else None
-        splits.append((train, test, classes, pairs, indices, len(codes)))
+        splits.append((train, test, fields, len(codes)))
     Y = np.concatenate(rows) if rows else np.zeros((0, len(labels)))
     best = None
     for gamma in gammas:
@@ -297,11 +296,10 @@ def _cv_select(d2, labels, spec, mode, args):
         models = iter(svm_train_batch(gram, Y, row_cs, kkt_tol=args.kkt_tol))
         correct = [0] * len(cs)
         total = 0
-        for train, test, classes, pairs, indices, n_problems in splits:
+        for train, test, fields, n_problems in splits:
             cols = gram.entries[np.ix_(train, test)]
             for c_index in range(len(cs)):
-                fits = [next(models) for _ in range(n_problems)]
-                model = MulticlassSvmModel(mode, classes, fits, pair_indices=indices, pairs=pairs)
+                model = MulticlassSvmModel(models=[next(models) for _ in range(n_problems)], **fields)
                 correct[c_index] += int(np.sum(multiclass_svm_predict(model, cols) == labels[test]))
             total += int(test.sum())
         for c_index, c_val in enumerate(cs):
@@ -408,7 +406,7 @@ def _cmd_mkl_train(args) -> int:
             grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2))
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")
-    y = _binary_problems(labels, "binary")[2][0]
+    y = _binary_problems(labels, "binary")[0][0]
     model = mkl_train(grams, y, args.C, max_outer_iter=args.max_outer, tol=args.tol)
     payload = {
         "type": "mkl-svm",
@@ -472,6 +470,8 @@ def _cmd_subspace(args) -> int:
     return EXIT_OK
 
 
+# a large scale overflows the points quietly: save_dataset rejects them
+@np.errstate(all="ignore")
 def _cmd_synth(args) -> int:
     if args.kind == "spd-blobs":
         points, labels = synth_spd_blobs(

@@ -201,14 +201,17 @@ def synth_spd_blobs(
 ):
     """Gaussian blobs in log-space: cluster c draws exp(M_c + noise).
 
-    Returns (points, labels): one stack and its labels, in generation order.
+    Returns (points, labels): one stack and its labels, in generation
+    order; a scale that makes a draw NaN or infinite raises NonFiniteError.
     """
     if n_clusters < 1 or per_cluster < 1 or dim < 1:
         raise BadParamError("n_clusters, per_cluster and dim must be positive")
     rng = np.random.default_rng(seed)
     centers = center_scale * _sym(rng, (n_clusters, 1, dim, dim))
     noise = noise_scale * _sym(rng, (n_clusters, per_cluster, dim, dim))
-    points = spd_exp(centers + noise).reshape(-1, dim, dim)
+    logs = (centers + noise).reshape(-1, dim, dim)
+    _require_finite_items(logs, "the generated set")  # a NaN or infinite scale
+    points = spd_exp(logs)
     return points, np.repeat(np.arange(n_clusters), per_cluster)
 
 
@@ -230,5 +233,7 @@ def synth_grassmann_clusters(
     shape = (ambient_dim, subspace_dim)
     centers = rng.standard_normal((n_clusters, 1, *shape))
     raw = centers + noise_scale * rng.standard_normal((n_clusters, per_cluster, *shape))
-    points = make_grassmann(raw).reshape(-1, *shape)
+    raw = raw.reshape(-1, *shape)
+    _require_finite_items(raw, "the generated set")  # a NaN or infinite scale
+    points = make_grassmann(raw)
     return points, np.repeat(np.arange(n_clusters), per_cluster)

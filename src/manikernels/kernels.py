@@ -77,9 +77,7 @@ def _power_features(points, alpha):
         raise BadParamError("alpha must be nonzero")
     # numpy gives inf where Python floats raise on an overflowing square
     # or a division by 0.0; the drivers reject a non-finite scale
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = 1.0 / np.float64(alpha) ** 2
-    return _flat(spd_power(points, alpha)), float(scale)
+    return _flat(spd_power(points, alpha)), float(1.0 / np.float64(alpha) ** 2)
 
 
 #: The metric registry: (manifold, metric) -> ("embed", points, alpha ->
@@ -196,11 +194,12 @@ def squared_distance_matrix(
     kind, fn, *terms = _lookup(manifold, metric)
     pts = _manifold_points(manifold, points)
     if kind == "embed":
-        feats, scale = fn(pts, alpha)
-        d2 = _feature_sq_distances(feats, feats)
-        d2 = (d2 + d2.T) / 2.0
-        np.fill_diagonal(d2, 0.0)
-        return _scaled(d2, scale)
+        with np.errstate(all="ignore"):  # _scaled reports an overflow
+            feats, scale = fn(pts, alpha)
+            d2 = _feature_sq_distances(feats, feats)
+            d2 = (d2 + d2.T) / 2.0
+            np.fill_diagonal(d2, 0.0)
+            return _scaled(d2, scale)
     args = _row_args(manifold, terms, pts)
     m = len(pts)
     d2 = np.zeros((m, m))
@@ -223,9 +222,10 @@ def cross_squared_distances(
     if xs.shape[1:] != ys.shape[1:]:
         raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
     if kind == "embed":
-        fx, scale = fn(xs, alpha)
-        fy, _ = fn(ys, alpha)
-        return _scaled(_feature_sq_distances(fx, fy), scale)
+        with np.errstate(all="ignore"):  # _scaled reports an overflow
+            fx, scale = fn(xs, alpha)
+            fy, _ = fn(ys, alpha)
+            return _scaled(_feature_sq_distances(fx, fy), scale)
     x_args, y_args = _row_args(manifold, terms, xs), _row_args(manifold, terms, ys)
     return np.stack([fn(*(a[i] for a in x_args), *y_args) for i in range(len(xs))])
 

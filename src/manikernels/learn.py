@@ -33,6 +33,10 @@ KKT_TOL = 1e-3
 #: Iteration cap of the SMO solver, past which it raises NoConvergenceError.
 SMO_MAX_ITER = 100_000
 
+#: Problem count from which :func:`svm_train_batch` solves in lockstep;
+#: below it each problem runs alone in :func:`svm_train`.
+LOCKSTEP_MIN_PROBLEMS = 8
+
 #: Default number of k-means restarts.
 DEFAULT_RESTARTS = 20
 
@@ -303,7 +307,8 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
     """
     if ridge is not None:
         _require_non_negative("ridge", ridge)
-    k = as_gram(k).entries
+    gram = as_gram(k)
+    k = gram.entries
     m = k.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (m,):
@@ -316,6 +321,7 @@ def kernel_fda(k, labels, ridge: float | None = None, dims: int | None = None) -
         dims = n_classes - 1
     if dims < 1 or dims > n_classes - 1:
         raise BadParamError(f"need 1 <= dims <= {n_classes - 1}, got {dims}")
+    _require_psd(gram)
     mu = k.mean(axis=1)
     between = np.zeros((m, m))
     within = np.zeros((m, m))
@@ -485,26 +491,25 @@ def svm_train(k, y, C: float, kkt_tol: float = KKT_TOL) -> SvmModel:
 
 
 def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
-    """:func:`svm_train` on many binary problems over one Gram, in lockstep.
+    """:func:`svm_train` on many binary problems over one Gram.
 
     Row b of ``Y`` labels problem b: +1/-1 on its points and 0 on the
     points outside it; ``C[b]`` is its C. Model b is bit for bit
     ``svm_train(principal_gram(k, Y[b] != 0), Y[b][Y[b] != 0], C[b])``,
-    over the points of problem b. The solver holds alpha, f and the
-    up/low masks as (B, m) arrays on the shared Gram; a point marked 0
-    starts outside both sets, so no step picks it and its alpha stays 0.
-    Each step takes the WSS2 step of every live problem, in the
-    arithmetic order of :func:`svm_train` (Python's ``min``/``max``
-    become ``np.where`` so that even signed zeros agree), and a problem
-    leaves the batch on its own KKT gap. Each distinct set of points
-    takes its PSD verdict from :func:`principal_gram`, so the Gram is
-    audited once when its audit covers them all. A problem still live
-    after ``SMO_MAX_ITER`` steps raises NoConvergenceError.
+    over the points of problem b. Each distinct set of points gets one
+    such Gram (``k`` itself for every point) and one PSD verdict, so
+    ``k`` is audited once when its audit covers them all. A batched step
+    costs several scalar ones: fewer than ``LOCKSTEP_MIN_PROBLEMS``
+    problems run exactly that, and more run in lockstep.
 
-    One batched step costs several scalar steps, so the batch gains only
-    with many problems. The CV search of ``svm-train --cv`` uses it; the
-    final fit of every reduction (:func:`multiclass_svm_train`, binary
-    included) and each MKL solve stay on :func:`svm_train`.
+    The lockstep solver holds alpha, f and the up/low masks as (B, m)
+    arrays on the shared Gram; a point marked 0 starts outside both
+    sets, so no step picks it and its alpha stays 0. Each step takes the
+    WSS2 step of every live problem, in the arithmetic order of
+    :func:`svm_train` (Python's ``min``/``max`` become ``np.where`` so
+    that even signed zeros agree), and a problem leaves the batch on its
+    own KKT gap. A problem still live after ``SMO_MAX_ITER`` steps
+    raises NoConvergenceError.
     """
     gram = as_gram(k)
     k = gram.entries
@@ -519,11 +524,17 @@ def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
         raise OneClassError("training labels contain a single class")
     _require_c(C)
     _require_non_negative("kkt_tol", kkt_tol)
-    if not len(Y):
-        return []
     masks = Y != 0
+    scalar = len(Y) < LOCKSTEP_MIN_PROBLEMS
+    models = [None] * len(Y)
     for b in np.sort(np.unique(masks, axis=0, return_index=True)[1]):
-        _require_psd(principal_gram(gram, masks[b]))
+        on = masks[b]
+        sub = gram if on.all() else principal_gram(gram, on)
+        _require_psd(sub)
+        for r in np.flatnonzero((masks == on).all(axis=1)) if scalar else ():
+            models[r] = svm_train(sub, Y[r, on], float(C[r]), kkt_tol=kkt_tol)
+    if scalar:
+        return models
 
     diag = np.diag(k)
     # row i: K_ii + K_tt - 2 K_it floored at 1e-12, as svm_train builds it
@@ -531,7 +542,6 @@ def svm_train_batch(k, Y, C, kkt_tol: float = KKT_TOL) -> list[SvmModel]:
     curv_rows += diag[:, None]
     curv_rows += diag
     np.maximum(curv_rows, 1e-12, out=curv_rows)
-    models = [None] * len(Y)
     ids = np.arange(len(Y))  # the problem of each live row
     first = masks.argmax(axis=1)  # the lowest point of each problem
     # (B, m) state and work arrays, allocated once: the live rows come first
@@ -684,23 +694,27 @@ class MulticlassSvmModel:
 
 def _binary_problems(y, mode: str):
     """The binary problems of the ``mode`` reduction of the labels ``y``,
-    as (classes, pairs, codes). Row p of ``codes`` labels problem p with
-    +1/-1 on its points and 0 off them, the form :func:`svm_train_batch`
-    takes; ``pairs`` holds the (class_a, class_b) of each one-vs-one
-    problem, +1 on class_a, and is None otherwise. The one problem of
-    "binary" codes the larger of exactly two classes +1."""
+    as (codes, fields). Row p of ``codes`` labels problem p with +1/-1 on
+    its points and 0 off them, the form :func:`svm_train_batch` takes;
+    ``fields`` are the :class:`MulticlassSvmModel` fields but its models:
+    mode, classes and, for one-vs-one, the (class_a, class_b) of each
+    problem, +1 on class_a, and its points. The one problem of "binary"
+    codes the larger of exactly two classes +1."""
+    if mode not in _SVM_MODES:
+        raise BadParamError(f"unknown multiclass mode {mode!r}")
     classes = np.unique(y)
+    if len(classes) < 2:
+        raise OneClassError("training labels contain a single class")
+    fields = {"mode": mode, "classes": classes}
     if mode == "binary":
-        if len(classes) < 2:
-            raise OneClassError("training labels contain a single class")
         if len(classes) > 2:
             raise BadParamError("binary SVM needs exactly two label values")
-        return classes, None, np.where(y == classes[1], 1.0, -1.0)[None]
+        return np.where(y == classes[1], 1.0, -1.0)[None], fields
     if mode == "one-vs-all":
-        return classes, None, np.where(y == classes[:, None], 1.0, -1.0)
+        return np.where(y == classes[:, None], 1.0, -1.0), fields
     pairs = [(a, b) for n, a in enumerate(classes) for b in classes[n + 1:]]
     codes = np.array([np.where(y == a, 1.0, np.where(y == b, -1.0, 0.0)) for a, b in pairs])
-    return classes, pairs, codes
+    return codes, dict(fields, pairs=pairs, pair_indices=[np.flatnonzero(code) for code in codes])
 
 
 def multiclass_svm_train(
@@ -710,30 +724,11 @@ def multiclass_svm_train(
     mode: str = "one-vs-all",
     kkt_tol: float = KKT_TOL,
 ) -> MulticlassSvmModel:
-    """Binary, one-vs-all or one-vs-one reduction to binary SVMs.
-
-    A binary or one-vs-all reduction hands each of its problems the one
-    kernel matrix, audited once. One-vs-one hands each pair its
-    :func:`principal_gram`.
-    """
-    gram = as_gram(k)
-    y = np.asarray(y).ravel()
-    if len(np.unique(y)) < 2:
-        raise OneClassError("need at least two classes")
-    if mode not in _SVM_MODES:
-        raise BadParamError(f"unknown multiclass mode {mode!r}")
-    classes, pairs, codes = _binary_problems(y, mode)
-    if pairs is None:
-        models = [svm_train(gram, code, C, kkt_tol=kkt_tol) for code in codes]
-        return MulticlassSvmModel(mode=mode, classes=classes, models=models)
-    pair_indices = [np.flatnonzero(code) for code in codes]
-    models = [
-        svm_train(principal_gram(gram, idx), code[idx], C, kkt_tol=kkt_tol)
-        for code, idx in zip(codes, pair_indices)
-    ]
-    return MulticlassSvmModel(
-        mode=mode, classes=classes, models=models, pair_indices=pair_indices, pairs=pairs
-    )
+    """Binary, one-vs-all or one-vs-one reduction to binary SVMs, whose
+    problems go to one :func:`svm_train_batch` on the kernel matrix."""
+    codes, fields = _binary_problems(np.asarray(y).ravel(), mode)
+    models = svm_train_batch(k, codes, np.full(len(codes), C), kkt_tol=kkt_tol)
+    return MulticlassSvmModel(models=models, **fields)
 
 
 def multiclass_svm_decision(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:

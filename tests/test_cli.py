@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -753,6 +754,9 @@ BAD_NUMERIC_VALUES = [
     (2, ["synth", "--kind", "spd-blobs", "--center-scale", "1e300"], ["item 0", "NaN or infinite"]),
     (2, ["synth", "--kind", "grassmann-clusters", "--dim", "4", "--noise-scale", "inf"],
      ["item 0", "NaN or infinite"]),
+    (2, ["synth", "--kind", "spd-blobs", "--center-scale", "nan"], ["item 0", "NaN or infinite"]),
+    (2, ["synth", "--kind", "spd-blobs", "--center-scale", "inf"], ["item 0", "NaN or infinite"]),
+    (2, ["synth", "--kind", "grassmann-clusters", "--noise-scale", "nan"], ["item 0", "NaN or infinite"]),
 ]
 
 
@@ -760,8 +764,9 @@ BAD_NUMERIC_VALUES = [
     "code, argv, words", BAD_NUMERIC_VALUES, ids=["_".join(argv) for _, argv, _ in BAD_NUMERIC_VALUES]
 )
 def test_bad_numeric_values_exit_without_traceback_or_output(tmp_path, capsys, code, argv, words):
-    # the SMO ran to its cap, NaN reached an eigensolver, numpy rejected the
-    # seed, or the file was written with NaN or Infinity tokens
+    # the SMO ran to its cap, NaN reached an eigensolver or an SVD, numpy
+    # rejected the seed, or the file was written with NaN or Infinity tokens;
+    # numpy floating-point warnings printed lines above the message
     data = tmp_path / "blobs.json"
     make_blobs_file(data)
     write_pgm(tmp_path / "img.pgm", np.random.default_rng(1).uniform(0, 255, (16, 12)))
@@ -773,9 +778,14 @@ def test_bad_numeric_values_exit_without_traceback_or_output(tmp_path, capsys, c
     }.get(argv[0], ["--input", str(data)])
     out = tmp_path / "out.csv"
     capsys.readouterr()
-    assert run([*argv, *inputs, "--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, *inputs, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    # one message line, below the usage block of an argparse error
+    message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(message) == 1 and not caught, (err, [str(w.message) for w in caught])
     for word in words:
         assert word in err, err
     assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 import manikernels.cli as cli
 from manikernels import learn
 from manikernels.cli import run
-from manikernels.data import save_dataset, synth_spd_blobs
+from manikernels.data import save_dataset, synth_grassmann_clusters, synth_spd_blobs
 from manikernels.errors import (
     BadParamError,
     DimMismatchError,
@@ -19,6 +19,7 @@ from manikernels.learn import (
     MulticlassSvmModel,
     SvmModel,
     combine_kernels,
+    kernel_fda,
     kernel_kmeans,
     mkl_train,
     multiclass_svm_predict,
@@ -208,7 +209,7 @@ def fold_problems(labels, n_folds, rng):
     for f in range(n_folds):
         train = folds != f
         codes = [np.where(labels[train] == 1, -1.0, 1.0)[None]]
-        codes += [learn._binary_problems(labels[train], mode)[2] for mode in ("one-vs-all", "one-vs-one")]
+        codes += [learn._binary_problems(labels[train], mode)[0] for mode in ("one-vs-all", "one-vs-one")]
         block = np.zeros((sum(len(c) for c in codes), m))
         block[:, train] = np.concatenate(codes)
         rows.append(block)
@@ -224,6 +225,15 @@ def duplicated_blobs():
     return gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points), labels
 
 
+@pytest.fixture
+def force_solver(monkeypatch):
+    """Sets the solver of every later svm_train_batch call, whatever its
+    problem count: force_solver("lockstep") or force_solver("scalar")."""
+    def force(solver):
+        monkeypatch.setattr(learn, "LOCKSTEP_MIN_PROBLEMS", {"lockstep": 1, "scalar": 2**62}[solver])
+    return force
+
+
 def test_batch_matches_per_problem_svm_train_bit_for_bit():
     gram, labels = duplicated_blobs()
     Y, C = fold_problems(labels, 5, np.random.default_rng(15))
@@ -237,7 +247,35 @@ def test_batch_matches_per_problem_svm_train_bit_for_bit():
     assert any(np.any(np.abs(model.dual_coefs) == model.C) for model in models)
 
 
-def test_batch_takes_the_lowest_point_of_its_problem_when_every_score_underflows():
+def test_problem_count_picks_the_solver(monkeypatch):
+    gram, labels = duplicated_blobs()
+    Y, C = fold_problems(labels, 5, np.random.default_rng(18))
+    n = learn.LOCKSTEP_MIN_PROBLEMS
+    calls = []
+    real = learn.svm_train
+    monkeypatch.setattr(learn, "svm_train", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    assert len(svm_train_batch(gram, Y[: n - 1], C[: n - 1])) == len(calls) == n - 1
+    calls.clear()
+    assert len(svm_train_batch(gram, Y[:n], C[:n])) == n and calls == []
+
+
+def test_both_solvers_give_the_same_models(force_solver):
+    # binary, one-vs-all and one-vs-one fold codes, and a 6-class one-vs-one fit
+    gram, labels = duplicated_blobs()
+    Y, C = fold_problems(labels, 4, np.random.default_rng(19))
+    points, classes = spd_cluster_problem(np.random.default_rng(20), 6, 5, spread=1.5)
+    six = gram_matrix(KernelSpec(manifold="spd", metric="log-euclidean", gamma=0.5), points)
+    fits = []
+    for solver in ("scalar", "lockstep"):
+        force_solver(solver)
+        ovo = multiclass_svm_train(six, classes, C=10.0, mode="one-vs-one")
+        fits.append(svm_train_batch(gram, Y, C) + ovo.models)
+    assert len(fits[0]) == len(Y) + 15
+    for got, want in zip(*fits):
+        assert_bitwise(got, want)
+
+
+def test_batch_takes_the_lowest_point_of_its_problem_when_every_score_underflows(force_solver):
     # At this scale the gap after the first step is roundoff, and its
     # square over a curvature near 1e302 is 0 for every point: svm_train's
     # argmax then takes the lowest point of its problem, which in the
@@ -247,11 +285,13 @@ def test_batch_takes_the_lowest_point_of_its_problem_when_every_score_underflows
     assert np.array_equal(k, k.T)  # marked symmetric: the check's norm would overflow
     gram = GramMatrix(k, symmetric=True)
     y = np.array([0.0, 1.0, -1.0])
+    force_solver("lockstep")
     want = svm_train(principal_gram(gram, y != 0), y[1:], 1.0, kkt_tol=0.0)
     assert_bitwise(svm_train_batch(gram, [y], [1.0], kkt_tol=0.0)[0], want)
 
 
-def test_batch_iteration_cap_is_that_of_svm_train(monkeypatch):
+def test_batch_iteration_cap_is_that_of_svm_train(monkeypatch, force_solver):
+    force_solver("lockstep")
     gram, labels = duplicated_blobs()
     Y, C = fold_problems(labels, 3, np.random.default_rng(16))
     models = svm_train_batch(gram, Y, C)
@@ -267,7 +307,8 @@ def test_batch_iteration_cap_is_that_of_svm_train(monkeypatch):
         svm_train_batch(gram, Y, C, kkt_tol=1e-12)
 
 
-def test_batch_rejects_a_fold_whose_gram_is_not_psd(eigvalsh_calls):
+def test_batch_rejects_a_fold_whose_gram_is_not_psd(eigvalsh_calls, force_solver):
+    force_solver("lockstep")
     gram = arc_length_gram()
     m = gram.size
     y = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
@@ -286,6 +327,22 @@ def test_batch_audits_one_gram_once_for_every_problem(eigvalsh_calls):
     svm_train_batch(gram, Y, C)
     svm_train_batch(gram, Y, C)
     assert eigvalsh_calls == [gram.size]
+
+
+def test_batch_audits_each_set_of_points_once_on_both_solvers(eigvalsh_calls, force_solver):
+    # the full Gram is indefinite, so no fold carries its audit: each
+    # fold is audited alone, once for both of its C values
+    points, labels = synth_grassmann_clusters(2, 6, 4, 2, seed=1, noise_scale=1.0)
+    gram = gram_matrix(KernelSpec(manifold="grassmann", metric="arc-length", gamma=0.3), points)
+    assert gram.audit() < -PSD_TOL_FACTOR * gram.size
+    folds = np.arange(gram.size) % 3
+    y = np.where(labels == 0, 1.0, -1.0)
+    Y = np.repeat([np.where(folds != f, y, 0.0) for f in range(3)], 2, axis=0)
+    for solver in ("scalar", "lockstep"):
+        force_solver(solver)
+        eigvalsh_calls.clear()
+        assert len(svm_train_batch(gram, Y, np.tile([1.0, 10.0], 3))) == 6
+        assert eigvalsh_calls == [8, 8, 8]
 
 
 def test_batch_input_errors():
@@ -486,6 +543,8 @@ def test_indefinite_gram_raises_through_every_learner(audit):
             multiclass_svm_train(gram, labels, C=1.0, mode=mode)
     with pytest.raises(NotPsdError):
         mkl_train([np.eye(gram.size), gram], y, C=1.0)
+    with pytest.raises(NotPsdError):
+        kernel_fda(gram, labels)
 
 
 def test_audited_min_eigen_below_slack_raises_without_eigvalsh(eigvalsh_calls):
@@ -536,6 +595,7 @@ def test_one_gram_is_audited_once_across_learners(eigvalsh_calls):
     for mode in ("one-vs-all", "one-vs-one"):
         multiclass_svm_train(gram, labels, C=10.0, mode=mode)
     mkl_train([gram], y, C=10.0)
+    kernel_fda(gram, labels)
     assert eigvalsh_calls == [24]
 
 
