@@ -36,12 +36,10 @@ from .errors import (
     FrameMismatchError,
     MalformedFileError,
     ManiKernelsError,
-    NoConvergenceError,
     NotPsdError,
-    NumericalError,
-    SingularScatterError,
+    OneClassError,
     TrainMismatchError,
-    UnsupportedMetricError,
+    UsageError,
 )
 from .features import (
     candidate_grid,
@@ -54,6 +52,7 @@ from .features import (
 )
 from .grassmann import make_grassmann, subspace_from_vectors
 from .kernels import (
+    MANIFOLDS,
     KernelSpec,
     _manifold_points,
     cross_gram,
@@ -65,9 +64,12 @@ from .kernels import (
     squared_distance_matrix,
 )
 from .learn import (
+    DEFAULT_RESTARTS,
+    KKT_TOL,
     MulticlassSvmModel,
     SvmModel,
     _binary_problems,
+    _require_psd,
     kernel_fda,
     kernel_kmeans,
     kernel_pca,
@@ -78,39 +80,22 @@ from .learn import (
     svm_train_batch,
 )
 from .matrixops import require_symmetric
-from .spd import make_spd
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-
-_USAGE_ERRORS = (BadParamError, UnsupportedMetricError)
-_NUMERIC_ERRORS = (
-    NoConvergenceError,
-    NumericalError,
-    NotPsdError,
-    SingularScatterError,
-)
-# Every other library error is a data error, as are unreadable input
-# files. Parse sites raise typed errors, so any other exception is a
-# fault of the program and is not reported as bad data.
-_DATA_ERRORS = (ManiKernelsError, OSError)
+from .spd import DEFAULT_POWER_ALPHA, make_spd
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(UsageError.exit_code, f"{self.prog}: error: {message}\n")
 
 
-def _provenance(command: str, args: argparse.Namespace) -> dict:
+def _provenance(args: argparse.Namespace) -> dict:
     # "out" stays out of the record so retargeting the file keeps bytes equal
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "out")
     }
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -184,7 +169,7 @@ def _dataset_points(path, args):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_definiteness(args) -> int:
+def _cmd_definiteness(args) -> None:
     report = definiteness_search(
         args.manifold,
         args.metric,
@@ -196,57 +181,52 @@ def _cmd_definiteness(args) -> int:
         subspace_dim=args.subspace_dim,
         alpha=args.alpha,
     )
-    save_json(args.out, {**vars(report), "provenance": _provenance("definiteness", args)})
-    return EXIT_OK
+    save_json(args.out, {**vars(report), "provenance": _provenance(args)})
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args) -> None:
     points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points)
     if args.audit:
         gram.audit()
-    prov = _provenance("gram", args)
+    prov = _provenance(args)
     if args.out.endswith(".json"):
         gram_to_json(gram, args.out, provenance=prov)
     else:
         gram_to_csv(gram, args.out, extra_header=_provenance_lines(prov))
-    return EXIT_OK
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args) -> None:
     points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points)
     result = kernel_kmeans(gram, args.k, restarts=args.restarts, seed=args.seed)
-    header = _provenance_lines(_provenance("cluster", args))
+    header = _provenance_lines(_provenance(args))
     header.append(f"energy={result.energy!r}")
     header.append(f"restarts_used={result.restarts_used}")
     header.append(f"n_moves={result.n_moves}")
     header.append("columns=index,label")
     rows = np.column_stack([np.arange(len(points)), result.labels]).astype(float)
     save_matrix_csv(args.out, rows, header_lines=header)
-    return EXIT_OK
 
 
-def _cmd_kpca(args) -> int:
+def _cmd_kpca(args) -> None:
     points, _, spec = _dataset_points(args.input, args)
     gram = gram_matrix(spec, points)
     emb = kernel_pca(gram, args.l)
-    header = _provenance_lines(_provenance("kpca", args))
+    header = _provenance_lines(_provenance(args))
     header.append("eigenvalues=" + ",".join(repr(float(v)) for v in emb.eigenvalues))
     save_matrix_csv(args.out, emb.coords, header_lines=header)
-    return EXIT_OK
 
 
-def _cmd_kfda(args) -> int:
+def _cmd_kfda(args) -> None:
     points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("kfda needs a dataset with labels")
     gram = gram_matrix(spec, points)
     emb = kernel_fda(gram, labels, ridge=args.ridge, dims=args.dims)
-    header = _provenance_lines(_provenance("kfda", args))
+    header = _provenance_lines(_provenance(args))
     header.append("eigenvalues=" + ",".join(repr(float(v)) for v in emb.eigenvalues))
     save_matrix_csv(args.out, emb.coords, header_lines=header)
-    return EXIT_OK
 
 
 def _items_digest(points) -> str:
@@ -270,7 +250,9 @@ def _cv_select(d2, labels, spec, mode, args):
     builds one Gram, audited once, and solves every fold x C x binary
     problem of the ``mode`` reduction on it as one
     :func:`svm_train_batch`, each fold's training points marked in its
-    rows; ties go to the earlier gamma, then the earlier C."""
+    rows, and leaves out a fold that trains on one class; ties go to the
+    earlier gamma, then the earlier C. A gamma whose Gram or a fold's is
+    indefinite is skipped."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
@@ -289,27 +271,34 @@ def _cv_select(d2, labels, spec, mode, args):
         rows += [block] * len(cs)
         row_cs += [c_val for c_val in cs for _ in codes]
         splits.append((train, test, fields, len(codes)))
-    Y = np.concatenate(rows) if rows else np.zeros((0, len(labels)))
-    best = None
+    total = sum(int(test.sum()) for _, test, _, _ in splits)
+    if not total:
+        raise OneClassError(f"no fold of --cv {args.cv} trains on two classes and tests a point")
+    Y = np.concatenate(rows)
+    best, skipped = None, []
     for gamma in gammas:
         gram = gram_from_squared_distances(replace(spec, gamma=gamma), d2)
-        models = iter(svm_train_batch(gram, Y, row_cs, kkt_tol=args.kkt_tol))
+        try:
+            models = iter(svm_train_batch(gram, Y, row_cs, kkt_tol=args.kkt_tol))
+            _require_psd(gram)
+        except NotPsdError as exc:
+            skipped.append(f"gamma {gamma:g}: {exc}")
+            continue
         correct = [0] * len(cs)
-        total = 0
         for train, test, fields, n_problems in splits:
             cols = gram.entries[np.ix_(train, test)]
             for c_index in range(len(cs)):
                 model = MulticlassSvmModel(models=[next(models) for _ in range(n_problems)], **fields)
                 correct[c_index] += int(np.sum(multiclass_svm_predict(model, cols) == labels[test]))
-            total += int(test.sum())
         for c_index, c_val in enumerate(cs):
-            score = correct[c_index] / total if total else 0.0
-            if best is None or score > best[0]:
-                best = (score, gram, c_val)
+            if best is None or correct[c_index] / total > best[0]:
+                best = (correct[c_index] / total, gram, c_val)
+    if best is None:
+        raise NotPsdError("every gamma gives an indefinite kernel; " + "; ".join(skipped))
     return best[1], best[2]
 
 
-def _cmd_svm_train(args) -> int:
+def _cmd_svm_train(args) -> None:
     points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
@@ -323,7 +312,7 @@ def _cmd_svm_train(args) -> int:
     model = multiclass_svm_train(gram, labels, c_val, mode=mode, kkt_tol=args.kkt_tol)
     payload = {
         "spec": gram.spec,
-        "provenance": _provenance("svm-train", args),
+        "provenance": _provenance(args),
         "train_sha256": _items_digest(points),
     }
     if mode == "binary":
@@ -332,7 +321,6 @@ def _cmd_svm_train(args) -> int:
         payload["type"] = "multiclass-svm"
         payload.update((k, v) for k, v in vars(model).items() if v is not None)
     save_json(args.out, payload)
-    return EXIT_OK
 
 
 def _model_from_payload(payload):
@@ -353,7 +341,7 @@ def _model_from_payload(payload):
     return spec, model
 
 
-def _cmd_svm_predict(args) -> int:
+def _cmd_svm_predict(args) -> None:
     with parse_errors(args.model):
         with open(args.model) as fh:
             payload = json.load(fh)
@@ -379,7 +367,7 @@ def _cmd_svm_predict(args) -> int:
     elif any(len(idx) and max(idx) >= n_train for idx in model.pair_indices):
         raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
     cols = cross_gram(spec, train_points, test_points)
-    header = _provenance_lines(_provenance("svm-predict", args))
+    header = _provenance_lines(_provenance(args))
     columns = [np.arange(len(test_points)), multiclass_svm_predict(model, cols).astype(float)]
     if model.mode == "binary":
         # a binary prediction file also holds the decision values
@@ -388,10 +376,9 @@ def _cmd_svm_predict(args) -> int:
     else:
         header.append("columns=index,label")
     save_matrix_csv(args.out, np.column_stack(columns), header_lines=header)
-    return EXIT_OK
 
 
-def _cmd_mkl_train(args) -> int:
+def _cmd_mkl_train(args) -> None:
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else None
     if gammas and len(args.inputs) > 1:
         raise BadParamError("--gamma-grid expands kernels from a single input")
@@ -414,23 +401,22 @@ def _cmd_mkl_train(args) -> int:
         "objective_trace": model.objective_trace,
         "kernel_specs": [gram.spec for gram in grams],
         "model": model.svm,
-        "provenance": _provenance("mkl-train", args),
+        "provenance": _provenance(args),
     }
     save_json(args.out, payload)
-    return EXIT_OK
 
 
-def _cmd_covdesc(args) -> int:
+def _cmd_covdesc(args) -> None:
     images = [read_image(p) for p in args.inputs]
     shape = images[0].shape
     maker = pedestrian_feature_maps if args.features == "pedestrian" else texture_feature_maps
     maps = [maker(img) for img in images]
-    prov = _provenance("covdesc", args)
+    prov = _provenance(args)
     if not args.select:
         full = [(0, 0, img.shape[1], img.shape[0]) for img in images]
         descs = [region_covariance(m, r, epsilon=args.epsilon) for m, r in zip(maps, full)]
         save_dataset(args.out, "spd", [make_spd(d) for d in descs], provenance=prov)
-        return EXIT_OK
+        return
     for img in images:
         if img.shape != shape:
             raise FrameMismatchError("subwindow selection needs equally sized images")
@@ -455,24 +441,22 @@ def _cmd_covdesc(args) -> int:
         "provenance": prov,
     }
     save_json(args.out, payload)
-    return EXIT_OK
 
 
-def _cmd_subspace(args) -> int:
+def _cmd_subspace(args) -> None:
     mat = load_matrix_csv(args.input)
     basis = subspace_from_vectors(mat, args.r)
     if args.out.endswith(".json"):
-        save_dataset(args.out, "grassmann", [basis], provenance=_provenance("subspace", args))
+        save_dataset(args.out, "grassmann", [basis], provenance=_provenance(args))
     else:
         save_matrix_csv(
-            args.out, basis, header_lines=_provenance_lines(_provenance("subspace", args))
+            args.out, basis, header_lines=_provenance_lines(_provenance(args))
         )
-    return EXIT_OK
 
 
 # a large scale overflows the points quietly: save_dataset rejects them
 @np.errstate(all="ignore")
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     if args.kind == "spd-blobs":
         points, labels = synth_spd_blobs(
             args.clusters,
@@ -493,8 +477,7 @@ def _cmd_synth(args) -> int:
             noise_scale=args.noise_scale,
         )
         kind = "grassmann"
-    save_dataset(args.out, kind, points, labels=labels, provenance=_provenance("synth", args))
-    return EXIT_OK
+    save_dataset(args.out, kind, points, labels=labels, provenance=_provenance(args))
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +486,13 @@ def _cmd_synth(args) -> int:
 
 def _add_kernel_flags(sub, manifolds=False):
     if manifolds:
-        sub.add_argument("--manifold", choices=("spd", "grassmann", "euclidean"), default=None,
+        sub.add_argument("--manifold", choices=MANIFOLDS, default=None,
                          help="override the manifold implied by the dataset kind")
     sub.add_argument("--metric", default=None,
                      help="metric name (default: log-euclidean on spd, projection on grassmann)")
     sub.add_argument("--gamma", type=float, default=1.0, help="kernel bandwidth")
-    sub.add_argument("--alpha", type=float, default=0.5, help="power-euclidean exponent")
+    sub.add_argument("--alpha", type=float, default=DEFAULT_POWER_ALPHA,
+                     help="power-euclidean exponent")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,14 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("definiteness", parents=[], help="randomized kernel definiteness search")
-    p.add_argument("--manifold", choices=("spd", "grassmann", "euclidean"), required=True)
+    p.add_argument("--manifold", choices=MANIFOLDS, required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--dim", type=int, default=3, help="matrix size d or ambient dimension n")
     p.add_argument("--subspace-dim", type=int, default=2, help="subspace dimension r")
     p.add_argument("--gamma-grid", default="0.01,0.1,1,10,100")
     p.add_argument("--m", type=int, default=40, help="points per trial")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=DEFAULT_POWER_ALPHA)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_definiteness)
@@ -540,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cluster)
@@ -564,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     _add_kernel_flags(p, manifolds=True)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--kkt-tol", type=float, default=1e-3)
+    p.add_argument("--kkt-tol", type=float, default=KKT_TOL)
     p.add_argument("--mode", choices=("one-vs-all", "one-vs-one"), default="one-vs-all")
     p.add_argument("--cv", type=int, default=0,
                    help="grid-search gamma/C with this many seeded folds")
@@ -632,16 +616,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"manikernels: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
-        print(f"manikernels: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        print(f"manikernels: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        args.func(args)
+    except ManiKernelsError as exc:
+        print(f"manikernels: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        # an unreadable file is bad data too; parse sites raise typed
+        # errors, so any other exception is a fault of the program
+        print(f"manikernels: {ManiKernelsError.kind}: {exc}", file=sys.stderr)
+        return ManiKernelsError.exit_code
+    return 0
 
 
 def main() -> None:

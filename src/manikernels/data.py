@@ -24,7 +24,7 @@ from .errors import (
     EmptySetError,
     MalformedFileError,
     NonFiniteError,
-    UnsupportedMetricError,
+    UsageError,
 )
 from .grassmann import make_grassmann
 from .matrixops import spd_exp
@@ -41,7 +41,7 @@ def parse_errors(path):
         yield
     except KeyError as exc:
         raise MalformedFileError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError, BadParamError, UnsupportedMetricError) as exc:
+    except (ValueError, TypeError, UsageError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 

@@ -1,8 +1,26 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library. Each class carries the
+command line's exit status and the kind its message is reported as."""
 
 
 class ManiKernelsError(Exception):
     """Base class for every error raised by this library."""
+
+    exit_code = 2
+    kind = "data error"
+
+
+class UsageError(ManiKernelsError):
+    """A flag or parameter the caller chose is invalid."""
+
+    exit_code = 1
+    kind = "usage error"
+
+
+class NumericalFailure(ManiKernelsError):
+    """A computation on valid input broke down."""
+
+    exit_code = 3
+    kind = "numerical failure"
 
 
 class BadShapeError(ManiKernelsError):
@@ -21,11 +39,11 @@ class NotSpdError(ManiKernelsError):
     """Matrix is not symmetric positive definite."""
 
 
-class NotPsdError(ManiKernelsError):
+class NotPsdError(NumericalFailure):
     """Kernel matrix fails the positive semi-definiteness audit."""
 
 
-class NoConvergenceError(ManiKernelsError):
+class NoConvergenceError(NumericalFailure):
     """Iterative solver hit its iteration cap before converging."""
 
 
@@ -37,11 +55,11 @@ class EmptySetError(ManiKernelsError):
     """An operation over a point set received no points."""
 
 
-class UnsupportedMetricError(ManiKernelsError):
+class UnsupportedMetricError(UsageError):
     """The selected metric does not support the requested operation."""
 
 
-class NumericalError(ManiKernelsError):
+class NumericalError(NumericalFailure):
     """Intermediate value strayed outside its valid range beyond roundoff."""
 
 
@@ -61,7 +79,7 @@ class TrainMismatchError(ManiKernelsError):
     """Dataset differs from the one a model was trained on."""
 
 
-class BadParamError(ManiKernelsError):
+class BadParamError(UsageError):
     """Hyperparameter out of its valid range (k, l, dims, grid, C, p, ...)."""
 
 
@@ -69,7 +87,7 @@ class OneClassError(ManiKernelsError):
     """Binary training set contains a single class."""
 
 
-class SingularScatterError(ManiKernelsError):
+class SingularScatterError(NumericalFailure):
     """Within-class scatter is singular and no ridge was requested."""
 
 

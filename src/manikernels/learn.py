@@ -622,8 +622,6 @@ def svm_decision(model: SvmModel, kernel_columns) -> np.ndarray:
     ``kernel_columns`` holds one column per test point (m x t).
     """
     cols = np.asarray(kernel_columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
     if cols.shape[0] != model.dual_coefs.shape[0]:
         raise DimMismatchError(
             f"kernel columns have {cols.shape[0]} rows, expected {model.dual_coefs.shape[0]}"
@@ -736,8 +734,6 @@ def multiclass_svm_decision(model: MulticlassSvmModel, kernel_columns) -> np.nda
     one-vs-all model, one row per model; for one-vs-one, per-class vote
     counts with summed-decision tie info folded in."""
     cols = np.asarray(kernel_columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
     if model.mode != "one-vs-one":
         return np.stack([svm_decision(mdl, cols) for mdl in model.models])
     votes = np.zeros((len(model.classes), cols.shape[1]))

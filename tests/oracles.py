@@ -25,7 +25,9 @@ from manikernels.errors import (
     BadParamError,
     DimMismatchError,
     NoConvergenceError,
+    NotPsdError,
     NotSpdError,
+    OneClassError,
     UnsupportedMetricError,
 )
 from manikernels.data import save_json, stack_items
@@ -50,6 +52,7 @@ from manikernels.kernels import (
     squared_distance_matrix,
 )
 from manikernels.learn import (
+    PSD_TOL_FACTOR,
     Embedding,
     multiclass_svm_predict,
     multiclass_svm_train,
@@ -483,7 +486,9 @@ def cv_select_per_problem(d2, labels, spec, mode, args):
     call per fold and C on the fold's principal Gram, the loop the batched
     solve replaced; it must pick the same (gram, C). The reduction follows
     from the labels as the CLI documents it, not from ``mode``: two classes
-    are one +-1 problem, the larger class +1, and more take ``--mode``."""
+    are one +-1 problem, the larger class +1, and more take ``--mode``. A
+    gamma is skipped when a fold's fit or the full Gram's audit finds it
+    indefinite."""
     from manikernels.cli import _cv_folds, _grid
 
     if args.cv < 2:
@@ -494,29 +499,38 @@ def cv_select_per_problem(d2, labels, spec, mode, args):
     binary = len(np.unique(labels)) == 2
     y = np.where(labels == labels.max(), 1, -1) if binary else labels
     folds = _cv_folds(len(labels), args.cv, args.seed)
+    scored = [f for f in range(args.cv) if len(np.unique(labels[folds != f])) >= 2]
+    total = sum(int(np.sum(folds == f)) for f in scored)
+    if not total:
+        raise OneClassError(f"no fold of {args.cv} can be scored")
     best = None
     for gamma in gammas:
         gram = gram_from_squared_distances(replace(spec, gamma=gamma), d2)
         correct = [0] * len(cs)
-        total = 0
-        for f in range(args.cv):
-            test = folds == f
-            train = ~test
-            if len(np.unique(labels[train])) < 2:
-                continue
-            sub = principal_gram(gram, train)
-            cols = gram.entries[np.ix_(train, test)]
-            for c_index, c_val in enumerate(cs):
-                if binary:
-                    model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
-                    pred = svm_predict(model, cols)
-                else:
-                    model = multiclass_svm_train(sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol)
-                    pred = multiclass_svm_predict(model, cols)
-                correct[c_index] += int(np.sum(pred == y[test]))
-            total += int(test.sum())
+        try:
+            for f in scored:
+                test = folds == f
+                train = ~test
+                sub = principal_gram(gram, train)
+                cols = gram.entries[np.ix_(train, test)]
+                for c_index, c_val in enumerate(cs):
+                    if binary:
+                        model = svm_train(sub, y[train], c_val, kkt_tol=args.kkt_tol)
+                        pred = svm_predict(model, cols)
+                    else:
+                        model = multiclass_svm_train(
+                            sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol
+                        )
+                        pred = multiclass_svm_predict(model, cols)
+                    correct[c_index] += int(np.sum(pred == y[test]))
+        except NotPsdError:
+            continue
+        if gram.audit() < -PSD_TOL_FACTOR * len(labels):
+            continue
         for c_index, c_val in enumerate(cs):
-            score = correct[c_index] / total if total else 0.0
+            score = correct[c_index] / total
             if best is None or score > best[0]:
                 best = (score, gram, c_val)
+    if best is None:
+        raise NotPsdError("every gamma of the grid is indefinite")
     return best[1], best[2]

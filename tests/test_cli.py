@@ -321,6 +321,63 @@ def test_svm_train_rejects_indefinite_gram(tmp_path):
                 "--out", str(tmp_path / "mkl.json")]) == 3
 
 
+def test_svm_train_cv_skips_indefinite_gammas(tmp_path, capsys):
+    # affine-invariant Grams of this set are indefinite at gamma 0.05, and
+    # at 0.079 the full Gram is while every fold's Gram is not
+    data = tmp_path / "blobs.json"
+    run_ok(
+        [
+            "synth", "--kind", "spd-blobs", "--clusters", "2", "--per-cluster", "12",
+            "--dim", "3", "--seed", "1", "--center-scale", "0.7", "--noise-scale", "0.5",
+            "--out", str(data),
+        ]
+    )
+    search = ["svm-train", "--input", str(data), "--metric", "affine-invariant", "--cv", "4",
+              "--c-grid", "0.1,1,100", "--seed", "3"]
+    models = []
+    for grid in ("0.05,0.5,5", "0.079,0.5,5", "0.5,5"):
+        out = tmp_path / f"model-{grid}.json"
+        run_ok([*search, "--gamma-grid", grid, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        del payload["provenance"]
+        models.append(payload)
+    assert models[0] == models[1] == models[2]
+    out = tmp_path / "none.json"
+    capsys.readouterr()
+    assert run([*search, "--gamma-grid", "0.05,0.079", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err, err
+    assert "gamma 0.05: kernel matrix has eigenvalue -1.113e-03 below -1.8e-07" in err, err
+    assert "gamma 0.079: kernel matrix has eigenvalue -6.970e-05 below -2.4e-07" in err, err
+    assert not out.exists()
+
+
+def test_svm_train_cv_without_a_scorable_fold_exits_2(tmp_path, capsys):
+    # the two folds are the two classes: every fold trains on one class
+    data = tmp_path / "four.json"
+    out = tmp_path / "model.json"
+    run_ok(["synth", "--kind", "spd-blobs", "--clusters", "2", "--per-cluster", "2", "--dim", "3",
+            "--seed", "0", "--out", str(data)])
+    assert list(cli._cv_folds(4, 2, 0)) == list(load_dataset(data)["labels"]) == [0, 0, 1, 1]
+    capsys.readouterr()
+    assert run(["svm-train", "--input", str(data), "--cv", "2", "--gamma-grid", "0.1,1",
+                "--c-grid", "1,10", "--seed", "0", "--out", str(out)]) == 2
+    assert "data error: no fold of --cv 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kfda", "svm-train", "mkl-train"])
+def test_learners_on_a_dataset_without_labels_exit_2(tmp_path, capsys, command):
+    data = tmp_path / "unlabeled.json"
+    out = tmp_path / "out.json"
+    save_dataset(data, "spd", synth_spd_blobs(2, 4, 3, seed=2)[0])
+    flag = "--inputs" if command == "mkl-train" else "--input"
+    capsys.readouterr()
+    assert run([command, flag, str(data), "--out", str(out)]) == 2
+    assert f"data error: {command} needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifold_override_checks_items(tmp_path):
     # square 4x4 SPD items are not n x r bases with n > r
     data = tmp_path / "spd4.json"
@@ -480,6 +537,18 @@ def test_covdesc_selection(tmp_path):
         assert len(entry["descriptors"]) == 3
 
 
+def test_covdesc_select_on_frames_of_unequal_size_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    paths = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+    write_pgm(paths[0], rng.integers(0, 255, size=(15, 15)))
+    write_pgm(paths[1], rng.integers(0, 255, size=(15, 14)))
+    out = tmp_path / "sel.json"
+    capsys.readouterr()
+    assert run(["covdesc", "--inputs", *map(str, paths), "--select", "2", "--out", str(out)]) == 2
+    assert "data error: subwindow selection needs equally sized images" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_covdesc_no_normalize(tmp_path):
     rng = np.random.default_rng(14)
     img = rng.integers(0, 255, size=(15, 15))
@@ -581,6 +650,11 @@ def test_subspace_cli(tmp_path):
     basis = load_matrix_csv(out)
     assert basis.shape == (8, 2)
     np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-10)
+    # a .json output is a one-item Grassmann dataset of the same basis
+    run_ok(["subspace", "--input", str(src), "--r", "2", "--out", str(tmp_path / "basis.json")])
+    ds = load_dataset(tmp_path / "basis.json")
+    assert ds["kind"] == "grassmann"
+    np.testing.assert_array_equal(ds["items"], [basis])
 
 
 def test_reproducibility_byte_identical(tmp_path):
@@ -745,6 +819,7 @@ BAD_NUMERIC_VALUES = [
     (1, ["definiteness", "--metric", "log-euclidean", "--seed", "-1"], ["seed", "-1"]),
     (1, ["cluster", "--k", "2", "--seed", "-1"], ["seed", "-1"]),
     (1, ["svm-train", "--cv", "2", "--seed", "-1"], ["seed", "-1"]),
+    (1, ["svm-train", "--cv", "1"], ["--cv needs at least 2 folds, got 1"]),
     (1, ["synth", "--kind", "spd-blobs", "--seed", "-1"], ["seed", "-1"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e200"], ["non-finite"]),

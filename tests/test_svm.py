@@ -361,16 +361,29 @@ def test_batch_input_errors():
     assert svm_train_batch(k, np.zeros((0, 3)), []) == []
 
 
+CV_SEARCHES = [
+    (2, "one-vs-all", "log-euclidean"),
+    (3, "one-vs-all", "log-euclidean"),
+    (3, "one-vs-one", "log-euclidean"),
+    # affine-invariant Grams at gamma 0.05 are indefinite here: both skip it
+    (2, "one-vs-all", "affine-invariant"),
+    (3, "one-vs-one", "affine-invariant"),
+]
+
+
 @pytest.mark.parametrize(
-    "classes, mode", [(2, "one-vs-all"), (3, "one-vs-all"), (3, "one-vs-one")]
+    "classes, mode, metric", CV_SEARCHES,
+    ids=[f"{c}-{mode}" + ("" if metric == "log-euclidean" else f"-{metric}")
+         for c, mode, metric in CV_SEARCHES],
 )
-def test_svm_train_cv_files_match_the_per_problem_search(tmp_path, monkeypatch, classes, mode):
+def test_svm_train_cv_files_match_the_per_problem_search(tmp_path, monkeypatch, classes, mode, metric):
     points, labels = synth_spd_blobs(classes, 15, 3, seed=4, center_scale=0.5, noise_scale=0.6)
     data = tmp_path / "data.json"
     save_dataset(data, "spd", points, labels=labels)
     model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
-    train = ["svm-train", "--input", str(data), "--cv", "4", "--gamma-grid", "0.05,0.5,5",
-             "--c-grid", "0.1,1,100", "--mode", mode, "--seed", "2", "--out", str(model)]
+    train = ["svm-train", "--input", str(data), "--metric", metric, "--cv", "4",
+             "--gamma-grid", "0.05,0.5,5", "--c-grid", "0.1,1,100", "--mode", mode,
+             "--seed", "2", "--out", str(model)]
     predict = ["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
                "--out", str(pred)]
     written = []
