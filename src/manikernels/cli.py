@@ -250,9 +250,10 @@ def _cv_select(d2, labels, spec, mode, args):
     builds one Gram, audited once, and solves every fold x C x binary
     problem of the ``mode`` reduction on it as one
     :func:`svm_train_batch`, each fold's training points marked in its
-    rows, and leaves out a fold that trains on one class; ties go to the
-    earlier gamma, then the earlier C. A gamma whose Gram or a fold's is
-    indefinite is skipped."""
+    rows, and leaves out a fold that tests no point (more folds than
+    points) or trains on one class; ties go to the earlier gamma, then
+    the earlier C. A gamma whose Gram or a fold's is indefinite is
+    skipped."""
     if args.cv < 2:
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
@@ -263,7 +264,7 @@ def _cv_select(d2, labels, spec, mode, args):
     for f in range(args.cv):
         test = folds == f
         train = ~test
-        if len(np.unique(labels[train])) < 2:
+        if not test.any() or len(np.unique(labels[train])) < 2:
             continue
         codes, fields = _binary_problems(labels[train], mode)
         block = np.zeros((len(codes), len(labels)))
@@ -387,7 +388,10 @@ def _cmd_mkl_train(args) -> None:
     for path in args.inputs:
         points, lab, spec = _dataset_points(path, args)
         if labels is None:
-            labels = lab
+            labels, labels_path = lab, path
+        elif lab is not None and not np.array_equal(lab, labels):
+            # every labelled input must label the same points the same way
+            raise DimMismatchError(f"{labels_path} and {path} hold different labels")
         d2 = squared_distance_matrix(spec.manifold, spec.metric, points, alpha=spec.alpha)
         for gamma in gammas or [spec.gamma]:
             grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2))
@@ -399,6 +403,8 @@ def _cmd_mkl_train(args) -> None:
         "type": "mkl-svm",
         "weights": model.weights,
         "objective_trace": model.objective_trace,
+        "n_outer": model.n_outer,
+        "stop": model.stop,
         "kernel_specs": [gram.spec for gram in grams],
         "model": model.svm,
         "provenance": _provenance(args),

@@ -1,10 +1,10 @@
 """Image-to-SPD descriptor extraction.
 
 Pixel feature maps, integral-image region covariance, dispersion-ranked
-subwindow selection, and spatio-temporal structure tensors. Images are
-2-d float arrays and feature maps (c, h, w) arrays, one plane per
-channel; rectangles are (x0, y0, w, h) with x along columns, one
-rectangle or an (R, 4) array of them.
+subwindow selection, and image readers. Images are 2-d float arrays and
+feature maps (c, h, w) arrays, one plane per channel; rectangles are
+(x0, y0, w, h) with x along columns, one rectangle or an (R, 4) array
+of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import load_matrix_csv, parse_errors
 from .errors import (
@@ -20,7 +19,6 @@ from .errors import (
     BadShapeError,
     DimMismatchError,
     EmptySetError,
-    FrameMismatchError,
     MalformedFileError,
     RectOutOfBoundsError,
     TooFewPixelsError,
@@ -230,63 +228,6 @@ def select_subwindows(candidates, descriptors, count: int, max_overlap: float):
                 break
     chosen = np.array(chosen, dtype=int)
     return chosen, scores[chosen]
-
-
-# ---------------------------------------------------------------------------
-# Spatio-temporal structure tensors
-# ---------------------------------------------------------------------------
-
-def _gaussian_smooth(planes, sigma: float) -> np.ndarray:
-    """Gaussian blur of the last two axes, one axis at a time: sampled
-    weights exp(-x^2 / 2 sigma^2) over |x| <= int(4 sigma + 0.5), summing
-    to one, with edge values repeated past the border. Each plane equals
-    ``scipy.ndimage.gaussian_filter(plane, sigma, mode="nearest")``."""
-    radius = int(4.0 * sigma + 0.5)
-    weights = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
-    weights /= weights.sum()
-    out = np.asarray(planes, dtype=float)
-    for axis in (-2, -1):
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (radius, radius)
-        windows = sliding_window_view(np.pad(out, pad, mode="edge"), weights.size, axis=axis)
-        out = windows @ weights
-    return out
-
-
-def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6) -> np.ndarray:
-    """Per-pixel 3x3 structure tensors from 2 or 3 frames.
-
-    The gradient (Ix, Iy, It) takes spatial derivatives on the reference
-    frame (first of 2, middle of 3) and the temporal derivative across
-    the frames; the outer product field is smoothed channel-wise with a
-    Gaussian of ``smoothing_sigma`` and shifted by ``epsilon * I``.
-    Returns an (h, w, 3, 3) array.
-
-    No CLI command calls this yet: it is kept as the paper's
-    spatio-temporal SPD descriptor, the video counterpart of
-    :func:`region_covariance`.
-    """
-    imgs = [np.asarray(f, dtype=float) for f in frames]
-    if len(imgs) not in (2, 3):
-        raise FrameMismatchError(f"need 2 or 3 frames, got {len(imgs)}")
-    shape = imgs[0].shape
-    for f in imgs:
-        if f.shape != shape or f.ndim != 2:
-            raise FrameMismatchError("frames must share one 2-d shape")
-    if shape[0] < 3 or shape[1] < 3:
-        raise TooSmallError(f"frames too small for derivatives: {shape}")
-    if len(imgs) == 2:
-        ref = imgs[0]
-        it = imgs[1] - imgs[0]
-    else:
-        ref = imgs[1]
-        it = (imgs[2] - imgs[0]) / 2.0
-    grads = np.stack([_dx(ref), _dy(ref), it])  # (3, h, w)
-    prods = grads[:, None, :, :] * grads[None, :, :, :]  # (3, 3, h, w)
-    smoothed = _gaussian_smooth(prods, smoothing_sigma) if smoothing_sigma > 0 else prods
-    tensors = smoothed.transpose(2, 3, 0, 1).copy()
-    tensors += epsilon * np.eye(3)
-    return tensors
 
 
 # ---------------------------------------------------------------------------

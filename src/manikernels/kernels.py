@@ -58,15 +58,6 @@ WITNESS_TOL_FACTOR = 1e-7
 #: the 1.4e-12 this allows.
 _SCREEN_SLACK = 4 * np.finfo(float).eps
 
-#: Metrics whose Gaussian kernel is positive definite for every gamma > 0.
-PD_FOR_ALL_GAMMA = {
-    ("spd", "log-euclidean"),
-    ("spd", "cholesky"),
-    ("spd", "power-euclidean"),
-    ("grassmann", "projection"),
-    ("euclidean", "euclidean"),
-}
-
 
 def _flat(stack) -> np.ndarray:
     return stack.reshape(len(stack), -1)

@@ -769,6 +769,8 @@ class MklModel:
     weights: np.ndarray  # simplex weights over the kernel list
     svm: SvmModel
     objective_trace: list
+    n_outer: int  # accepted outer steps, len(objective_trace) - 1
+    stop: str  # how the outer loop ended, see mkl_train
 
 
 def combine_kernels(kernels, weights) -> np.ndarray:
@@ -797,6 +799,12 @@ def mkl_train(
     inequality sum_j lambda_j min_eigen(K_j) bounds the smallest
     eigenvalue of K(lambda) from below, so the inner solves run neither
     check nor eigenvalue audit.
+
+    The model records ``n_outer``, the accepted outer steps, and
+    ``stop``, how the loop ended: ``"stationary"`` (the reduced gradient
+    is zero), ``"line-search"`` (20 step halvings all raised the
+    objective), ``"tol"`` (an accepted step lowered it by less than
+    ``tol``) or ``"max-outer"`` (``max_outer_iter`` steps were taken).
     """
     _require_non_negative("max_outer_iter", max_outer_iter)
     _require_non_negative("tol", tol)
@@ -820,6 +828,7 @@ def mkl_train(
 
     model, objective = solve(lam)
     trace = [objective]
+    stop = "max-outer"
     for _ in range(max_outer_iter):
         dc = model.dual_coefs
         grad = np.array([-0.5 * float(dc @ gram.entries @ dc) for gram in grams])
@@ -829,22 +838,23 @@ def mkl_train(
         direction[pivot] = 0.0
         direction[pivot] = -direction.sum()
         if np.linalg.norm(direction) < 1e-14:
+            stop = "stationary"
             break
         neg = direction < 0
         step = float(np.min(lam[neg] / -direction[neg]))
-        accepted = False
         for _ in range(20):
             trial = np.clip(lam + step * direction, 0.0, None)
             trial /= trial.sum()
             trial_model, trial_objective = solve(trial)
             if trial_objective <= objective:
                 lam, model, objective = trial, trial_model, trial_objective
-                accepted = True
                 break
             step /= 2.0
-        if not accepted:
+        else:
+            stop = "line-search"
             break
         trace.append(objective)
-        if len(trace) >= 2 and trace[-2] - trace[-1] < tol:
+        if trace[-2] - trace[-1] < tol:
+            stop = "tol"
             break
-    return MklModel(weights=lam, svm=model, objective_trace=trace)
+    return MklModel(weights=lam, svm=model, objective_trace=trace, n_outer=len(trace) - 1, stop=stop)

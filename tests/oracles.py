@@ -9,8 +9,10 @@ and CND tests, linear Grams, Gram readers, an inverse square root, the
 +-1 prediction of one binary SVM, the per-problem CV grid search, the
 per-gamma definiteness search, the per-entry CSV writer) so the tests
 can check the package against them, and keeps a few input fixtures (a
-dataset writer without the finiteness check among them) and the
-out-of-sample Fisher projection.
+dataset writer without the finiteness check among them), the
+out-of-sample Fisher projection, the paper's table of metrics whose
+Gaussian kernel is positive definite for every gamma, and the
+spatio-temporal structure tensor, which no command computes.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from manikernels.errors import (
     BadParamError,
     DimMismatchError,
+    FrameMismatchError,
     NoConvergenceError,
     NotPsdError,
     NotSpdError,
     OneClassError,
+    TooSmallError,
     UnsupportedMetricError,
 )
 from manikernels.data import save_json, stack_items
+from manikernels.features import _dx, _dy
 from manikernels.grassmann import (
     arc_length,
     chordal_2norm,
@@ -169,6 +175,18 @@ def grassmann_distance(metric: str, y1, y2):
         "chordal-fnorm": chordal_fnorm,
     }[metric]
     return distance(y1, y2)
+
+
+#: The paper's metrics whose Gaussian kernel is positive definite for
+#: every gamma > 0: the squared distance is conditionally negative
+#: definite because it embeds isometrically in an inner product space.
+PD_FOR_ALL_GAMMA = {
+    ("spd", "log-euclidean"),
+    ("spd", "cholesky"),
+    ("spd", "power-euclidean"),
+    ("grassmann", "projection"),
+    ("euclidean", "euclidean"),
+}
 
 
 def karcher_mean_log_euclidean(points) -> np.ndarray:
@@ -411,6 +429,60 @@ def write_pgm(path, image, maxval: int = 255) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Spatio-temporal structure tensors
+# ---------------------------------------------------------------------------
+
+def gaussian_smooth(planes, sigma: float) -> np.ndarray:
+    """Gaussian blur of the last two axes, one axis at a time: sampled
+    weights exp(-x^2 / 2 sigma^2) over |x| <= int(4 sigma + 0.5), summing
+    to one, with edge values repeated past the border. Each plane equals
+    ``scipy.ndimage.gaussian_filter(plane, sigma, mode="nearest")``."""
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    weights /= weights.sum()
+    out = np.asarray(planes, dtype=float)
+    for axis in (-2, -1):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (radius, radius)
+        windows = sliding_window_view(np.pad(out, pad, mode="edge"), weights.size, axis=axis)
+        out = windows @ weights
+    return out
+
+
+def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6) -> np.ndarray:
+    """Per-pixel 3x3 structure tensors from 2 or 3 frames, the paper's
+    spatio-temporal SPD descriptor.
+
+    The gradient (Ix, Iy, It) takes spatial derivatives on the reference
+    frame (first of 2, middle of 3) and the temporal derivative across
+    the frames; the outer product field is smoothed channel-wise with a
+    Gaussian of ``smoothing_sigma`` and shifted by ``epsilon * I``.
+    Returns an (h, w, 3, 3) array.
+    """
+    imgs = [np.asarray(f, dtype=float) for f in frames]
+    if len(imgs) not in (2, 3):
+        raise FrameMismatchError(f"need 2 or 3 frames, got {len(imgs)}")
+    shape = imgs[0].shape
+    for f in imgs:
+        if f.shape != shape or f.ndim != 2:
+            raise FrameMismatchError("frames must share one 2-d shape")
+    if shape[0] < 3 or shape[1] < 3:
+        raise TooSmallError(f"frames too small for derivatives: {shape}")
+    if len(imgs) == 2:
+        ref = imgs[0]
+        it = imgs[1] - imgs[0]
+    else:
+        ref = imgs[1]
+        it = (imgs[2] - imgs[0]) / 2.0
+    grads = np.stack([_dx(ref), _dy(ref), it])  # (3, h, w)
+    prods = grads[:, None, :, :] * grads[None, :, :, :]  # (3, 3, h, w)
+    smoothed = gaussian_smooth(prods, smoothing_sigma) if smoothing_sigma > 0 else prods
+    tensors = smoothed.transpose(2, 3, 0, 1).copy()
+    tensors += epsilon * np.eye(3)
+    return tensors
+
+
+# ---------------------------------------------------------------------------
 # Definiteness search, one eigh per (trial, gamma)
 # ---------------------------------------------------------------------------
 
@@ -488,7 +560,8 @@ def cv_select_per_problem(d2, labels, spec, mode, args):
     from the labels as the CLI documents it, not from ``mode``: two classes
     are one +-1 problem, the larger class +1, and more take ``--mode``. A
     gamma is skipped when a fold's fit or the full Gram's audit finds it
-    indefinite."""
+    indefinite. A fold that tests no point (more folds than points) is
+    fitted and adds 0 to every score, where the CLI leaves it out."""
     from manikernels.cli import _cv_folds, _grid
 
     if args.cv < 2:

@@ -10,11 +10,18 @@ from manikernels.cli import _model_from_payload, run
 from manikernels.data import load_dataset, load_matrix_csv, save_dataset, save_json, synth_spd_blobs
 from manikernels.features import candidate_grid
 from manikernels.grassmann import make_grassmann
-from manikernels.kernels import DefinitenessReport, KernelSpec
+from manikernels.kernels import METRICS, DefinitenessReport, KernelSpec
 from manikernels.learn import MulticlassSvmModel, SvmModel
 from manikernels.spd import make_spd
 
-from oracles import gram_from_csv, gram_from_json, save_dataset_unchecked, write_pgm
+from oracles import (
+    gram_from_csv,
+    gram_from_json,
+    grassmann_distance,
+    save_dataset_unchecked,
+    spd_distance,
+    write_pgm,
+)
 
 
 def run_ok(argv):
@@ -416,6 +423,34 @@ def test_gram_euclidean_override_on_spd_dataset(tmp_path):
     assert gram.min_eigen >= -1e-8 * gram.size
 
 
+#: A small synth set per manifold; the Euclidean metric runs on SPD items.
+METRIC_SETS = {
+    "spd": ["--kind", "spd-blobs", "--dim", "3"],
+    "grassmann": ["--kind", "grassmann-clusters", "--dim", "5", "--subspace-dim", "2"],
+    "euclidean": ["--kind", "spd-blobs", "--dim", "3"],
+}
+
+
+@pytest.mark.parametrize("manifold, metric", sorted(METRICS), ids=[f"{a}-{b}" for a, b in sorted(METRICS)])
+def test_gram_runs_every_registered_metric(tmp_path, manifold, metric):
+    data, out = tmp_path / "data.json", tmp_path / "gram.json"
+    run_ok(["synth", *METRIC_SETS[manifold], "--clusters", "2", "--per-cluster", "4",
+            "--seed", "1", "--out", str(data)])
+    run_ok(["gram", "--input", str(data), "--manifold", manifold, "--metric", metric,
+            "--gamma", "0.5", "--out", str(out)])
+    gram = gram_from_json(out)
+    assert (gram.spec.manifold, gram.spec.metric) == (manifold, metric)
+    items = load_dataset(data)["items"]
+    for i, x in enumerate(items):
+        if manifold == "spd":
+            d = spd_distance(metric, x, items)
+        elif manifold == "grassmann":
+            d = grassmann_distance(metric, x, items)
+        else:
+            d = np.linalg.norm((items - x).reshape(len(items), -1), axis=1)
+        np.testing.assert_allclose(gram.entries[i], np.exp(-0.5 * d**2), rtol=1e-10, err_msg=str(i))
+
+
 def test_multiclass_svm_predict_round_trip(tmp_path):
     full = tmp_path / "full.json"
     train = tmp_path / "train.json"
@@ -473,6 +508,26 @@ def test_mkl_train_multiple_inputs(tmp_path):
     ) == 1
 
 
+def test_mkl_train_inputs_with_other_labels_are_a_data_error(tmp_path, capsys):
+    a, b, bare = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "bare.json"
+    make_blobs_file(a)
+    ds = load_dataset(a)
+    # the same points, with the labels of two points swapped
+    swapped = ds["labels"].copy()
+    first_other = int(np.argmax(swapped != swapped[0]))
+    swapped[[0, first_other]] = swapped[[first_other, 0]]
+    save_dataset(b, "spd", ds["items"], labels=swapped)
+    save_dataset(bare, "spd", ds["items"])
+    out = tmp_path / "mkl.json"
+    assert run(["mkl-train", "--inputs", str(a), str(b), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(a) in err and str(b) in err and "labels" in err
+    assert not out.exists()
+    # an input without labels takes the labels of the others
+    for inputs in ([a, bare], [bare, a]):
+        run_ok(["mkl-train", "--inputs", *map(str, inputs), "--out", str(out)])
+
+
 @pytest.mark.parametrize("label", [0, 1])
 def test_mkl_train_one_class_is_a_data_error(tmp_path, capsys, label):
     data = tmp_path / "one.json"
@@ -500,6 +555,12 @@ def test_mkl_train_cli(tmp_path):
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     trace = payload["objective_trace"]
     assert all(b <= a + 1e-8 for a, b in zip(trace, trace[1:]))
+    assert payload["n_outer"] == len(trace) - 1
+    # the file says how the outer loop ended: here on a one-step cap
+    run_ok(["mkl-train", "--inputs", str(data), "--gamma-grid", "0.1,1,10", "--C", "10",
+            "--max-outer", "1", "--tol", "0", "--out", str(model)])
+    payload = json.loads(model.read_text())
+    assert (payload["n_outer"], payload["stop"], len(payload["objective_trace"])) == (1, "max-outer", 2)
 
 
 def test_covdesc_full_window(tmp_path):

@@ -19,12 +19,11 @@ from manikernels.features import (
     read_pgm,
     region_covariance,
     select_subwindows,
-    structure_tensor_field,
     texture_feature_maps,
 )
 from manikernels.matrixops import spd_log
 
-from oracles import dispersion_stat, karcher_mean_log_euclidean, write_pgm
+from oracles import dispersion_stat, karcher_mean_log_euclidean, structure_tensor_field, write_pgm
 
 
 def random_maps(rng, c=3, h=12, w=15):
@@ -296,7 +295,7 @@ def test_selection_errors():
 
 
 # ---------------------------------------------------------------------------
-# structure tensors
+# structure tensors (the oracle in tests/oracles.py; no command computes them)
 # ---------------------------------------------------------------------------
 
 def test_structure_tensor_constant_frames():

@@ -17,7 +17,6 @@ from manikernels.errors import (
 from manikernels.grassmann import projection_dist_sq_fast
 from manikernels.kernels import (
     METRICS,
-    PD_FOR_ALL_GAMMA,
     KernelSpec,
     _trial_rng,
     cross_gram,
@@ -31,6 +30,7 @@ from manikernels.kernels import (
 )
 
 from oracles import (
+    PD_FOR_ALL_GAMMA,
     cnd_check,
     definiteness_search_per_gamma,
     gram_from_csv,

@@ -2,8 +2,9 @@
 
 A fresh interpreter that cannot import scipy runs the CLI commands, and
 the two numpy replacements of former scipy calls are checked against
-scipy: the Gaussian smoothing of ``features`` and the generalized
-eigenproblem of ``learn.kernel_fda``.
+scipy: the Gaussian smoothing of the structure-tensor oracle in
+``tests/oracles.py`` and the generalized eigenproblem of
+``learn.kernel_fda``.
 """
 
 import os
@@ -16,11 +17,11 @@ import pytest
 import scipy.linalg
 from scipy.ndimage import gaussian_filter
 
-from manikernels.features import _dx, _dy, _gaussian_smooth, structure_tensor_field
+from manikernels.features import _dx, _dy
 from manikernels.kernels import KernelSpec, gram_matrix, sample_spd
 from manikernels.learn import kernel_fda
 
-from oracles import write_pgm
+from oracles import gaussian_smooth, structure_tensor_field, write_pgm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,7 +90,7 @@ def test_gaussian_smooth_matches_scipy(sigma, shape):
     rng = np.random.default_rng([len(shape), *shape])
     plane = rng.standard_normal(shape) * 10.0
     want = gaussian_filter(plane, sigma, mode="nearest")
-    got = _gaussian_smooth(plane, sigma)
+    got = gaussian_smooth(plane, sigma)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

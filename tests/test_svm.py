@@ -361,37 +361,59 @@ def test_batch_input_errors():
     assert svm_train_batch(k, np.zeros((0, 3)), []) == []
 
 
-CV_SEARCHES = [
-    (2, "one-vs-all", "log-euclidean"),
-    (3, "one-vs-all", "log-euclidean"),
-    (3, "one-vs-one", "log-euclidean"),
+def _cv_search(classes, mode, metric):
+    """(synth_spd_blobs arguments, svm-train flags) of a 4-fold search."""
+    blobs = dict(n_clusters=classes, per_cluster=15, dim=3, seed=4, center_scale=0.5,
+                 noise_scale=0.6)
+    flags = ["--metric", metric, "--cv", "4", "--gamma-grid", "0.05,0.5,5",
+             "--c-grid", "0.1,1,100", "--mode", mode, "--seed", "2"]
+    return blobs, flags
+
+
+CV_SEARCHES = {
+    "2-one-vs-all": _cv_search(2, "one-vs-all", "log-euclidean"),
+    "3-one-vs-all": _cv_search(3, "one-vs-all", "log-euclidean"),
+    "3-one-vs-one": _cv_search(3, "one-vs-one", "log-euclidean"),
     # affine-invariant Grams at gamma 0.05 are indefinite here: both skip it
-    (2, "one-vs-all", "affine-invariant"),
-    (3, "one-vs-one", "affine-invariant"),
-]
+    "2-one-vs-all-affine-invariant": _cv_search(2, "one-vs-all", "affine-invariant"),
+    "3-one-vs-one-affine-invariant": _cv_search(3, "one-vs-one", "affine-invariant"),
+    # 30 folds over 24 points: folds 24 to 29 test no point, and the
+    # search leaves them out where the per-problem loop scores them as 0
+    "30-folds-24-points": (
+        dict(n_clusters=2, per_cluster=12, dim=3, seed=1, center_scale=0.7, noise_scale=0.5),
+        ["--cv", "30", "--gamma-grid", "0.5", "--c-grid", "1,10"],
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "classes, mode, metric", CV_SEARCHES,
-    ids=[f"{c}-{mode}" + ("" if metric == "log-euclidean" else f"-{metric}")
-         for c, mode, metric in CV_SEARCHES],
-)
-def test_svm_train_cv_files_match_the_per_problem_search(tmp_path, monkeypatch, classes, mode, metric):
-    points, labels = synth_spd_blobs(classes, 15, 3, seed=4, center_scale=0.5, noise_scale=0.6)
+@pytest.mark.parametrize("case", list(CV_SEARCHES))
+def test_svm_train_cv_files_match_the_per_problem_search(tmp_path, monkeypatch, case):
+    blobs, flags = CV_SEARCHES[case]
+    points, labels = synth_spd_blobs(**blobs)
     data = tmp_path / "data.json"
     save_dataset(data, "spd", points, labels=labels)
     model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
-    train = ["svm-train", "--input", str(data), "--metric", metric, "--cv", "4",
-             "--gamma-grid", "0.05,0.5,5", "--c-grid", "0.1,1,100", "--mode", mode,
-             "--seed", "2", "--out", str(model)]
+    train = ["svm-train", "--input", str(data), *flags, "--out", str(model)]
     predict = ["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
                "--out", str(pred)]
+    batches = []
+
+    def recording_batch(gram, Y, *args, **kwargs):
+        batches.append(np.asarray(Y))
+        return svm_train_batch(gram, Y, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "svm_train_batch", recording_batch)
     written = []
     for select in (cli._cv_select, oracles.cv_select_per_problem):
         monkeypatch.setattr(cli, "_cv_select", select)
         assert run(train) == 0 and run(predict) == 0
         written.append((model.read_bytes(), pred.read_bytes()))
     assert written[0] == written[1]
+    # every row of a batch leaves out the test points of its fold
+    assert batches and all(np.all((Y == 0).any(axis=1)) for Y in batches)
+    if case == "30-folds-24-points":
+        # one binary problem per C for each of the 24 folds that test a point
+        assert {len(Y) for Y in batches} == {24 * 2}
 
 
 def test_svm_c_must_be_positive_and_finite():
@@ -493,6 +515,56 @@ def test_mkl_identical_kernels_objective_matches_single():
     dual_plain, _ = svm_objectives(plain, gram, y)
     assert abs(mkl.objective_trace[-1] - dual_plain) <= 1e-6
     assert mkl.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def mkl_gamma_grid_problem():
+    """Three log-Euclidean Grams (gamma 0.1, 1, 10) of two SPD blobs whose
+    MKL takes 8 outer steps before the objective levels off."""
+    points, labels = synth_spd_blobs(2, 20, 3, seed=2)
+    grams = [gram_matrix(KernelSpec("spd", "log-euclidean", gamma), points) for gamma in (0.1, 1.0, 10.0)]
+    return grams, np.where(labels == 1, 1.0, -1.0)
+
+
+def test_mkl_stops_at_max_outer():
+    grams, y = mkl_gamma_grid_problem()
+    for cap in (0, 1, 3):
+        mkl = mkl_train(grams, y, C=10.0, max_outer_iter=cap, tol=0.0)
+        assert (mkl.n_outer, mkl.stop) == (cap, "max-outer")
+        assert len(mkl.objective_trace) == cap + 1
+
+
+def test_mkl_stops_on_tol():
+    grams, y = mkl_gamma_grid_problem()
+    mkl = mkl_train(grams, y, C=10.0, max_outer_iter=50, tol=1e-6)
+    assert (mkl.n_outer, mkl.stop) == (8, "tol")
+    drops = -np.diff(mkl.objective_trace)
+    assert len(drops) == mkl.n_outer
+    # the first drop below tol ends the loop
+    assert drops[-1] < 1e-6 and np.all(drops[:-1] >= 1e-6)
+
+
+def test_mkl_stops_when_the_line_search_fails():
+    grams, y = mkl_gamma_grid_problem()
+    mkl = mkl_train(grams, y, C=10.0, max_outer_iter=500, tol=0.0)
+    assert (mkl.n_outer, mkl.stop) == (8, "line-search")
+    assert len(mkl.objective_trace) == 9
+    # a larger cap changes nothing: the loop ended before it
+    again = mkl_train(grams, y, C=10.0, max_outer_iter=1000, tol=0.0)
+    np.testing.assert_array_equal(again.weights, mkl.weights)
+
+
+def test_mkl_stops_at_a_stationary_point():
+    grams, y = mkl_gamma_grid_problem()
+    # one kernel has no descent direction on the simplex
+    single = mkl_train(grams[:1], y, C=10.0)
+    assert (single.n_outer, single.stop) == (0, "stationary")
+    assert single.objective_trace == [single.objective_trace[0]]
+    # nor has a vertex whose reduced gradient points out of the simplex
+    points, labels = synth_spd_blobs(2, 6, 3, seed=1)
+    grams = [gram_matrix(KernelSpec("spd", "log-euclidean", gamma), points) for gamma in (0.1, 1.0, 10.0)]
+    vertex = mkl_train(grams, np.where(labels == 1, 1.0, -1.0), C=10.0, max_outer_iter=50, tol=0.0)
+    assert (vertex.n_outer, vertex.stop) == (2, "stationary")
+    np.testing.assert_array_equal(vertex.weights, [0.0, 1.0, 0.0])
 
 
 def test_mkl_downweights_noise_kernel():
