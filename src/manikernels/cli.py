@@ -300,6 +300,8 @@ def _cv_select(d2, labels, spec, mode, args):
 
 
 def _cmd_svm_train(args) -> None:
+    if (args.gamma_grid or args.c_grid) and not args.cv:
+        raise BadParamError("--gamma-grid and --c-grid are searched only with --cv")
     points, labels, spec = _dataset_points(args.input, args)
     if labels is None:
         raise BadShapeError("svm-train needs a dataset with labels")
@@ -384,9 +386,14 @@ def _cmd_mkl_train(args) -> None:
     if gammas and len(args.inputs) > 1:
         raise BadParamError("--gamma-grid expands kernels from a single input")
     grams = []
-    labels = None
+    labels = first = None
     for path in args.inputs:
         points, lab, spec = _dataset_points(path, args)
+        if first is None:
+            first = (path, len(points))
+        elif len(points) != first[1]:
+            # every input must hold the same points
+            raise DimMismatchError(f"{first[0]} holds {first[1]} points, {path} holds {len(points)}")
         if labels is None:
             labels, labels_path = lab, path
         elif lab is not None and not np.array_equal(lab, labels):

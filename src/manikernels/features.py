@@ -10,6 +10,7 @@ of them.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -28,24 +29,17 @@ from .matrixops import frob, spd_log
 
 DERIV_EPS = 1e-8
 
-def _dx(img):
-    p = np.pad(img, ((0, 0), (1, 1)), mode="edge")
-    return (p[:, 2:] - p[:, :-2]) / 2.0
 
-
-def _dy(img):
-    p = np.pad(img, ((1, 1), (0, 0)), mode="edge")
-    return (p[2:, :] - p[:-2, :]) / 2.0
-
-
-def _dxx(img):
-    p = np.pad(img, ((0, 0), (1, 1)), mode="edge")
-    return p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2]
-
-
-def _dyy(img):
-    p = np.pad(img, ((1, 1), (0, 0)), mode="edge")
-    return p[2:, :] - 2.0 * p[1:-1, :] + p[:-2, :]
+def _derivatives(img):
+    """(Ix, Iy, Ixx, Iyy) of an image by central differences, from one
+    edge-padded copy per axis, so borders are replicated."""
+    px = np.pad(img, ((0, 0), (1, 1)), mode="edge")
+    py = np.pad(img, ((1, 1), (0, 0)), mode="edge")
+    ix = (px[:, 2:] - px[:, :-2]) / 2.0
+    iy = (py[2:] - py[:-2]) / 2.0
+    ixx = px[:, 2:] - 2.0 * img + px[:, :-2]
+    iyy = py[2:] - 2.0 * img + py[:-2]
+    return ix, iy, ixx, iyy
 
 
 def _as_image(image) -> np.ndarray:
@@ -60,31 +54,17 @@ def pedestrian_feature_maps(image) -> np.ndarray:
     arctan(|Ix|/|Iy|)], derivatives by central differences with replicated
     borders. The angle channel floors |Iy| at DERIV_EPS."""
     img = _as_image(image)
-    h, w = img.shape
-    ix, iy = _dx(img), _dy(img)
-    ixx, iyy = _dxx(img), _dyy(img)
-    xs = np.tile(np.arange(w, dtype=float), (h, 1))
-    ys = np.tile(np.arange(h, dtype=float)[:, None], (1, w))
-    return np.stack(
-        [
-            xs,
-            ys,
-            np.abs(ix),
-            np.abs(iy),
-            np.sqrt(ix**2 + iy**2),
-            np.abs(ixx),
-            np.abs(iyy),
-            np.arctan(np.abs(ix) / np.maximum(np.abs(iy), DERIV_EPS)),
-        ]
-    )
+    ix, iy, ixx, iyy = _derivatives(img)
+    ys, xs = np.indices(img.shape, dtype=float)
+    ax, ay = np.abs(ix), np.abs(iy)
+    angle = np.arctan(ax / np.maximum(ay, DERIV_EPS))
+    return np.stack([xs, ys, ax, ay, np.sqrt(ix**2 + iy**2), np.abs(ixx), np.abs(iyy), angle])
 
 
 def texture_feature_maps(image) -> np.ndarray:
     """5-channel (c, h, w) maps [I, |Ix|, |Iy|, |Ixx|, |Iyy|]."""
     img = _as_image(image)
-    return np.stack(
-        [img, np.abs(_dx(img)), np.abs(_dy(img)), np.abs(_dxx(img)), np.abs(_dyy(img))]
-    )
+    return np.stack([img, *map(np.abs, _derivatives(img))])
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +138,27 @@ def normalize_by_full_window(cov_sub, cov_full) -> np.ndarray:
 # Subwindow candidates and selection
 # ---------------------------------------------------------------------------
 
+def _window_offsets(full: int) -> dict:
+    """Window sides along an axis of length ``full``, at least 3 and at
+    most ``full``, in 5 geometric steps from full/5 up to full, each
+    mapped to its offsets: strides of a quarter of the side, plus the
+    last offset that fits."""
+    sides = sorted({max(3, int(round(v))) for v in np.geomspace(full / 5.0, full, 5)})
+    return {s: [*range(0, full - s, max(1, s // 4)), full - s] for s in sides if s <= full}
+
+
 def candidate_grid(height: int, width: int) -> np.ndarray:
-    """Candidate subwindows as an (R, 4) int array of (x0, y0, w, h) rows,
-    with sides of at least 3 in 5 geometric steps from (h/5, w/5) up to
-    the full window, placed at strides of a quarter of the subwindow side."""
-    heights = sorted({max(3, int(round(v))) for v in np.geomspace(height / 5.0, height, 5)})
-    widths = sorted({max(3, int(round(v))) for v in np.geomspace(width / 5.0, width, 5)})
-    rects = []
-    for sh in heights:
-        if sh > height:
-            continue
-        for sw in widths:
-            if sw > width:
-                continue
-            step_y = max(1, sh // 4)
-            step_x = max(1, sw // 4)
-            ys = list(range(0, height - sh + 1, step_y))
-            if ys[-1] != height - sh:
-                ys.append(height - sh)
-            xs = list(range(0, width - sw + 1, step_x))
-            if xs[-1] != width - sw:
-                xs.append(width - sw)
-            rects += [(x0, y0, sw, sh) for y0 in ys for x0 in xs]
+    """Candidate subwindows as an (R, 4) int array of (x0, y0, w, h) rows:
+    every pair of a row side and a column side of :func:`_window_offsets`,
+    at each of their offsets."""
+    rows, cols = _window_offsets(height), _window_offsets(width)
+    rects = [
+        (x0, y0, sw, sh)
+        for sh, ys in rows.items()
+        for sw, xs in cols.items()
+        for y0 in ys
+        for x0 in xs
+    ]
     return np.array(rects, dtype=int).reshape(-1, 4)
 
 
@@ -234,47 +213,35 @@ def select_subwindows(candidates, descriptors, count: int, max_overlap: float):
 # Image file readers
 # ---------------------------------------------------------------------------
 
+# a comment, with group 1 unset, or a header or P2 raster token
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
+
+
 def read_pgm(path) -> np.ndarray:
-    """P2 (ascii) or P5 (binary) PGM as a float array."""
+    """P2 (ascii) or P5 (binary) PGM as a float array. A ``#`` that
+    starts a token starts a comment, which runs to the end of its line."""
     with open(path, "rb") as fh:
         data = fh.read()
-
-    def tokens(buf):
-        i = 0
-        while i < len(buf):
-            if buf[i : i + 1].isspace():
-                i += 1
-                continue
-            if buf[i : i + 1] == b"#":
-                j = buf.find(b"\n", i)
-                i = len(buf) if j < 0 else j + 1
-                continue
-            j = i
-            while j < len(buf) and not buf[j : j + 1].isspace():
-                j += 1
-            yield buf[i:j], j
-            i = j
-
-    gen = tokens(data)
-    magic, _ = next(gen, (b"", 0))
+    tokens = (m for m in _PGM_TOKEN.finditer(data) if m.group(1))
+    header = list(itertools.islice(tokens, 4))
+    magic = header[0].group() if header else b""
     if magic not in (b"P2", b"P5"):
         raise MalformedFileError(f"{path}: not a P2/P5 PGM file: magic {magic!r}")
-    header = list(itertools.islice(gen, 3))
-    if len(header) < 3:
+    if len(header) < 4:
         raise MalformedFileError(f"{path}: truncated PGM header")
-    (w_tok, _), (h_tok, _), (max_tok, end) = header
     with parse_errors(path):
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        width, height, maxval = (int(m.group()) for m in header[1:])
+        size = width * height
         if magic == b"P2":
-            arr = np.array([int(tok) for tok, _ in gen], dtype=float)
+            arr = np.array([int(m.group()) for m in tokens], dtype=float)
         else:
-            dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-            raster = data[end + 1 :]
-            arr = np.frombuffer(raster, dtype=dtype, count=width * height).astype(float)
-    if arr.size != width * height:
-        raise MalformedFileError(
-            f"{path}: PGM raster holds {arr.size} values, expected {width * height}"
-        )
+            # one whitespace byte ends the header
+            raster = data[header[3].end() + 1 :]
+            dtype = np.dtype(">u2" if maxval > 255 else "u1")
+            count = min(size, len(raster) // dtype.itemsize)
+            arr = np.frombuffer(raster, dtype=dtype, count=count).astype(float)
+    if arr.size != size:
+        raise MalformedFileError(f"{path}: PGM raster holds {arr.size} values, expected {size}")
     return arr.reshape(height, width)
 
 

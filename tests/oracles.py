@@ -3,12 +3,14 @@
 The package computes every distance through the metric registry of
 ``manikernels.kernels`` and audits Gram matrices with one ``eigvalsh``;
 the functions here restate the definitions directly (a pairwise SPD
-distance per metric, a Grassmann distance per metric with the
-projection distance from the principal angles, Karcher means, the PSD
+distance per metric, the affine-invariant one from scipy's generalized
+eigenvalues, a Grassmann distance per metric from scipy's principal
+angles, a replicated-border central difference, Karcher means, the PSD
 and CND tests, linear Grams, Gram readers, an inverse square root, the
 +-1 prediction of one binary SVM, the per-problem CV grid search, the
 per-gamma definiteness search, the per-entry CSV writer) so the tests
-can check the package against them, and keeps a few input fixtures (a
+can check the package against them (no distance here calls the package
+formula it checks), and keeps a few input fixtures (a
 dataset writer without the finiteness check among them), the
 out-of-sample Fisher projection, the paper's table of metrics whose
 Gaussian kernel is positive definite for every gamma, and the
@@ -22,6 +24,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from manikernels.errors import (
@@ -36,15 +39,7 @@ from manikernels.errors import (
     UnsupportedMetricError,
 )
 from manikernels.data import save_json, stack_items
-from manikernels.features import _dx, _dy
-from manikernels.grassmann import (
-    arc_length,
-    chordal_2norm,
-    chordal_fnorm,
-    fubini_study,
-    make_grassmann,
-    principal_angles,
-)
+from manikernels.grassmann import make_grassmann
 from manikernels.kernels import (
     WITNESS_TOL_FACTOR,
     DefinitenessReport,
@@ -75,12 +70,7 @@ from manikernels.matrixops import (
     spd_log,
     spd_power,
 )
-from manikernels.spd import (
-    DEFAULT_POWER_ALPHA,
-    affine_invariant_sq,
-    log_det_spd,
-    stein_divergence_sq,
-)
+from manikernels.spd import DEFAULT_POWER_ALPHA
 
 # ---------------------------------------------------------------------------
 # Inverse square root with a roundoff clamp
@@ -129,9 +119,20 @@ def _check_metric(metric: str) -> None:
         raise UnsupportedMetricError(f"unknown SPD metric {metric!r}")
 
 
+def _each(fn, x, ys):
+    """``fn(x, y)``, a 1-d array, for one item ``ys`` or for each item of
+    a stack of them."""
+    ys = np.asarray(ys, dtype=float)
+    results = [fn(x, y) for y in ys.reshape(-1, *np.shape(x))]
+    return np.reshape(results, ys.shape[: ys.ndim - np.ndim(x)] + (-1,))
+
+
 def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
     """Distance from ``s1`` to one SPD matrix ``s2`` (a float), or to each
-    of a stack of them (an array), under the selected metric."""
+    of a stack of them (an array), under the selected metric. The
+    affine-invariant distance is (sum_i log^2 lambda_i)^{1/2} over the
+    generalized eigenvalues of S2 v = lambda S1 v, and root-Stein takes
+    its log-determinants from ``slogdet``."""
     _check_metric(metric)
     s1 = np.asarray(s1, dtype=float)
     s2 = np.asarray(s2, dtype=float)
@@ -140,7 +141,8 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
     if metric == "log-euclidean":
         return frob(spd_log(s1) - spd_log(s2))
     if metric == "affine-invariant":
-        return np.sqrt(affine_invariant_sq(s1, s2))
+        lams = _each(lambda x, y: scipy.linalg.eigh(y, x, eigvals_only=True), s1, s2)
+        return np.sqrt(np.sum(np.log(lams) ** 2, axis=-1))
     if metric == "cholesky":
         return frob(cholesky_lower(s1) - cholesky_lower(s2))
     if metric == "power-euclidean":
@@ -148,7 +150,8 @@ def spd_distance(metric: str, s1, s2, alpha: float = DEFAULT_POWER_ALPHA):
             raise BadParamError("power-euclidean alpha must be nonzero")
         return frob(spd_power(s1, alpha) - spd_power(s2, alpha)) / abs(alpha)
     # root-stein
-    return np.sqrt(stein_divergence_sq(s1, log_det_spd(s1), s2, log_det_spd(s2)))
+    mid, one, two = (np.linalg.slogdet(s)[1] for s in ((s1 + s2) / 2.0, s1, s2))
+    return np.sqrt(mid - 0.5 * (one + two))
 
 
 GRASSMANN_METRICS = (
@@ -162,19 +165,20 @@ GRASSMANN_METRICS = (
 
 def grassmann_distance(metric: str, y1, y2):
     """Distance from ``y1`` to one subspace ``y2``, or to each of a stack,
-    under the selected metric; the projection distance is taken from the
-    principal angles, (sum_i sin^2 theta_i)^{1/2}."""
+    under the selected metric, from the principal angles theta_i of
+    ``scipy.linalg.subspace_angles``."""
     if metric not in GRASSMANN_METRICS:
         raise UnsupportedMetricError(f"unknown Grassmann metric {metric!r}")
+    theta = _each(scipy.linalg.subspace_angles, np.asarray(y1, dtype=float), y2)
     if metric == "projection":
-        return np.sqrt(np.sum(np.sin(principal_angles(y1, y2)) ** 2, axis=-1))
-    distance = {
-        "arc-length": arc_length,
-        "fubini-study": fubini_study,
-        "chordal-2norm": chordal_2norm,
-        "chordal-fnorm": chordal_fnorm,
-    }[metric]
-    return distance(y1, y2)
+        return np.sqrt(np.sum(np.sin(theta) ** 2, axis=-1))
+    if metric == "arc-length":
+        return np.sqrt(np.sum(theta**2, axis=-1))
+    if metric == "fubini-study":
+        return np.arccos(np.prod(np.cos(theta), axis=-1))
+    if metric == "chordal-2norm":
+        return 2.0 * np.max(np.sin(theta / 2.0), axis=-1)
+    return 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
 
 
 #: The paper's metrics whose Gaussian kernel is positive definite for
@@ -449,6 +453,15 @@ def gaussian_smooth(planes, sigma: float) -> np.ndarray:
     return out
 
 
+def central_difference(image, axis: int) -> np.ndarray:
+    """(I[i + 1] - I[i - 1]) / 2 along ``axis`` of a 2-d image, an index
+    past either border taking the border value."""
+    n = image.shape[axis]
+    ahead = np.take(image, np.minimum(np.arange(n) + 1, n - 1), axis=axis)
+    behind = np.take(image, np.maximum(np.arange(n) - 1, 0), axis=axis)
+    return (ahead - behind) / 2.0
+
+
 def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6) -> np.ndarray:
     """Per-pixel 3x3 structure tensors from 2 or 3 frames, the paper's
     spatio-temporal SPD descriptor.
@@ -474,7 +487,7 @@ def structure_tensor_field(frames, smoothing_sigma: float, epsilon: float = 1e-6
     else:
         ref = imgs[1]
         it = (imgs[2] - imgs[0]) / 2.0
-    grads = np.stack([_dx(ref), _dy(ref), it])  # (3, h, w)
+    grads = np.stack([central_difference(ref, 1), central_difference(ref, 0), it])  # (3, h, w)
     prods = grads[:, None, :, :] * grads[None, :, :, :]  # (3, 3, h, w)
     smoothed = gaussian_smooth(prods, smoothing_sigma) if smoothing_sigma > 0 else prods
     tensors = smoothed.transpose(2, 3, 0, 1).copy()

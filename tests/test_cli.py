@@ -528,6 +528,21 @@ def test_mkl_train_inputs_with_other_labels_are_a_data_error(tmp_path, capsys):
         run_ok(["mkl-train", "--inputs", *map(str, inputs), "--out", str(out)])
 
 
+@pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+def test_mkl_train_inputs_of_other_sizes_name_both(tmp_path, capsys, labelled):
+    # sizes are compared before labels, which differ in length too
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, per_cluster in ((a, 4), (b, 5)):
+        items, labels = synth_spd_blobs(2, per_cluster, 3, seed=per_cluster)
+        save_dataset(path, "spd", items, labels=labels if labelled or path == a else None)
+    out = tmp_path / "mkl.json"
+    capsys.readouterr()
+    assert run(["mkl-train", "--inputs", str(a), str(b), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{a} holds 8 points, {b} holds 10" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", [0, 1])
 def test_mkl_train_one_class_is_a_data_error(tmp_path, capsys, label):
     data = tmp_path / "one.json"
@@ -831,6 +846,15 @@ def test_spd_items_that_are_not_matrices_exit_2(tmp_path):
         assert not out.exists()
 
 
+def test_svm_train_grid_without_cv_is_refused_before_the_input_is_read(tmp_path, capsys):
+    # a grid without --cv was ignored: the model took --gamma and --C
+    out = tmp_path / "model.json"
+    assert run(["svm-train", "--input", str(tmp_path / "missing.json"), "--gamma-grid", "0.1,1",
+                "--out", str(out)]) == 1
+    assert "--cv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_flags_that_are_not_numbers_exit_1(tmp_path):
     data = tmp_path / "blobs.json"
     out = tmp_path / "out.json"
@@ -881,6 +905,9 @@ BAD_NUMERIC_VALUES = [
     (1, ["cluster", "--k", "2", "--seed", "-1"], ["seed", "-1"]),
     (1, ["svm-train", "--cv", "2", "--seed", "-1"], ["seed", "-1"]),
     (1, ["svm-train", "--cv", "1"], ["--cv needs at least 2 folds, got 1"]),
+    (1, ["svm-train", "--gamma-grid", "0.1,1"], ["--gamma-grid", "--cv"]),
+    (1, ["svm-train", "--c-grid", "5"], ["--c-grid", "--cv"]),
+    (1, ["svm-train", "--cv", "0", "--gamma-grid", "0.1,1", "--c-grid", "5"], ["--cv"]),
     (1, ["synth", "--kind", "spd-blobs", "--seed", "-1"], ["seed", "-1"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e200"], ["non-finite"]),
@@ -1149,7 +1176,8 @@ def test_unparsable_images_exit_2(tmp_path, capsys):
     image = tmp_path / "img.pgm"
     out = tmp_path / "desc.json"
     for raw in [b"P2\n4 x\n255\n", b"P2\n4", b"P5\n4 4\n255\n\x00\x01",
-                b"P3\n2 2\n255\n" + b"1 " * 12, b"P2\n3 3\n255\n1 2 3 4 5 6 7 8\n"]:
+                b"P3\n2 2\n255\n" + b"1 " * 12, b"P2\n3 3\n255\n1 2 3 4 5 6 7 8\n",
+                b"P2\n3#c 2\n255\n" + b"1 " * 6, b"P5\n2 2\n65535\n\x00\x01\x02"]:
         image.write_bytes(raw)
         _assert_data_error(["covdesc", "--inputs", str(image), "--out", str(out)], image, [], capsys)
     table = tmp_path / "img.csv"

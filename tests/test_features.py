@@ -6,6 +6,7 @@ from manikernels.errors import (
     DimMismatchError,
     EmptySetError,
     FrameMismatchError,
+    MalformedFileError,
     RectOutOfBoundsError,
     TooFewPixelsError,
     TooSmallError,
@@ -85,6 +86,38 @@ def test_texture_second_derivative_matches_stencil():
     # interior |Ixx| via the 1, -2, 1 stencil
     expect = np.abs(img[:, 2:] - 2.0 * img[:, 1:-1] + img[:, :-2])
     np.testing.assert_allclose(maps[3][:, 1:-1], expect, atol=1e-12)
+
+
+def loop_derivatives(img):
+    """(Ix, Iy, Ixx, Iyy) pixel by pixel, a neighbour past a border being
+    the border pixel itself."""
+    h, w = img.shape
+    ix, iy, ixx, iyy = (np.empty((h, w)) for _ in range(4))
+    for r in range(h):
+        for c in range(w):
+            left, right = img[r, max(c - 1, 0)], img[r, min(c + 1, w - 1)]
+            up, down = img[max(r - 1, 0), c], img[min(r + 1, h - 1), c]
+            ix[r, c] = (right - left) / 2.0
+            iy[r, c] = (down - up) / 2.0
+            ixx[r, c] = right - 2.0 * img[r, c] + left
+            iyy[r, c] = down - 2.0 * img[r, c] + up
+    return ix, iy, ixx, iyy
+
+
+@pytest.mark.parametrize("shape", [(7, 11), (12, 5), (3, 4)])
+def test_feature_maps_equal_the_per_pixel_differences(shape):
+    # bit for bit, borders included
+    img = np.random.default_rng(list(shape)).uniform(0, 255, size=shape)
+    ix, iy, ixx, iyy = loop_derivatives(img)
+    ax, ay = np.abs(ix), np.abs(iy)
+    rows, cols = shape
+    xs = np.array([[float(c) for c in range(cols)] for _ in range(rows)])
+    ys = np.array([[float(r)] * cols for r in range(rows)])
+    angle = np.arctan(ax / np.maximum(ay, 1e-8))
+    pedestrian = [xs, ys, ax, ay, np.sqrt(ix**2 + iy**2), np.abs(ixx), np.abs(iyy), angle]
+    np.testing.assert_array_equal(pedestrian_feature_maps(img), pedestrian, strict=True)
+    texture = [img, ax, ay, np.abs(ixx), np.abs(iyy)]
+    np.testing.assert_array_equal(texture_feature_maps(img), texture, strict=True)
 
 
 def test_feature_maps_too_small():
@@ -190,6 +223,43 @@ def test_candidate_grid_contains_full_window_and_respects_bounds():
     assert (0, 0, 30, 20) in rects
     for x0, y0, w, h in rects:
         assert 0 <= x0 and 0 <= y0 and x0 + w <= 30 and y0 + h <= 20
+
+
+def loop_candidate_grid(height, width):
+    """Every (side, side) pair of 5 geometric steps from a fifth of each
+    axis to all of it, sides at least 3, at strides of a quarter side
+    plus the last offset that fits."""
+
+    def sides(full):
+        return sorted({max(3, int(round(v))) for v in np.geomspace(full / 5.0, full, 5)})
+
+    def offsets(full, side):
+        out, at = [], 0
+        while at + side <= full:
+            out.append(at)
+            at += max(1, side // 4)
+        if out[-1] != full - side:
+            out.append(full - side)
+        return out
+
+    rects = []
+    for sh in sides(height):
+        for sw in sides(width):
+            if sh <= height and sw <= width:
+                for y0 in offsets(height, sh):
+                    for x0 in offsets(width, sw):
+                        rects.append([x0, y0, sw, sh])
+    return rects
+
+
+@pytest.mark.parametrize(
+    # the benchmark's window, sides that round below 3, and axes too short for one
+    "height, width", [(128, 64), (20, 30), (15, 14), (12, 7), (3, 3), (4, 9), (9, 4), (2, 8)]
+)
+def test_candidate_grid_equals_the_loop_reference(height, width):
+    grid = candidate_grid(height, width)
+    assert grid.dtype.kind == "i" and grid.shape == (grid.shape[0], 4)
+    assert grid.tolist() == loop_candidate_grid(height, width)
 
 
 def test_overlap_ratio():
@@ -362,6 +432,39 @@ def test_pgm_16bit_binary_reader(tmp_path):
         fh.write(vals.tobytes())
     back = read_pgm(path)
     np.testing.assert_array_equal(back, vals.astype(float))
+
+
+def test_pgm_comments_between_tokens(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(
+        b"P2 # ascii\n3\t# width\n2\n#maxval\r\n255\n"
+        b"1 2 3 # first row\n# a line of its own\n4\n5 6"
+    )
+    np.testing.assert_array_equal(read_pgm(path), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    # one whitespace byte ends a P5 header, so the raster may start with
+    # bytes that read as whitespace or as a comment
+    raster = np.array([[32, 35, 10], [9, 0, 255]], dtype=np.uint8)
+    path.write_bytes(b"P5\n# binary\n3 # width\n# height\n2\n255\n" + raster.tobytes())
+    np.testing.assert_array_equal(read_pgm(path), raster.astype(float))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"P2\n3#c 2\n255\n1 2 3 4 5 6\n", "invalid literal"),
+        (b"P2\n3 2\n255\n1 2 3 4 5#c 6\n", "invalid literal"),
+        (b"P5\n4 4\n255\n" + bytes(5), "PGM raster holds 5 values, expected 16"),
+        (b"P5\n2 2\n65535\n" + bytes(5), "PGM raster holds 2 values, expected 4"),
+        (b"P2\n3 2\n255\n1 2 3 4 5\n", "PGM raster holds 5 values, expected 6"),
+    ],
+    ids=["comment-glued-to-header-token", "comment-glued-to-raster-token", "short-8-bit-P5",
+         "short-16-bit-P5", "short-P2"],
+)
+def test_malformed_pgm_rasters(tmp_path, raw, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(MalformedFileError, match=message):
+        read_pgm(path)
 
 
 def test_read_image_csv(tmp_path):
