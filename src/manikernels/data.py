@@ -35,13 +35,14 @@ DATASET_KINDS = ("spd", "grassmann", "vectors")
 @contextmanager
 def parse_errors(path):
     """Raise what goes wrong while parsing the file ``path`` in the block
-    (bad JSON or number, a missing key, a value of the wrong type, a
-    value out of its range) as a MalformedFileError that names the file."""
+    (bad JSON or number, a number too large for a float, a missing key, a
+    value of the wrong type, a value out of its range) as a
+    MalformedFileError that names the file."""
     try:
         yield
     except KeyError as exc:
         raise MalformedFileError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError, UsageError) as exc:
+    except (ValueError, TypeError, OverflowError, UsageError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 

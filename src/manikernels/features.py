@@ -71,21 +71,6 @@ def texture_feature_maps(image) -> np.ndarray:
 # Region covariance via integral images
 # ---------------------------------------------------------------------------
 
-def integral_images(maps):
-    """First- and second-order integral images of (c, h, w) feature maps.
-
-    Zero-padded so a rectangle sum is a four-corner combination.
-    """
-    ch = np.asarray(maps, dtype=float)
-    c, h, w = ch.shape
-    s1 = np.zeros((c, h + 1, w + 1))
-    s1[:, 1:, 1:] = ch.cumsum(axis=1).cumsum(axis=2)
-    prods = ch[:, None, :, :] * ch[None, :, :, :]
-    s2 = np.zeros((c, c, h + 1, w + 1))
-    s2[:, :, 1:, 1:] = prods.cumsum(axis=2).cumsum(axis=3)
-    return s1, s2
-
-
 def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
     """Sample covariance of the per-pixel feature vectors of the (c, h, w)
     feature maps ``maps`` in each rectangle, regularized by
@@ -93,8 +78,10 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
 
     ``rects`` is one (x0, y0, w, h) rectangle, giving one (c, c) matrix,
     or an (R, 4) array, giving an (R, c, c) stack. All rectangles come
-    from one pair of integral images by four-corner sums. The result is
-    not checked against the SPD floor: the code that decomposes it is.
+    from one zero-padded integral image of the c channels and their
+    c(c+1)/2 distinct products by four-corner sums, so every matrix is
+    exactly symmetric. The result is not checked against the SPD floor:
+    the code that decomposes it is.
     """
     if epsilon is not None and not 0 < epsilon < np.inf:
         raise BadParamError(f"epsilon must be positive and finite, got {epsilon}")
@@ -112,13 +99,21 @@ def region_covariance(maps, rects, epsilon: float | None = None) -> np.ndarray:
     n = w * h
     if np.any(n < c + 1):
         raise TooFewPixelsError(f"rect area {np.min(n)} below {c + 1} for {c} channels")
-    s1, s2 = integral_images(maps)
+    ch = np.asarray(maps, dtype=float)
+    iu, ju = np.triu_indices(c)
+    planes = np.zeros((c + len(iu), height + 1, width + 1))
+    inner = planes[:, 1:, 1:]
+    inner[:c] = ch
+    np.multiply(ch[iu], ch[ju], out=inner[c:])
+    np.cumsum(inner, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
     ya, yb, xa, xb = y0, y0 + h, x0, x0 + w
-    sums = (s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]).T
-    quads = s2[:, :, yb, xb] - s2[:, :, ya, xb] - s2[:, :, yb, xa] + s2[:, :, ya, xa]
-    quads = np.moveaxis(quads, -1, 0)
-    cov = (quads - sums[:, :, None] * sums[:, None, :] / n[:, None, None]) / (n - 1)[:, None, None]
-    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    corner = (planes[:, yb, xb] - planes[:, ya, xb] - planes[:, yb, xa] + planes[:, ya, xa]).T
+    sums = corner[:, :c]
+    upper = (corner[:, c:] - sums[:, iu] * sums[:, ju] / n[:, None]) / (n - 1)[:, None]
+    cov = np.empty((len(n), c, c))
+    cov[:, iu, ju] = upper
+    cov[:, ju, iu] = upper
     if epsilon is None:
         epsilon = 1e-6 * (np.trace(cov, axis1=-2, axis2=-1) + 1.0)
     covs = cov + np.multiply.outer(epsilon, np.eye(c))
@@ -219,7 +214,9 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 def read_pgm(path) -> np.ndarray:
     """P2 (ascii) or P5 (binary) PGM as a float array. A ``#`` that
-    starts a token starts a comment, which runs to the end of its line."""
+    starts a token starts a comment, which runs to the end of its line.
+    The width and height must be at least 1, the maxval in [1, 65535],
+    and every raster value in [0, maxval]."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = (m for m in _PGM_TOKEN.finditer(data) if m.group(1))
@@ -231,6 +228,8 @@ def read_pgm(path) -> np.ndarray:
         raise MalformedFileError(f"{path}: truncated PGM header")
     with parse_errors(path):
         width, height, maxval = (int(m.group()) for m in header[1:])
+        if width < 1 or height < 1 or not 0 < maxval < 65536:
+            raise MalformedFileError(f"{path}: PGM size {width} x {height} or maxval {maxval} invalid")
         size = width * height
         if magic == b"P2":
             arr = np.array([int(m.group()) for m in tokens], dtype=float)
@@ -242,6 +241,9 @@ def read_pgm(path) -> np.ndarray:
             arr = np.frombuffer(raster, dtype=dtype, count=count).astype(float)
     if arr.size != size:
         raise MalformedFileError(f"{path}: PGM raster holds {arr.size} values, expected {size}")
+    outside = (arr < 0) | (arr > maxval)
+    if outside.any():
+        raise MalformedFileError(f"{path}: PGM raster value {arr[outside][0]:g} outside [0, {maxval}]")
     return arr.reshape(height, width)
 
 

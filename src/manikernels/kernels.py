@@ -41,7 +41,7 @@ from .errors import (
     NumericalError,
     UnsupportedMetricError,
 )
-from .matrixops import cholesky_lower, spd_exp, spd_log, spd_power
+from .matrixops import cholesky_lower, require_spd_exp, spd_exp, spd_log, spd_power
 from .spd import DEFAULT_POWER_ALPHA, make_spd
 
 MANIFOLDS = ("spd", "grassmann", "euclidean")
@@ -278,8 +278,13 @@ def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> 
     stressed by near-singularity. A stack draws its normals in one call
     and so equals ``count`` single draws from the same stream.
     """
+    return spd_exp(_sample_symmetric(rng, dim, count))
+
+
+def _sample_symmetric(rng, dim, count):
+    """The Gaussian symmetric matrix, or stack, whose exp :func:`sample_spd` returns."""
     a = rng.standard_normal((dim, dim) if count is None else (count, dim, dim))
-    return spd_exp((a + np.swapaxes(a, -1, -2)) / 2.0)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 @dataclass
@@ -303,6 +308,25 @@ class DefinitenessReport:
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # Per-trial streams so trial results do not depend on evaluation order.
     return np.random.default_rng([seed, trial])
+
+
+def _trial_sample(rng, manifold, metric, m, dim, subspace_dim, alpha):
+    """One trial's squared-distance matrix, and a function that returns
+    its ``m`` points. A log-Euclidean trial draws the logs S of its SPD
+    points exp(S), as :func:`sample_spd` does, and takes the distances
+    from S, since log(exp S) = S. It checks exp(S) against the SPD floor
+    from the eigenvalues of S, and forms exp(S) only for its points."""
+    if (manifold, metric) == ("spd", "log-euclidean"):
+        logs = _sample_symmetric(rng, dim, m)
+        require_spd_exp(logs)
+        return squared_distance_matrix("euclidean", "euclidean", _flat(logs)), lambda: spd_exp(logs)
+    if manifold == "spd":
+        points = sample_spd(rng, dim, m)
+    elif manifold == "grassmann":
+        points = gr.make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
+    else:
+        points = rng.standard_normal((m, dim))
+    return squared_distance_matrix(manifold, metric, points, alpha=alpha), lambda: points
 
 
 def _rayleigh_longdouble(d2, gamma, vec) -> float:
@@ -366,13 +390,7 @@ def definiteness_search(
     diag = np.arange(m)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        if manifold == "spd":
-            points = sample_spd(rng, dim, m)
-        elif manifold == "grassmann":
-            points = gr.make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
-        else:
-            points = rng.standard_normal((m, dim))
-        d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)
+        d2, points = _trial_sample(rng, manifold, metric, m, dim, subspace_dim, alpha)
         report.trials_run = trial + 1
         ks = np.exp(-np.array(grid)[:, None, None] * d2)
         ks[:, diag, diag] = 1.0
@@ -390,7 +408,7 @@ def definiteness_search(
                     gamma=gamma,
                     witness_seed=seed,
                     witness_trial=trial,
-                    witness_points=points,
+                    witness_points=points(),
                 )
     return report
 

@@ -56,11 +56,15 @@ def require_symmetric(s) -> np.ndarray:
     return (s + st) / 2.0
 
 
+def _floor_of_trace(trace, d):
+    return 1e-12 * np.maximum(1.0, trace / d)
+
+
 def spd_floor(s):
     """Relative eigenvalue floor below which a matrix (each matrix of a
     stack) is not accepted as SPD: 1e-12 * max(1, trace / d)."""
     s = np.asarray(s, dtype=float)
-    return 1e-12 * np.maximum(1.0, np.trace(s, axis1=-2, axis2=-1) / s.shape[-1])
+    return _floor_of_trace(np.trace(s, axis1=-2, axis2=-1), s.shape[-1])
 
 
 def _above_floor(w, floor):
@@ -103,6 +107,14 @@ def spd_log(s) -> np.ndarray:
 def spd_exp(a) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (or stack); the result is SPD."""
     return _spectral(a, np.exp)
+
+
+def require_spd_exp(a) -> None:
+    """Reject a symmetric matrix (or stack) whose exponential fails the
+    SPD floor, judged from the eigenvalues w of A without forming
+    exp(A): its eigenvalues are exp(w) and its trace is their sum."""
+    w = np.exp(_eigh(require_symmetric(a), vectors=False))
+    _above_floor(w, _floor_of_trace(w.sum(axis=-1), w.shape[-1]))
 
 
 def spd_power(s, alpha: float) -> np.ndarray:

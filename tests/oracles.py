@@ -48,8 +48,8 @@ from manikernels.kernels import (
     _lookup,
     _rayleigh_longdouble,
     _trial_rng,
+    _trial_sample,
     gram_from_squared_distances,
-    sample_spd,
     squared_distance_matrix,
 )
 from manikernels.learn import (
@@ -433,6 +433,38 @@ def write_pgm(path, image, maxval: int = 255) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Region covariance from every ordered channel product
+# ---------------------------------------------------------------------------
+
+def region_covariance_all_products(maps, rects, epsilon=None) -> np.ndarray:
+    """``features.region_covariance`` of valid rectangles from two
+    integral images, one of the c channels and one of all c^2 ordered
+    products ch_i * ch_j, each matrix then symmetrized as (C + C^T) / 2:
+    the formulation the one image of the c(c+1)/2 distinct products
+    replaced. Each cumulative sum adds the same values in the same order
+    and a * b == b * a, so it must give the same bytes."""
+    ch = np.asarray(maps, dtype=float)
+    c, h, w = ch.shape
+    s1 = np.zeros((c, h + 1, w + 1))
+    s1[:, 1:, 1:] = ch.cumsum(axis=1).cumsum(axis=2)
+    s2 = np.zeros((c, c, h + 1, w + 1))
+    s2[:, :, 1:, 1:] = (ch[:, None] * ch[None, :]).cumsum(axis=2).cumsum(axis=3)
+    rects = np.asarray(rects)
+    x0, y0, rw, rh = np.atleast_2d(rects).astype(int).T
+    n = rw * rh
+    ya, yb, xa, xb = y0, y0 + rh, x0, x0 + rw
+    sums = (s1[:, yb, xb] - s1[:, ya, xb] - s1[:, yb, xa] + s1[:, ya, xa]).T
+    quads = s2[:, :, yb, xb] - s2[:, :, ya, xb] - s2[:, :, yb, xa] + s2[:, :, ya, xa]
+    quads = np.moveaxis(quads, -1, 0)
+    cov = (quads - sums[:, :, None] * sums[:, None, :] / n[:, None, None]) / (n - 1)[:, None, None]
+    cov = (cov + np.swapaxes(cov, -1, -2)) / 2.0
+    if epsilon is None:
+        epsilon = 1e-6 * (np.trace(cov, axis1=-2, axis2=-1) + 1.0)
+    covs = cov + np.multiply.outer(epsilon, np.eye(c))
+    return covs[0] if rects.ndim == 1 else covs
+
+
+# ---------------------------------------------------------------------------
 # Spatio-temporal structure tensors
 # ---------------------------------------------------------------------------
 
@@ -513,7 +545,8 @@ def definiteness_search_per_gamma(
 ):
     """``kernels.definiteness_search`` with a full ``eigh`` of every
     (trial, gamma) Gram, the loop the stacked ``eigvalsh`` screen
-    replaced; it must give the same report."""
+    replaced; it draws each trial as the search does and must give the
+    same report."""
     _lookup(manifold, metric)
     grid = [float(g) for g in gamma_grid]
     witness_tol = WITNESS_TOL_FACTOR * m
@@ -529,14 +562,8 @@ def definiteness_search_per_gamma(
         alpha=alpha,
     )
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        if manifold == "spd":
-            points = sample_spd(rng, dim, m)
-        elif manifold == "grassmann":
-            points = make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
-        else:
-            points = rng.standard_normal((m, dim))
-        d2 = squared_distance_matrix(manifold, metric, points, alpha=alpha)
+        d2, points = _trial_sample(_trial_rng(seed, trial), manifold, metric, m, dim, subspace_dim,
+                                   alpha)
         report.trials_run = trial + 1
         for gamma in grid:
             k = np.exp(-gamma * d2)
@@ -552,7 +579,7 @@ def definiteness_search_per_gamma(
                     gamma=gamma,
                     witness_seed=seed,
                     witness_trial=trial,
-                    witness_points=points,
+                    witness_points=points(),
                 )
     return report
 

@@ -133,6 +133,17 @@ def test_definiteness_cli_witness_verdict(tmp_path):
     assert set(report) == {f.name for f in fields(DefinitenessReport)} | {"provenance"}
 
 
+def test_definiteness_cli_points_below_the_spd_floor_exit_2(tmp_path, capsys):
+    # the eigenvalues of exp(S) for a Gaussian 200 x 200 S span about
+    # e^40, so the smallest falls below the relative SPD floor
+    out = tmp_path / "report.json"
+    argv = ["definiteness", "--manifold", "spd", "--metric", "log-euclidean", "--dim", "200",
+            "--m", "5", "--trials", "2", "--out", str(out)]
+    assert run(argv) == 2
+    assert "at or below SPD floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -1177,7 +1188,11 @@ def test_unparsable_images_exit_2(tmp_path, capsys):
     out = tmp_path / "desc.json"
     for raw in [b"P2\n4 x\n255\n", b"P2\n4", b"P5\n4 4\n255\n\x00\x01",
                 b"P3\n2 2\n255\n" + b"1 " * 12, b"P2\n3 3\n255\n1 2 3 4 5 6 7 8\n",
-                b"P2\n3#c 2\n255\n" + b"1 " * 6, b"P5\n2 2\n65535\n\x00\x01\x02"]:
+                b"P2\n3#c 2\n255\n" + b"1 " * 6, b"P5\n2 2\n65535\n\x00\x01\x02",
+                # header values out of range, and raster values above maxval
+                b"P2\n-2 -3\n255\n" + b"1 " * 6, b"P2\n3 3\n0\n" + b"0 " * 9,
+                b"P2\n3 3\n255\n1 2 3 4 999 6 7 8 9\n",
+                b"P5\n3 3\n1000\n" + b"\x00\x01" * 8 + b"\x03\xe9"]:
         image.write_bytes(raw)
         _assert_data_error(["covdesc", "--inputs", str(image), "--out", str(out)], image, [], capsys)
     table = tmp_path / "img.csv"

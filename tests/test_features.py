@@ -24,7 +24,13 @@ from manikernels.features import (
 )
 from manikernels.matrixops import spd_log
 
-from oracles import dispersion_stat, karcher_mean_log_euclidean, structure_tensor_field, write_pgm
+from oracles import (
+    dispersion_stat,
+    karcher_mean_log_euclidean,
+    region_covariance_all_products,
+    structure_tensor_field,
+    write_pgm,
+)
 
 
 def random_maps(rng, c=3, h=12, w=15):
@@ -199,6 +205,42 @@ def test_region_covariance_batch_fails_on_any_bad_rect():
             rects = np.insert(good, at, bad, axis=0)
             with pytest.raises(error):
                 region_covariance(maps, rects)
+
+
+def _edge_rects(c, height, width):
+    """Rectangles one pixel wide or high, each with at least c + 1
+    pixels, at the corners and in the middle of the maps."""
+    rects = []
+    for x0 in (0, width // 2, width - 1):
+        for y0 in (0, height - c - 1):
+            rects.append((x0, y0, 1, c + 1))
+    for y0 in (0, height // 2, height - 1):
+        for x0 in (0, width - c - 1):
+            rects.append((x0, y0, c + 1, 1))
+    rects.append((0, 0, 1, height))
+    rects.append((0, height - 1, width, 1))
+    return np.array(rects)
+
+
+@pytest.mark.parametrize("features", [pedestrian_feature_maps, texture_feature_maps])
+@pytest.mark.parametrize("shape", [(128, 64), "random"])
+def test_region_covariance_is_bitwise_the_all_products_formulation(features, shape):
+    rng = np.random.default_rng(16 if shape == "random" else 17)
+    shapes = [tuple(rng.integers(10, 90, size=2)) for _ in range(4)] if shape == "random" else [shape]
+    for height, width in shapes:
+        maps = features(rng.uniform(0, 255, (height, width)))
+        c = len(maps)
+        grid = candidate_grid(height, width)
+        grid = grid[grid[:, 2] * grid[:, 3] > c]
+        rect_sets = [grid, _random_rects(rng, maps, 30), _edge_rects(c, height, width),
+                     grid[len(grid) // 2], (0, 0, width, height), (width - 1, 0, 1, height)]
+        for rects in rect_sets:
+            for epsilon in (None, 1e-3):
+                got = region_covariance(maps, rects, epsilon=epsilon)
+                expect = region_covariance_all_products(maps, rects, epsilon=epsilon)
+                assert got.shape == expect.shape == np.shape(rects)[:-1] + (c, c)
+                assert np.array_equal(got, expect)
+                assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
 
 def test_normalize_by_full_window_preserves_spd():
@@ -456,9 +498,22 @@ def test_pgm_comments_between_tokens(tmp_path):
         (b"P5\n4 4\n255\n" + bytes(5), "PGM raster holds 5 values, expected 16"),
         (b"P5\n2 2\n65535\n" + bytes(5), "PGM raster holds 2 values, expected 4"),
         (b"P2\n3 2\n255\n1 2 3 4 5\n", "PGM raster holds 5 values, expected 6"),
+        # -2 x -3 holds as many values as the raster
+        (b"P2\n-2 -3\n255\n1 2 3 4 5 6\n", "PGM size -2 x -3 or maxval 255 invalid"),
+        (b"P5\n0 4\n255\n", "PGM size 0 x 4 or maxval 255 invalid"),
+        (b"P2\n2 2\n0\n0 0 0 0\n", "PGM size 2 x 2 or maxval 0 invalid"),
+        (b"P5\n2 2\n65536\n" + bytes(8), "PGM size 2 x 2 or maxval 65536 invalid"),
+        (b"P2\n3 3\n255\n1 2 3 4 999 6 7 8 9\n", "PGM raster value 999 outside"),
+        (b"P2\n2 2\n255\n1 -5 3 4\n", "PGM raster value -5 outside"),
+        (b"P2\n2 2\n255\n1 2 3 " + b"9" * 400 + b"\n", "too large to convert to float"),
+        (b"P5\n2 2\n100\n" + bytes([0, 1, 200, 3]), "PGM raster value 200 outside"),
+        (b"P5\n2 2\n1000\n" + bytes([0, 1, 0, 2, 255, 255, 3, 232]),
+         "PGM raster value 65535 outside"),
     ],
     ids=["comment-glued-to-header-token", "comment-glued-to-raster-token", "short-8-bit-P5",
-         "short-16-bit-P5", "short-P2"],
+         "short-16-bit-P5", "short-P2", "negative-size-P2", "zero-width-P5", "maxval-0",
+         "maxval-65536", "P2-value-above-maxval", "negative-P2-value", "P2-value-beyond-float",
+         "8-bit-P5-value-above-maxval", "16-bit-P5-value-above-maxval"],
 )
 def test_malformed_pgm_rasters(tmp_path, raw, message):
     path = tmp_path / "img.pgm"

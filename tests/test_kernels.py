@@ -500,6 +500,44 @@ def test_definiteness_search_matches_per_gamma_oracle(monkeypatch, manifold, met
         assert len(calls) < expect.trials_run * len(grid) / 2
 
 
+@pytest.mark.parametrize("m, dim, seed", [(20, 3, 7), (40, 3, 0), (10, 8, 2)])
+def test_log_euclidean_search_matches_the_log_of_exp_route(monkeypatch, m, dim, seed):
+    # the search takes the distances from the sampled logs S, where the
+    # route it replaced took them from spd_log(sample_spd(...)), that is
+    # log(exp S). The Grams differ by roundoff, so each smallest
+    # eigenvalue may move by m * eps, the eigensolvers' backward error
+    # on ||K||_2 <= m; measured moves were at most 2.2e-15 at m = 40.
+    trials = 5
+    lows = []
+    for trial in range(trials):
+        points = sample_spd(_trial_rng(seed, trial), dim, m)
+        d2 = squared_distance_matrix("spd", "log-euclidean", points)
+        lows.append(np.linalg.eigvalsh(np.exp(-np.array(GRID)[:, None, None] * d2))[:, 0])
+    lows = np.array(lows)
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    got = definiteness_search("spd", "log-euclidean", GRID, m=m, trials=trials, seed=seed, dim=dim)
+    assert got.verdict == "psd_within_tol" and got.trials_run == trials
+    assert got.gamma == GRID[np.argmin(lows.min(axis=0))]
+    assert abs(got.min_eigen - lows.min()) <= m * np.finfo(float).eps
+    # no point is exponentiated or decomposed: each eigh is of a Gram
+    assert calls and all(shape == (m, m) for shape in calls)
+
+
+def test_log_euclidean_trial_points_are_the_sampled_spd_points():
+    d2, points = kernels._trial_sample(_trial_rng(3, 1), "spd", "log-euclidean", 6, 4, 2, 0.5)
+    expect = sample_spd(_trial_rng(3, 1), 4, 6)
+    assert np.array_equal(points(), expect)
+    np.testing.assert_allclose(d2, squared_distance_matrix("spd", "log-euclidean", expect),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_definiteness_search_follows_a_minimum_that_moves_late():
     # a descending grid: the running minimum moves at later gammas, and
     # again at a later trial
