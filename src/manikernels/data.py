@@ -107,6 +107,17 @@ def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = 
     save_json(path, payload)
 
 
+def _integers(values, name) -> np.ndarray:
+    """A JSON integer or nested list of them as an int array; a bool, a
+    string, a fractional number or one out of the int64 range raises
+    ValueError, where numpy would coerce or wrap it."""
+    flat = np.ravel(np.asarray(values, dtype=object))
+    if not all(type(v) in (int, float) and -(2**63) <= v < 2**63 and v == int(v) for v in flat):
+        raise ValueError(f"{name}: expected integers, got a bool, a string, a fractional number"
+                         " or one out of the int64 range")
+    return np.asarray(values, dtype=int)
+
+
 def load_dataset(path) -> dict:
     """Read a dataset written by :func:`save_dataset`.
 
@@ -130,9 +141,12 @@ def load_dataset(path) -> dict:
         if items.shape[1:] != shape:
             raise BadShapeError(f"{path}: item shape {items.shape[1:]}, metadata {shape}")
         _require_finite_items(items, path)
+        count = _integers(payload.get("count", len(items)), "count")
+        if count.shape or count != len(items):
+            raise BadShapeError(f"{path}: count {payload['count']!r}, but {len(items)} items")
         labels = payload.get("labels")
         if labels is not None:
-            labels = np.asarray(labels, dtype=int)
+            labels = _integers(labels, "labels")
             if labels.shape != (len(items),):
                 raise DimMismatchError("labels length does not match item count")
     return {"kind": kind, "items": items, "labels": labels}
@@ -187,7 +201,8 @@ def load_matrix_csv(path) -> np.ndarray:
 # Synthetic generators
 # ---------------------------------------------------------------------------
 
-def _sym(rng: np.random.Generator, shape) -> np.ndarray:
+def _sample_symmetric(rng: np.random.Generator, shape) -> np.ndarray:
+    """(A + A^T) / 2, over the last two axes, of one standard-normal draw A."""
     a = rng.standard_normal(shape)
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
@@ -208,8 +223,8 @@ def synth_spd_blobs(
     if n_clusters < 1 or per_cluster < 1 or dim < 1:
         raise BadParamError("n_clusters, per_cluster and dim must be positive")
     rng = np.random.default_rng(seed)
-    centers = center_scale * _sym(rng, (n_clusters, 1, dim, dim))
-    noise = noise_scale * _sym(rng, (n_clusters, per_cluster, dim, dim))
+    centers = center_scale * _sample_symmetric(rng, (n_clusters, 1, dim, dim))
+    noise = noise_scale * _sample_symmetric(rng, (n_clusters, per_cluster, dim, dim))
     logs = (centers + noise).reshape(-1, dim, dim)
     _require_finite_items(logs, "the generated set")  # a NaN or infinite scale
     points = spd_exp(logs)

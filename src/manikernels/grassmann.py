@@ -1,18 +1,10 @@
 """The Grassmann manifold of r-dimensional subspaces of R^n.
 
 Points are n x r matrices with orthonormal columns; every function here
-depends on the column span only. Metrics are defined through the
-principal angles theta_i between two subspaces, the arccosines of the
-singular values of Y1^T Y2, and each has one distance function here,
-from one basis to one basis or to each of a stack:
-
-* ``projection``     (sum_i sin^2 theta_i)^{1/2}
-                     = 2^{-1/2} ||Y1 Y1^T - Y2 Y2^T||_F, squared by
-                     :func:`projection_dist_sq_fast` without the angles
-* ``arc-length``     (sum_i theta_i^2)^{1/2}, :func:`arc_length`
-* ``fubini-study``   arccos(prod_i cos theta_i), :func:`fubini_study`
-* ``chordal-2norm``  2 max_i sin(theta_i / 2), :func:`chordal_2norm`
-* ``chordal-fnorm``  2 (sum_i sin^2(theta_i / 2))^{1/2}, :func:`chordal_fnorm`
+depends on the column span only. The principal angles theta_i between
+two subspaces, the arccosines of the singular values of Y1^T Y2, are
+taken from one basis to one basis or to each of a stack; the metrics
+built on them are entries of :data:`manikernels.kernels.METRICS`.
 """
 
 from __future__ import annotations
@@ -66,20 +58,15 @@ def require_orthonormal(y) -> np.ndarray:
     return y
 
 
-def _check_pair(y1, y2):
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if y1.ndim != 2 or y2.shape[-2:] != y1.shape:
-        raise DimMismatchError(f"shape mismatch: {y1.shape} vs {y2.shape}")
-    return y1, y2
-
-
 def principal_angles(y1, y2) -> np.ndarray:
     """Principal angles between span(y1) and span(y2), ascending in [0, pi/2].
 
     ``y2`` is one basis or a stack of them; the angles run along the last axis.
     """
-    y1, y2 = _check_pair(y1, y2)
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    if y1.ndim != 2 or y2.shape[-2:] != y1.shape:
+        raise DimMismatchError(f"shape mismatch: {y1.shape} vs {y2.shape}")
     s = np.linalg.svd(y1.T @ y2, compute_uv=False)
     if s.size and np.max(s[..., 0]) > 1.0 + _COS_CLAMP:
         raise NumericalError(
@@ -88,38 +75,6 @@ def principal_angles(y1, y2) -> np.ndarray:
     s = np.clip(s, 0.0, 1.0)
     # cosines come out non-increasing, so the angles are already ascending
     return np.arccos(s)
-
-
-def arc_length(y1, y2):
-    """Arc-length distance from ``y1`` to one basis or each of a stack."""
-    return np.sqrt(np.sum(principal_angles(y1, y2) ** 2, axis=-1))
-
-
-def fubini_study(y1, y2):
-    """Fubini-Study distance from ``y1`` to one basis or each of a stack."""
-    return np.arccos(np.clip(np.prod(np.cos(principal_angles(y1, y2)), axis=-1), 0.0, 1.0))
-
-
-def chordal_2norm(y1, y2):
-    """Chordal 2-norm distance from ``y1`` to one basis or each of a stack."""
-    return 2.0 * np.max(np.sin(principal_angles(y1, y2) / 2.0), axis=-1)
-
-
-def chordal_fnorm(y1, y2):
-    """Chordal Frobenius distance from ``y1`` to one basis or each of a stack."""
-    return 2.0 * np.sqrt(np.sum(np.sin(principal_angles(y1, y2) / 2.0) ** 2, axis=-1))
-
-
-def projection_dist_sq_fast(y1, y2):
-    """Squared projection distance r - ||Y1^T Y2||_F^2 (clamped at 0).
-
-    ``y2`` is one basis or a stack of them. Only needs the r x r
-    cross-Gram, never the n x n projectors.
-    """
-    y1, y2 = _check_pair(y1, y2)
-    r = y1.shape[1]
-    cross = np.tensordot(y2, y1, axes=([-2], [0]))  # (..., r, r): Y2^T Y1
-    return np.maximum(r - np.sum(cross**2, axis=(-2, -1)), 0.0)
 
 
 def subspace_from_vectors(f, r: int) -> np.ndarray:

@@ -12,13 +12,15 @@ Every metric is one entry of :data:`METRICS`, keyed by (manifold,
 metric), of one of two kinds:
 
 * an embedding ``points -> (features, scale)`` with
-  d^2(x, y) = scale * ||phi(x) - phi(y)||^2 (log-Euclidean, Cholesky,
-  power-Euclidean with scale 1/alpha^2, Euclidean), whose distance
-  matrices come from one pass over the feature inner products;
+  d^2(x, y) = scale * ||phi(x) - phi(y)||^2, whose distance matrices
+  come from matrix products of the features (log-Euclidean, Cholesky,
+  power-Euclidean with scale 1/alpha^2, Euclidean; and projection,
+  phi(Y) = YY^T / sqrt(2), which keeps each basis Y and takes
+  r - ||X^T Y||_F^2 from r x r cross-Grams, never an n x n projector);
 * a row function ``(x, ys) -> d^2`` from one point to a stack of points
-  (affine-invariant, root-Stein, projection via the r x r cross-Gram,
-  and the four principal-angle Grassmann metrics), whose formulas live
-  in :mod:`~manikernels.spd` and :mod:`~manikernels.grassmann`.
+  (affine-invariant and root-Stein from :mod:`~manikernels.spd`; the
+  other four Grassmann metrics, each d^2 straight from the principal
+  angles of :func:`~manikernels.grassmann.principal_angles`).
 
 This module builds distance and Gram matrices from the registry, audits
 their smallest eigenvalue (once, on first use), searches for
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import grassmann as gr
 from . import spd as sp
-from .data import save_json, save_matrix_csv, stack_items
+from .data import _sample_symmetric, save_json, save_matrix_csv, stack_items
 from .errors import (
     BadParamError,
     BadShapeError,
@@ -63,6 +65,26 @@ def _flat(stack) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
+#: Floats in one block of r x r cross-Grams of :func:`_projection_sq_distances`.
+_CROSS_GRAM_BLOCK = 1 << 18
+
+
+def _projection_sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """||phi(x_i) - phi(y_j)||^2 = r - ||X_i^T Y_j||_F^2 (clamped at 0) of the
+    projection embedding phi(Y) = YY^T / sqrt(2), kept as the bases Y: one
+    matrix product gives the r x r cross-Grams of a block of xs and all ys."""
+    m, n, r = ys.shape
+    y_cols = np.transpose(ys, (1, 2, 0)).reshape(n, r * m)  # column (c, j): Y_j[:, c]
+    step = max(1, _CROSS_GRAM_BLOCK // max(1, m * r * r))
+    d2 = np.empty((len(xs), m))
+    for i in range(0, len(xs), step):
+        block = xs[i : i + step]
+        cross = np.moveaxis(block, 0, 1).reshape(n, len(block) * r).T @ y_cols
+        cross *= cross
+        d2[i : i + step] = r - cross.reshape(len(block), r * r, m).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _power_features(points, alpha):
     if alpha == 0:
         raise BadParamError("alpha must be nonzero")
@@ -72,12 +94,13 @@ def _power_features(points, alpha):
 
 
 #: The metric registry: (manifold, metric) -> ("embed", points, alpha ->
-#: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys). A row
-#: entry may add per-point terms, points -> one value per point, that a
-#: driver computes once per stack; its row function then takes each point
-#: with its term, (x, term_x, ys, terms_ys). Entries look their functions
-#: up at call time, so a wrapped module function (a tracer's span, a test
-#: double) is the one that runs.
+#: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys). An
+#: embedding whose features are not flat vectors adds the function that
+#: gives ||phi(x_i) - phi(y_j)||^2 from two stacks of them. A row entry may
+#: add per-point terms, points -> one value per point, that a driver
+#: computes once per stack; its row function then takes each point with its
+#: term, (x, term_x, ys, terms_ys). Entries look their functions up at call
+#: time, so a wrapped module function (a tracer's span, a test double) runs.
 METRICS = {
     ("spd", "log-euclidean"): ("embed", lambda pts, alpha: (_flat(spd_log(pts)), 1.0)),
     ("spd", "cholesky"): ("embed", lambda pts, alpha: (_flat(cholesky_lower(make_spd(pts))), 1.0)),
@@ -89,11 +112,21 @@ METRICS = {
         lambda x, ld_x, ys, ld_ys: sp.stein_divergence_sq(x, ld_x, ys, ld_ys),
         lambda pts: sp.log_det_spd(pts),
     ),
-    ("grassmann", "projection"): ("row", lambda x, ys: gr.projection_dist_sq_fast(x, ys)),
-    ("grassmann", "arc-length"): ("row", lambda x, ys: gr.arc_length(x, ys) ** 2),
-    ("grassmann", "fubini-study"): ("row", lambda x, ys: gr.fubini_study(x, ys) ** 2),
-    ("grassmann", "chordal-2norm"): ("row", lambda x, ys: gr.chordal_2norm(x, ys) ** 2),
-    ("grassmann", "chordal-fnorm"): ("row", lambda x, ys: gr.chordal_fnorm(x, ys) ** 2),
+    ("grassmann", "projection"): (
+        "embed", lambda pts, alpha: (gr.require_orthonormal(pts), 1.0), _projection_sq_distances
+    ),
+    ("grassmann", "arc-length"): (
+        "row", lambda x, ys: np.sum(gr.principal_angles(x, ys) ** 2, axis=-1)
+    ),
+    ("grassmann", "fubini-study"): (
+        "row", lambda x, ys: np.arccos(np.prod(np.cos(gr.principal_angles(x, ys)), axis=-1)) ** 2
+    ),
+    ("grassmann", "chordal-2norm"): (
+        "row", lambda x, ys: 4.0 * np.max(np.sin(gr.principal_angles(x, ys) / 2.0) ** 2, axis=-1)
+    ),
+    ("grassmann", "chordal-fnorm"): (
+        "row", lambda x, ys: 4.0 * np.sum(np.sin(gr.principal_angles(x, ys) / 2.0) ** 2, axis=-1)
+    ),
 }
 
 
@@ -121,10 +154,11 @@ class KernelSpec:
 
     def __post_init__(self):
         _lookup(self.manifold, self.metric)
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise BadParamError(f"gamma must be positive and finite, got {self.gamma}")
-        if not np.isfinite(self.alpha) or self.alpha == 0:
-            raise BadParamError(f"alpha must be finite and nonzero, got {self.alpha}")
+        # a bool is a number to numpy; one in a model file is a type error
+        if isinstance(self.gamma, bool) or not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise BadParamError(f"gamma must be a positive finite number, got {self.gamma}")
+        if isinstance(self.alpha, bool) or not np.isfinite(self.alpha) or self.alpha == 0:
+            raise BadParamError(f"alpha must be a finite nonzero number, got {self.alpha}")
 
 
 def _manifold_points(manifold: str, points) -> np.ndarray:
@@ -137,17 +171,12 @@ def _manifold_points(manifold: str, points) -> np.ndarray:
     return pts
 
 
-def _check_points(manifold: str, pts: np.ndarray) -> np.ndarray:
-    """A stack checked once per row-function driver call: SPD points
-    against the floor, Grassmann bases for orthonormal columns. An
-    embedding checks the points it maps itself."""
-    return make_spd(pts) if manifold == "spd" else gr.require_orthonormal(pts)
-
-
 def _row_args(manifold: str, terms, pts: np.ndarray) -> list:
-    """A checked stack and the row function's per-point terms of it (the
-    root-Stein log-determinants), each indexed by point."""
-    pts = _check_points(manifold, pts)
+    """A stack checked once per row-function driver call (SPD points
+    against the floor, Grassmann bases for orthonormal columns; an
+    embedding checks the points it maps itself), and the row function's
+    per-point terms of it (the root-Stein log-determinants)."""
+    pts = make_spd(pts) if manifold == "spd" else gr.require_orthonormal(pts)
     return [pts, *(term(pts) for term in terms)]
 
 
@@ -182,16 +211,17 @@ def squared_distance_matrix(
     function fills the upper triangle one row at a time, each point
     against the stack of later points, and the triangle is mirrored.
     """
-    kind, fn, *terms = _lookup(manifold, metric)
+    kind, fn, *more = _lookup(manifold, metric)
     pts = _manifold_points(manifold, points)
     if kind == "embed":
+        (sq_distances,) = more or [_feature_sq_distances]
         with np.errstate(all="ignore"):  # _scaled reports an overflow
             feats, scale = fn(pts, alpha)
-            d2 = _feature_sq_distances(feats, feats)
+            d2 = sq_distances(feats, feats)
             d2 = (d2 + d2.T) / 2.0
             np.fill_diagonal(d2, 0.0)
             return _scaled(d2, scale)
-    args = _row_args(manifold, terms, pts)
+    args = _row_args(manifold, more, pts)
     m = len(pts)
     d2 = np.zeros((m, m))
     for i in range(m - 1):
@@ -207,17 +237,18 @@ def cross_squared_distances(
     alpha: float = DEFAULT_POWER_ALPHA,
 ) -> np.ndarray:
     """Rectangular matrix of squared distances d^2(x_i, y_j)."""
-    kind, fn, *terms = _lookup(manifold, metric)
+    kind, fn, *more = _lookup(manifold, metric)
     xs = _manifold_points(manifold, xs)
     ys = _manifold_points(manifold, ys)
     if xs.shape[1:] != ys.shape[1:]:
         raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
     if kind == "embed":
+        (sq_distances,) = more or [_feature_sq_distances]
         with np.errstate(all="ignore"):  # _scaled reports an overflow
             fx, scale = fn(xs, alpha)
             fy, _ = fn(ys, alpha)
-            return _scaled(_feature_sq_distances(fx, fy), scale)
-    x_args, y_args = _row_args(manifold, terms, xs), _row_args(manifold, terms, ys)
+            return _scaled(sq_distances(fx, fy), scale)
+    x_args, y_args = _row_args(manifold, more, xs), _row_args(manifold, more, ys)
     return np.stack([fn(*(a[i] for a in x_args), *y_args) for i in range(len(xs))])
 
 
@@ -278,13 +309,7 @@ def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> 
     stressed by near-singularity. A stack draws its normals in one call
     and so equals ``count`` single draws from the same stream.
     """
-    return spd_exp(_sample_symmetric(rng, dim, count))
-
-
-def _sample_symmetric(rng, dim, count):
-    """The Gaussian symmetric matrix, or stack, whose exp :func:`sample_spd` returns."""
-    a = rng.standard_normal((dim, dim) if count is None else (count, dim, dim))
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    return spd_exp(_sample_symmetric(rng, (dim, dim) if count is None else (count, dim, dim)))
 
 
 @dataclass
@@ -317,7 +342,7 @@ def _trial_sample(rng, manifold, metric, m, dim, subspace_dim, alpha):
     from S, since log(exp S) = S. It checks exp(S) against the SPD floor
     from the eigenvalues of S, and forms exp(S) only for its points."""
     if (manifold, metric) == ("spd", "log-euclidean"):
-        logs = _sample_symmetric(rng, dim, m)
+        logs = _sample_symmetric(rng, (m, dim, dim))
         require_spd_exp(logs)
         return squared_distance_matrix("euclidean", "euclidean", _flat(logs)), lambda: spd_exp(logs)
     if manifold == "spd":

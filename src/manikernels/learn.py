@@ -379,6 +379,9 @@ class SvmModel:
         self.bias, self.C = float(self.bias), float(self.C)
         self.kkt_violation, self.n_iter = float(self.kkt_violation), int(self.n_iter)
         sv = self.support_indices
+        if self.dual_coefs.ndim != 1 or sv.ndim != 1:
+            shapes = f"{self.dual_coefs.shape} and {sv.shape}"
+            raise BadParamError(f"dual_coefs and support_indices must be flat lists, got shapes {shapes}")
         if sv.size and not 0 <= sv.min() <= sv.max() < len(self.dual_coefs):
             raise BadParamError(f"support indices must lie in [0, {len(self.dual_coefs)})")
         values = {"dual_coefs": self.dual_coefs, "bias": self.bias, "kkt_violation": self.kkt_violation}

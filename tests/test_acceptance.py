@@ -16,6 +16,7 @@ from manikernels.data import synth_spd_blobs
 from manikernels.features import region_covariance
 from manikernels.kernels import (
     KernelSpec,
+    cross_squared_distances,
     definiteness_search,
     gram_from_squared_distances,
     gram_matrix,
@@ -34,6 +35,7 @@ from oracles import (
     affine_invariant_grad_norm,
     cnd_check,
     euclidean_linear_gram,
+    grassmann_distance,
     karcher_mean_iterative,
     karcher_mean_log_euclidean,
     median_heuristic_gamma,
@@ -129,8 +131,8 @@ def test_criterion_2_cnd_psd_consistency():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_fast_projection_identity():
-    from manikernels.grassmann import principal_angles, projection_dist_sq_fast
-
+    # the registry's projection embedding against the projector form and
+    # the squared sines of scipy's principal angles
     start = time.time()
     rng = np.random.default_rng(1)
     shapes = [(10, 2), (40, 3), (120, 4), (550, 5)]
@@ -139,9 +141,9 @@ def test_criterion_3_fast_projection_identity():
         n, r = shapes[i % len(shapes)]
         y1 = sample_grassmann(rng, n, r)
         y2 = sample_grassmann(rng, n, r)
-        fast = projection_dist_sq_fast(y1, y2)
+        fast = cross_squared_distances("grassmann", "projection", [y1], [y2])[0, 0]
         projector = 0.5 * np.linalg.norm(y1 @ y1.T - y2 @ y2.T) ** 2
-        angles = float(np.sum(np.sin(principal_angles(y1, y2)) ** 2))
+        angles = float(grassmann_distance("projection", y1, y2) ** 2)
         worst = max(worst, abs(fast - projector), abs(fast - angles))
     elapsed = time.time() - start
     _report(

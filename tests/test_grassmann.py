@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from manikernels.errors import BadShapeError, DimMismatchError, RankDeficientError
-from manikernels.grassmann import (
-    make_grassmann,
-    principal_angles,
-    projection_dist_sq_fast,
-    subspace_from_vectors,
-)
+from manikernels.grassmann import make_grassmann, principal_angles, subspace_from_vectors
+from manikernels import kernels
+from manikernels.kernels import cross_squared_distances, squared_distance_matrix
 
 from oracles import GRASSMANN_METRICS, grassmann_distance
 
@@ -204,25 +201,54 @@ def test_metric_axioms():
 
 
 # ---------------------------------------------------------------------------
-# fast projection distance
+# projection embedding, through the registry drivers
 # ---------------------------------------------------------------------------
 
-def test_fast_projection_trivial():
+def projection_d2(a, b):
+    return cross_squared_distances("grassmann", "projection", [a], [b])[0, 0]
+
+
+def test_projection_embedding_trivial():
     rng = np.random.default_rng(10)
     y = rand_point(rng, 5, 2)
-    assert projection_dist_sq_fast(y, y) == pytest.approx(0.0, abs=1e-12)
-    assert projection_dist_sq_fast(E1, E2) == pytest.approx(1.0)
+    assert projection_d2(y, y) == pytest.approx(0.0, abs=1e-12)
+    assert projection_d2(E1, E2) == pytest.approx(1.0)
+    assert squared_distance_matrix("grassmann", "projection", [E1, E2])[0, 1] == pytest.approx(1.0)
 
 
-def test_fast_projection_against_projector_oracle():
+def test_projection_embedding_against_projector_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        a, b = rand_point(rng, 20, 3), rand_point(rng, 20, 3)
-        fast = projection_dist_sq_fast(a, b)
+    points = [rand_point(rng, 20, 3) for _ in range(100)]
+    triangle = squared_distance_matrix("grassmann", "projection", points)
+    rect = cross_squared_distances("grassmann", "projection", points[::2], points[1::2])
+    for i in range(50):
+        a, b = points[2 * i], points[2 * i + 1]
         direct = 0.5 * np.linalg.norm(a @ a.T - b @ b.T) ** 2
         angles = np.sum(np.sin(principal_angles(a, b)) ** 2)
-        assert abs(fast - direct) <= 1e-9
-        assert abs(fast - angles) <= 1e-9
+        for d2 in (triangle[2 * i, 2 * i + 1], rect[i, i]):
+            assert abs(d2 - direct) <= 1e-9
+            assert abs(d2 - angles) <= 1e-9
+
+
+def test_projection_blocks_of_cross_grams_match_one_block(monkeypatch):
+    # 1350 floats cut the 60-point triangle into blocks of 2 points and the
+    # 25 x 35 rectangle into blocks of 4, the last one short; every entry
+    # matches the one-block result and the projector form
+    rng = np.random.default_rng(12)
+    points = [rand_point(rng, 8, 3) for _ in range(60)]
+    xs, ys = points[:25], points[25:]
+    whole = squared_distance_matrix("grassmann", "projection", points)
+    whole_rect = cross_squared_distances("grassmann", "projection", xs, ys)
+    monkeypatch.setattr(kernels, "_CROSS_GRAM_BLOCK", 1350)
+    blocks = squared_distance_matrix("grassmann", "projection", points)
+    rect = cross_squared_distances("grassmann", "projection", xs, ys)
+    assert np.abs(blocks - whole).max() <= 1e-14
+    assert np.abs(rect - whole_rect).max() <= 1e-14
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            direct = 0.5 * np.linalg.norm(a @ a.T - b @ b.T) ** 2
+            assert abs(rect[i, j] - direct) <= 1e-9
+            assert abs(blocks[i, 25 + j] - direct) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

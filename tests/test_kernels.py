@@ -14,7 +14,6 @@ from manikernels.errors import (
     NumericalError,
     UnsupportedMetricError,
 )
-from manikernels.grassmann import projection_dist_sq_fast
 from manikernels.kernels import (
     METRICS,
     KernelSpec,
@@ -55,8 +54,6 @@ def scalar_sq_distance(manifold, metric, x, y, alpha=0.5):
     if manifold == "spd":
         return spd_distance(metric, x, y, alpha=alpha) ** 2
     if manifold == "grassmann":
-        if metric == "projection":
-            return float(projection_dist_sq_fast(x, y))
         return grassmann_distance(metric, x, y) ** 2
     diff = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).ravel()
     return float(diff @ diff)
@@ -172,6 +169,13 @@ def test_squared_distance_matrix_matches_pairwise():
                 assert expect > 0
                 assert abs(d2[i, j] - expect) <= 1e-12 * expect, (metric, i, j)
                 assert abs(rect[i, j] - expect) <= 1e-12 * expect, (metric, i, j)
+
+
+def test_the_embeddings_are_the_metrics_pd_for_every_gamma():
+    # an embedding gives a CND d^2, so exp(-gamma d^2) is PD for every gamma;
+    # every such metric of the oracle's table is computed as one
+    embeddings = {key for key, (kind, *_) in METRICS.items() if kind == "embed"}
+    assert embeddings == PD_FOR_ALL_GAMMA
 
 
 def assert_both_drivers_raise(error, manifold, metric, good, bad):
