@@ -28,6 +28,7 @@ from .data import (
     save_matrix_csv,
     synth_grassmann_clusters,
     synth_spd_blobs,
+    typed,
 )
 from .errors import (
     BadParamError,
@@ -132,14 +133,9 @@ def _seed(text: str) -> int:
 def _spec_for(args, manifold: str) -> KernelSpec:
     """Kernel spec from the kernel flags; ``--manifold``, where the
     subcommand has it, overrides the manifold of the dataset kind."""
-    if getattr(args, "manifold", None):
-        manifold = args.manifold
-    if manifold == "euclidean":
-        metric = "euclidean"
-    elif args.metric is None:
-        metric = {"spd": "log-euclidean", "grassmann": "projection"}[manifold]
-    else:
-        metric = args.metric
+    manifold = getattr(args, "manifold", None) or manifold
+    defaults = {"spd": "log-euclidean", "grassmann": "projection", "euclidean": "euclidean"}
+    metric = defaults[manifold] if args.metric is None else args.metric
     return KernelSpec(manifold=manifold, metric=metric, gamma=args.gamma, alpha=args.alpha)
 
 
@@ -258,7 +254,6 @@ def _cv_select(d2, labels, spec, mode, args):
         raise BadParamError(f"--cv needs at least 2 folds, got {args.cv}")
     gammas = _grid(args.gamma_grid, "gamma grid") if args.gamma_grid else [spec.gamma]
     cs = _grid(args.c_grid, "C grid") if args.c_grid else [args.C]
-    labels = np.asarray(labels)
     folds = _cv_folds(len(labels), args.cv, args.seed)
     splits, rows, row_cs = [], [], []
     for f in range(args.cv):
@@ -336,10 +331,10 @@ def _model_from_payload(payload):
     binary = payload["type"] == "svm"
     model = MulticlassSvmModel(
         mode="binary" if binary else payload["mode"],
-        classes=np.array(payload["classes"]),
+        classes=typed(payload["classes"], "classes", int, 1),
         models=[SvmModel(**raw) for raw in ([payload["model"]] if binary else payload["models"])],
-        pair_indices=[np.array(v, dtype=int) for v in payload.get("pair_indices", [])] or None,
-        pairs=[tuple(p) for p in payload.get("pairs", [])] or None,
+        pair_indices=[typed(v, "pair_indices", int, 1) for v in payload.get("pair_indices", [])] or None,
+        pairs=[tuple(p) for p in typed(payload["pairs"], "pairs", int, 2).tolist()] if "pairs" in payload else None,
     )
     return spec, model
 
@@ -404,6 +399,8 @@ def _cmd_mkl_train(args) -> None:
             grams.append(gram_from_squared_distances(replace(spec, gamma=gamma), d2))
     if labels is None:
         raise BadShapeError("mkl-train needs labels in the (first) dataset")
+    if len(classes := np.unique(labels)) > 2:
+        raise OneClassError(f"{labels_path} holds {len(classes)} classes; mkl-train needs two")
     y = _binary_problems(labels, "binary")[0][0]
     model = mkl_train(grams, y, args.C, max_outer_iter=args.max_outer, tol=args.tol)
     payload = {
@@ -457,6 +454,8 @@ def _cmd_covdesc(args) -> None:
 
 
 def _cmd_subspace(args) -> None:
+    if args.r < 1:
+        raise BadParamError(f"--r must be at least 1, got {args.r}")
     mat = load_matrix_csv(args.input)
     basis = subspace_from_vectors(mat, args.r)
     if args.out.endswith(".json"):

@@ -107,15 +107,30 @@ def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = 
     save_json(path, payload)
 
 
-def _integers(values, name) -> np.ndarray:
-    """A JSON integer or nested list of them as an int array; a bool, a
-    string, a fractional number or one out of the int64 range raises
-    ValueError, where numpy would coerce or wrap it."""
-    flat = np.ravel(np.asarray(values, dtype=object))
-    if not all(type(v) in (int, float) and -(2**63) <= v < 2**63 and v == int(v) for v in flat):
-        raise ValueError(f"{name}: expected integers, got a bool, a string, a fractional number"
-                         " or one out of the int64 range")
-    return np.asarray(values, dtype=int)
+def typed(value, name: str, kind: type, ndim: int):
+    """The file field ``name`` as a ``kind`` (int or float) array of ``ndim``
+    dimensions, or a Python number when ``ndim`` is 0. A numeric numpy value
+    passes as it is. In a JSON number or nested lists of them, a bool, a
+    string or any other non-number, and in an int field a fractional number
+    or one out of the int64 range, raises ValueError naming the field and
+    the first such value, where numpy would coerce it."""
+    numeric = isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind in ("iu" if kind is int else "iuf")
+    arr = np.asarray(value, dtype=kind if numeric else object)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
+    if not numeric:
+        leaves = arr.ravel().tolist()
+        # the walk in Python runs only for an int field or a value of the wrong type
+        if kind is int or not set(map(type, leaves)) <= {int, float}:
+            for v in leaves:
+                if type(v) not in (int, float):
+                    noun = {str: "string", type(None): "null"}.get(type(v), type(v).__name__)
+                    raise ValueError(f"{name}: expected a number, got the {noun} {v!r}")
+                if kind is int and not (-(2**63) <= v < 2**63 and v % 1 == 0):
+                    fault = "a fractional number" if abs(v) < 2**63 else "out of the int64 range"
+                    raise ValueError(f"{name}: expected an integer, got {v!r}, {fault}")
+        arr = arr.astype(kind)
+    return arr if ndim else arr.item()
 
 
 def load_dataset(path) -> dict:
@@ -134,20 +149,19 @@ def load_dataset(path) -> dict:
         kind = payload.get("kind")
         if kind not in DATASET_KINDS:
             raise BadParamError(f"unknown dataset kind {kind!r}")
-        shape = tuple(payload["shape"])
-        items = np.asarray(payload["items"], dtype=float)
-        if not len(items):
+        shape = tuple(typed(payload["shape"], "shape", int, 1).tolist())
+        if payload["items"] == []:
             raise EmptySetError(f"{path} holds no items")
+        items = typed(payload["items"], "items", float, 1 + len(shape))
         if items.shape[1:] != shape:
             raise BadShapeError(f"{path}: item shape {items.shape[1:]}, metadata {shape}")
         _require_finite_items(items, path)
-        count = _integers(payload.get("count", len(items)), "count")
-        if count.shape or count != len(items):
+        if typed(payload.get("count", len(items)), "count", int, 0) != len(items):
             raise BadShapeError(f"{path}: count {payload['count']!r}, but {len(items)} items")
         labels = payload.get("labels")
         if labels is not None:
-            labels = _integers(labels, "labels")
-            if labels.shape != (len(items),):
+            labels = typed(labels, "labels", int, 1)
+            if len(labels) != len(items):
                 raise DimMismatchError("labels length does not match item count")
     return {"kind": kind, "items": items, "labels": labels}
 

@@ -84,7 +84,7 @@ class BadParamError(UsageError):
 
 
 class OneClassError(ManiKernelsError):
-    """Binary training set contains a single class."""
+    """Binary training set contains a single class, or more than two."""
 
 
 class SingularScatterError(NumericalFailure):

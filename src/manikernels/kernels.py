@@ -35,7 +35,7 @@ import numpy as np
 
 from . import grassmann as gr
 from . import spd as sp
-from .data import _sample_symmetric, save_json, save_matrix_csv, stack_items
+from .data import _sample_symmetric, save_json, save_matrix_csv, stack_items, typed
 from .errors import (
     BadParamError,
     BadShapeError,
@@ -154,10 +154,9 @@ class KernelSpec:
 
     def __post_init__(self):
         _lookup(self.manifold, self.metric)
-        # a bool is a number to numpy; one in a model file is a type error
-        if isinstance(self.gamma, bool) or not (np.isfinite(self.gamma) and self.gamma > 0):
+        if not 0 < typed(self.gamma, "gamma", float, 0) < np.inf:
             raise BadParamError(f"gamma must be a positive finite number, got {self.gamma}")
-        if isinstance(self.alpha, bool) or not np.isfinite(self.alpha) or self.alpha == 0:
+        if not np.isfinite(alpha := typed(self.alpha, "alpha", float, 0)) or alpha == 0:
             raise BadParamError(f"alpha must be a finite nonzero number, got {self.alpha}")
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import typed
 from .errors import (
     BadParamError,
     DimMismatchError,
@@ -374,14 +375,10 @@ class SvmModel:
 
     def __post_init__(self):
         # a model read back from JSON arrives with lists and plain numbers
-        self.dual_coefs = np.asarray(self.dual_coefs, dtype=float)
-        self.support_indices = np.asarray(self.support_indices, dtype=int)
-        self.bias, self.C = float(self.bias), float(self.C)
-        self.kkt_violation, self.n_iter = float(self.kkt_violation), int(self.n_iter)
+        for name, kind, ndim in (("dual_coefs", float, 1), ("bias", float, 0), ("support_indices", int, 1),
+                                 ("C", float, 0), ("kkt_violation", float, 0), ("n_iter", int, 0)):
+            setattr(self, name, typed(getattr(self, name), name, kind, ndim))
         sv = self.support_indices
-        if self.dual_coefs.ndim != 1 or sv.ndim != 1:
-            shapes = f"{self.dual_coefs.shape} and {sv.shape}"
-            raise BadParamError(f"dual_coefs and support_indices must be flat lists, got shapes {shapes}")
         if sv.size and not 0 <= sv.min() <= sv.max() < len(self.dual_coefs):
             raise BadParamError(f"support indices must lie in [0, {len(self.dual_coefs)})")
         values = {"dual_coefs": self.dual_coefs, "bias": self.bias, "kkt_violation": self.kkt_violation}

@@ -565,6 +565,17 @@ def test_mkl_train_one_class_is_a_data_error(tmp_path, capsys, label):
     assert not out.exists()
 
 
+def test_mkl_train_three_classes_is_a_data_error(tmp_path, capsys):
+    # it was a usage error, "binary SVM needs exactly two label values"
+    data = tmp_path / "three.json"
+    items, labels = synth_spd_blobs(3, 4, 3, seed=2)
+    save_dataset(data, "spd", items, labels=labels)
+    out = tmp_path / "mkl.json"
+    assert run(["mkl-train", "--inputs", str(data), "--gamma-grid", "0.1,1", "--out", str(out)]) == 2
+    assert f"{data} holds 3 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mkl_train_cli(tmp_path):
     data = tmp_path / "blobs.json"
     model = tmp_path / "mkl.json"
@@ -920,6 +931,12 @@ BAD_NUMERIC_VALUES = [
     (1, ["svm-train", "--c-grid", "5"], ["--c-grid", "--cv"]),
     (1, ["svm-train", "--cv", "0", "--gamma-grid", "0.1,1", "--c-grid", "5"], ["--cv"]),
     (1, ["synth", "--kind", "spd-blobs", "--seed", "-1"], ["seed", "-1"]),
+    # the metric was dropped for the manifold's own, while provenance kept it
+    (1, ["gram", "--manifold", "euclidean", "--metric", "affine-invariant"],
+     ["'affine-invariant' is not defined on manifold 'euclidean'"]),
+    # --r below 1 is refused before the input (here not a CSV file) is read
+    (1, ["subspace", "--r", "0"], ["--r must be at least 1, got 0"]),
+    (1, ["subspace", "--r", "-1"], ["--r must be at least 1, got -1"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1000"], ["non-finite"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e200"], ["non-finite"]),
     (3, ["gram", "--metric", "power-euclidean", "--alpha", "1e-200"], ["scale inf"]),
@@ -1119,7 +1136,8 @@ def test_unknown_model_and_spec_keys_exit_2_naming_the_file(tmp_path, capsys):
 
 
 # Fields of a valid file that numpy would coerce or misread: each exits 2,
-# naming the file, without a traceback. The dataset has 16 items.
+# naming the file, without a traceback. The dataset has 16 items in two
+# classes; an "ovo-model" row breaks a one-vs-one model of three classes.
 COERCED_FIELDS = [
     ("model", lambda p: p["model"].update(dual_coefs=[[v] for v in p["model"]["dual_coefs"]]),
      ["dual_coefs", "(16, 1)"]),
@@ -1134,6 +1152,21 @@ COERCED_FIELDS = [
     ("dataset", lambda p: p.update(count=99), ["count 99", "16 items"]),
     ("dataset", lambda p: p.update(count=16.5), ["count", "fractional"]),
     ("dataset", lambda p: p.update(count=True), ["count", "bool"]),
+    ("dataset", lambda p: p["items"][0][0].__setitem__(0, True), ["items", "bool True"]),
+    ("dataset", lambda p: p["items"][0][0].__setitem__(0, "1.0"), ["items", "string '1.0'"]),
+    ("model", lambda p: p["model"]["support_indices"].__setitem__(0, 0.5),
+     ["support_indices", "0.5, a fractional"]),
+    ("model", lambda p: p["model"].update(n_iter=1.5), ["n_iter", "1.5, a fractional"]),
+    ("model", lambda p: p["model"].update(C=True), ["C: expected", "bool True"]),
+    ("model", lambda p: p["model"].update(bias=True), ["bias", "bool True"]),
+    ("model", lambda p: p["model"].update(kkt_violation="0.5"), ["kkt_violation", "string '0.5'"]),
+    ("model", lambda p: p["model"].update(dual_coefs=[str(v) for v in p["model"]["dual_coefs"]]),
+     ["dual_coefs", "string"]),
+    ("model", lambda p: p.update(classes=[0.5, 1.5]), ["classes", "0.5, a fractional"]),
+    ("model", lambda p: p.update(classes=[False, True]), ["classes", "bool False"]),
+    ("model", lambda p: p["spec"].update(gamma="0.5"), ["gamma", "string '0.5'"]),
+    ("ovo-model", lambda p: p["pair_indices"][0].__setitem__(0, 0.5), ["pair_indices", "0.5, a fractional"]),
+    ("ovo-model", lambda p: p["pairs"][0].__setitem__(0, 0.5), ["pairs", "0.5, a fractional"]),
 ]
 
 
@@ -1141,19 +1174,27 @@ COERCED_FIELDS = [
     "part, breaks, words", COERCED_FIELDS,
     ids=["2d-dual-coefs", "2d-support-indices", "bool-gamma", "bool-alpha", "fractional-labels",
          "bool-labels", "one-bool-label", "string-labels", "huge-label", "count-99",
-         "fractional-count", "bool-count"],
+         "fractional-count", "bool-count", "bool-item", "string-item", "fractional-support-index",
+         "fractional-n-iter", "bool-C", "bool-bias", "string-kkt-violation", "string-dual-coefs",
+         "fractional-classes", "bool-classes", "string-gamma", "fractional-pair-index",
+         "fractional-pair-class"],
 )
 def test_coerced_file_fields_exit_2_naming_the_file(tmp_path, capsys, part, breaks, words):
     data = tmp_path / "blobs.json"
-    make_blobs_file(data)
+    if part == "ovo-model":
+        run_ok(["synth", "--kind", "spd-blobs", "--clusters", "3", "--per-cluster", "4", "--dim", "3",
+                "--seed", "4", "--out", str(data)])
+    else:
+        make_blobs_file(data)
     model = tmp_path / "model.json"
-    run_ok(["svm-train", "--input", str(data), "--out", str(model)])
+    # two classes make a binary model whatever --mode says
+    run_ok(["svm-train", "--input", str(data), "--mode", "one-vs-one", "--out", str(model)])
     bad = tmp_path / "bad.json"
-    payload = json.loads((model if part == "model" else data).read_text())
+    payload = json.loads((data if part == "dataset" else model).read_text())
     breaks(payload)
     bad.write_text(json.dumps(payload))
     out = tmp_path / "out.csv"
-    if part == "model":
+    if part != "dataset":
         argvs = [["svm-predict", "--model", str(bad), "--train", str(data), "--test", str(data)]]
     else:
         argvs = [["gram", "--input", str(bad)], ["svm-train", "--input", str(bad)]]

@@ -14,6 +14,7 @@ from manikernels.data import (
     stack_items,
     synth_grassmann_clusters,
     synth_spd_blobs,
+    typed,
 )
 from manikernels.errors import (
     BadParamError,
@@ -102,6 +103,29 @@ def test_load_dataset_rejects_ragged_and_mislabelled_items(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(EmptySetError):
         load_dataset(path)
+
+
+def test_typed_reads_numbers_and_passes_numeric_numpy_values():
+    ints = np.arange(4)
+    assert typed(ints, "x", int, 1) is ints and typed(ints, "x", float, 1).dtype == float
+    assert typed(np.float64(0.5), "g", float, 0) == 0.5 and type(typed(np.int64(3), "n", int, 0)) is int
+    got = typed([[1, 2.0], [3.0, -(2**63)]], "x", int, 2)
+    assert got.dtype == np.int64 and got.tolist() == [[1, 2], [3, -(2**63)]]
+    assert typed([1, 2.5], "x", float, 1).tolist() == [1.0, 2.5]
+    for value, kind, ndim, words in [
+        ([1, True], float, 1, "x: expected a number, got the bool True"),
+        (np.array([True]), float, 1, "x: expected a number, got the bool True"),
+        ([[1.0], ["abc"]], float, 2, "x: expected a number, got the string 'abc'"),
+        ([1.0, None], float, 1, "x: expected a number, got the null None"),
+        ([0, 2**63], int, 1, "x: expected an integer, got 9223372036854775808, out of the int64 range"),
+        (np.array([0.0, 0.5]), int, 1, "x: expected an integer, got 0.5, a fractional number"),
+        ([[1.0], [2.0]], float, 1, "x: expected a 1-d array, got shape (2, 1)"),
+        ([[1.0, 2.0], [3.0]], float, 2, "x: expected a 2-d array, got shape (2,)"),
+        ([1], int, 0, "x: expected a 0-d array, got shape (1,)"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            typed(value, "x", kind, ndim)
+        assert str(caught.value) == words
 
 
 def test_stack_items(tmp_path):
