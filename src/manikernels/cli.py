@@ -329,12 +329,15 @@ def _model_from_payload(payload):
         raise ValueError(f"model type {payload['type']!r} is not an svm-train model")
     spec = KernelSpec(**payload["spec"])
     binary = payload["type"] == "svm"
+    pairs = typed(payload.get("pairs", np.zeros((0, 2), int)), "pairs", int, 2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"pairs: expected rows of 2 classes, got shape {pairs.shape}")
     model = MulticlassSvmModel(
         mode="binary" if binary else payload["mode"],
         classes=typed(payload["classes"], "classes", int, 1),
         models=[SvmModel(**raw) for raw in ([payload["model"]] if binary else payload["models"])],
         pair_indices=[typed(v, "pair_indices", int, 1) for v in payload.get("pair_indices", [])] or None,
-        pairs=[tuple(p) for p in typed(payload["pairs"], "pairs", int, 2).tolist()] if "pairs" in payload else None,
+        pairs=[tuple(p) for p in pairs.tolist()] or None,
     )
     return spec, model
 

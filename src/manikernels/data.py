@@ -90,15 +90,15 @@ def _require_finite_items(items: np.ndarray, path) -> None:
 
 
 def save_dataset(path, kind: str, items, labels=None, provenance: dict | None = None) -> None:
-    """Write a stack of same-shape items (plus optional integer labels);
-    NaN or infinite values are rejected before the file is opened."""
+    """Write a stack of same-shape items, plus optional integer labels; NaN
+    or infinite values and non-integer labels raise before the file is opened."""
     if kind not in DATASET_KINDS:
         raise BadParamError(f"unknown dataset kind {kind!r}")
     stack = stack_items(items)
     _require_finite_items(stack, path)
     payload = {"kind": kind, "count": len(stack), "shape": stack.shape[1:], "items": stack}
     if labels is not None:
-        labels = np.asarray(labels, dtype=int)
+        labels = typed(labels, "labels", int, 1)
         if labels.shape != (len(stack),):
             raise DimMismatchError(f"labels shape {labels.shape} != ({len(stack)},)")
         payload["labels"] = labels

@@ -104,4 +104,4 @@ class TooSmallError(ManiKernelsError):
 
 
 class FrameMismatchError(ManiKernelsError):
-    """Video frames disagree in number or size."""
+    """Images for subwindow selection differ in size."""

@@ -300,17 +300,6 @@ def gram_from_squared_distances(spec: KernelSpec, d2) -> GramMatrix:
     return GramMatrix(entries=k, spec=spec, symmetric=True)
 
 
-def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
-    """Log-normal SPD sample: exp of a Gaussian symmetric matrix, or a
-    ``(count, dim, dim)`` stack of them.
-
-    Well conditioned by construction, so distance computations are not
-    stressed by near-singularity. A stack draws its normals in one call
-    and so equals ``count`` single draws from the same stream.
-    """
-    return spd_exp(_sample_symmetric(rng, (dim, dim) if count is None else (count, dim, dim)))
-
-
 @dataclass
 class DefinitenessReport:
     """Outcome of a randomized search for Gram-matrix indefiniteness."""
@@ -336,16 +325,16 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def _trial_sample(rng, manifold, metric, m, dim, subspace_dim, alpha):
     """One trial's squared-distance matrix, and a function that returns
-    its ``m`` points. A log-Euclidean trial draws the logs S of its SPD
-    points exp(S), as :func:`sample_spd` does, and takes the distances
-    from S, since log(exp S) = S. It checks exp(S) against the SPD floor
-    from the eigenvalues of S, and forms exp(S) only for its points."""
-    if (manifold, metric) == ("spd", "log-euclidean"):
-        logs = _sample_symmetric(rng, (m, dim, dim))
-        require_spd_exp(logs)
-        return squared_distance_matrix("euclidean", "euclidean", _flat(logs)), lambda: spd_exp(logs)
+    its ``m`` points. SPD points are log-normal, exp(S) of a Gaussian
+    symmetric S. A log-Euclidean trial takes the distances from S, since
+    log(exp S) = S; it checks exp(S) against the SPD floor from the
+    eigenvalues of S, and forms exp(S) only for its points."""
     if manifold == "spd":
-        points = sample_spd(rng, dim, m)
+        logs = _sample_symmetric(rng, (m, dim, dim))
+        if metric == "log-euclidean":
+            require_spd_exp(logs)
+            return squared_distance_matrix("euclidean", "euclidean", _flat(logs)), lambda: spd_exp(logs)
+        points = spd_exp(logs)
     elif manifold == "grassmann":
         points = gr.make_grassmann(rng.standard_normal((m, dim, subspace_dim)))
     else:
@@ -413,8 +402,7 @@ def definiteness_search(
     slack = _SCREEN_SLACK * m * m
     diag = np.arange(m)
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        d2, points = _trial_sample(rng, manifold, metric, m, dim, subspace_dim, alpha)
+        d2, points = _trial_sample(_trial_rng(seed, trial), manifold, metric, m, dim, subspace_dim, alpha)
         report.trials_run = trial + 1
         ks = np.exp(-np.array(grid)[:, None, None] * d2)
         ks[:, diag, diag] = 1.0

@@ -629,20 +629,11 @@ def svm_decision(model: SvmModel, kernel_columns) -> np.ndarray:
     return model.dual_coefs @ cols + model.bias
 
 
-def svm_objectives(model: SvmModel, k, y) -> tuple[float, float]:
-    """(dual, primal) objective values of a trained model.
-
-    dual = sum(alpha) - (1/2) dc^T K dc, primal = (1/2) dc^T K dc
-    + C * sum(hinge); their gap certifies solution quality.
-    """
-    k = as_gram(k).entries
-    y = np.asarray(y, dtype=float).ravel()
+def svm_dual_objective(model: SvmModel, k) -> float:
+    """Dual objective sum(alpha) - (1/2) dc^T K dc of a model trained on
+    the kernel matrix ``k``; over MKL weights its value is J(lambda)."""
     dc = model.dual_coefs
-    quad = float(dc @ k @ dc)
-    dual = float(np.sum(np.abs(dc))) - 0.5 * quad
-    margins = y * (k @ dc + model.bias)
-    primal = 0.5 * quad + model.C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
-    return dual, primal
+    return float(np.sum(np.abs(dc))) - 0.5 * float(dc @ as_gram(k).entries @ dc)
 
 
 # ---------------------------------------------------------------------------
@@ -729,35 +720,27 @@ def multiclass_svm_train(
     return MulticlassSvmModel(models=models, **fields)
 
 
-def multiclass_svm_decision(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
-    """Scores (rows x t): the decision values of each binary or
-    one-vs-all model, one row per model; for one-vs-one, per-class vote
-    counts with summed-decision tie info folded in."""
+def multiclass_svm_predict(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
+    """Predicted class ids: the larger class where a binary decision is
+    >= 0, the largest one-vs-all decision, or the most one-vs-one votes,
+    summed decisions breaking ties; other ties go to the lowest class id."""
     cols = np.asarray(kernel_columns, dtype=float)
-    if model.mode != "one-vs-one":
-        return np.stack([svm_decision(mdl, cols) for mdl in model.models])
+    if model.mode == "binary":
+        return model.classes[(svm_decision(model.models[0], cols) >= 0).astype(int)]
+    if model.mode == "one-vs-all":
+        return model.classes[np.argmax([svm_decision(mdl, cols) for mdl in model.models], axis=0)]
     votes = np.zeros((len(model.classes), cols.shape[1]))
     sums = np.zeros_like(votes)
-    class_pos = {c: i for i, c in enumerate(model.classes)}
+    pos = {c: i for i, c in enumerate(model.classes)}
     for mdl, idx, (cls_a, cls_b) in zip(model.models, model.pair_indices, model.pairs):
         dec = svm_decision(mdl, cols[idx, :])
-        ia, ib = class_pos[cls_a], class_pos[cls_b]
-        votes[ia] += dec >= 0
-        votes[ib] += dec < 0
-        sums[ia] += dec
-        sums[ib] -= dec
+        votes[pos[cls_a]] += dec >= 0
+        votes[pos[cls_b]] += dec < 0
+        sums[pos[cls_a]] += dec
+        sums[pos[cls_b]] -= dec
     # fold summed decisions in as a strictly-smaller tie-break term
     scale = 1.0 / (4.0 * (1.0 + np.max(np.abs(sums))))
-    return votes + sums * scale
-
-
-def multiclass_svm_predict(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
-    """Predicted class ids; a binary decision of 0 goes to the larger
-    class, and other ties to the lowest class id."""
-    scores = multiclass_svm_decision(model, kernel_columns)
-    if model.mode == "binary":
-        return model.classes[(scores[0] >= 0).astype(int)]
-    return model.classes[np.argmax(scores, axis=0)]
+    return model.classes[np.argmax(votes + sums * scale, axis=0)]
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +806,7 @@ def mkl_train(
             combine_kernels(grams, weights), min_eigen=float(weights @ min_eigens), symmetric=True
         )
         model = svm_train(combined, y, C)
-        dual, _ = svm_objectives(model, combined, y)
-        return model, dual
+        return model, svm_dual_objective(model, combined)
 
     model, objective = solve(lam)
     trace = [objective]

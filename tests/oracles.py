@@ -7,11 +7,12 @@ distance per metric, the affine-invariant one from scipy's generalized
 eigenvalues, a Grassmann distance per metric from scipy's principal
 angles, a replicated-border central difference, Karcher means, the PSD
 and CND tests, linear Grams, Gram readers, an inverse square root, the
-+-1 prediction of one binary SVM, the per-problem CV grid search, the
-per-gamma definiteness search, the per-entry CSV writer) so the tests
-can check the package against them (no distance here calls the package
-formula it checks), and keeps a few input fixtures (a
-dataset writer without the finiteness check among them), the
++-1 prediction and the dual and primal objectives of one binary SVM,
+the log-normal SPD sample of the definiteness trials, the per-problem
+CV grid search, the per-gamma definiteness search, the per-entry CSV
+writer) so the tests can check the package against them (no distance
+here calls the package formula it checks), and keeps a few input
+fixtures (a dataset writer without the finiteness check among them), the
 out-of-sample Fisher projection, the paper's table of metrics whose
 Gaussian kernel is positive definite for every gamma, and the
 spatio-temporal structure tensor, which no command computes.
@@ -380,6 +381,16 @@ def gram_from_json(path) -> GramMatrix:
 # dataset writer and a PGM writer
 # ---------------------------------------------------------------------------
 
+def sample_spd(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
+    """Log-normal SPD sample: exp of a Gaussian symmetric matrix, or a
+    ``(count, dim, dim)`` stack of them, well conditioned by construction.
+    A stack draws its normals in one call and so equals ``count`` single
+    draws from the same stream, and the points of an SPD definiteness
+    trial from the trial's stream."""
+    a = rng.standard_normal((dim, dim) if count is None else (count, dim, dim))
+    return spd_exp((a + np.swapaxes(a, -1, -2)) / 2.0)
+
+
 def sample_grassmann(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     """Uniform-ish subspace sample: orthonormalized Gaussian n x r matrix."""
     return make_grassmann(rng.standard_normal((n, r)))
@@ -587,6 +598,20 @@ def definiteness_search_per_gamma(
 # ---------------------------------------------------------------------------
 # Cross-validated grid search, one SMO solve per problem
 # ---------------------------------------------------------------------------
+
+def svm_objectives(model, k, y) -> tuple[float, float]:
+    """(dual, primal) objective values of a trained binary SVM:
+    dual = sum(alpha) - (1/2) dc^T K dc, primal = (1/2) dc^T K dc
+    + C * sum(hinge); their gap certifies solution quality."""
+    k = k.entries if isinstance(k, GramMatrix) else np.asarray(k, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    dc = model.dual_coefs
+    quad = float(dc @ k @ dc)
+    dual = float(np.sum(np.abs(dc))) - 0.5 * quad
+    margins = y * (k @ dc + model.bias)
+    primal = 0.5 * quad + model.C * float(np.sum(np.maximum(0.0, 1.0 - margins)))
+    return dual, primal
+
 
 def svm_predict(model, kernel_columns) -> np.ndarray:
     """Class labels in {-1, +1} of one binary SVM; ties at 0 go positive."""

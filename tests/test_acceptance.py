@@ -20,14 +20,12 @@ from manikernels.kernels import (
     definiteness_search,
     gram_from_squared_distances,
     gram_matrix,
-    sample_spd,
     squared_distance_matrix,
 )
 from manikernels.learn import (
     kernel_kmeans,
     kernel_pca,
     mkl_train,
-    svm_objectives,
     svm_train,
 )
 
@@ -41,6 +39,8 @@ from oracles import (
     median_heuristic_gamma,
     psd_check,
     sample_grassmann,
+    sample_spd,
+    svm_objectives,
 )
 
 GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0)

@@ -80,6 +80,21 @@ def test_save_dataset_rejects_non_finite_items_before_opening_the_file(tmp_path)
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "labels, words",
+    [([0.5, 1.7], "0.5, a fractional"), ([True, False], "bool True"), (["0", "1"], "string '0'")],
+    ids=["fractional", "bool", "string"],
+)
+def test_save_dataset_rejects_labels_that_are_not_integers_before_opening_the_file(
+    tmp_path, labels, words
+):
+    # numpy wrote [0.5, 1.7] as [0, 1] and [True, False] as [1, 0]
+    path = tmp_path / "ds.json"
+    with pytest.raises(ValueError, match=rf"^labels: .*{words}"):
+        save_dataset(path, "vectors", np.ones((2, 3)), labels=labels)
+    assert not path.exists()
+
+
 def test_load_dataset_returns_one_stack(tmp_path):
     path = tmp_path / "ds.json"
     items = np.arange(24.0).reshape(4, 3, 2)

@@ -24,7 +24,6 @@ from manikernels.kernels import (
     gram_matrix,
     gram_to_csv,
     gram_to_json,
-    sample_spd,
     squared_distance_matrix,
 )
 
@@ -39,6 +38,7 @@ from oracles import (
     projection_linear_gram,
     psd_check,
     sample_grassmann,
+    sample_spd,
     spd_distance,
 )
 
@@ -540,6 +540,17 @@ def test_log_euclidean_trial_points_are_the_sampled_spd_points():
     assert np.array_equal(points(), expect)
     np.testing.assert_allclose(d2, squared_distance_matrix("spd", "log-euclidean", expect),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("metric", sorted(metric for manifold, metric in METRICS if manifold == "spd"))
+def test_spd_trial_points_are_the_oracle_sample_of_the_trial_stream(metric):
+    # every SPD trial draws its logs S in one standard_normal call
+    for seed, trial in [(3, 1), (0, 4)]:
+        d2, points = kernels._trial_sample(_trial_rng(seed, trial), "spd", metric, 6, 4, 2, 0.5)
+        expect = sample_spd(_trial_rng(seed, trial), 4, 6)
+        assert np.array_equal(points(), expect)
+        if metric != "log-euclidean":
+            assert np.array_equal(d2, squared_distance_matrix("spd", metric, expect, alpha=0.5))
 
 
 def test_definiteness_search_follows_a_minimum_that_moves_late():

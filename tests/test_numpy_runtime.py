@@ -1,10 +1,10 @@
 """The runtime needs numpy alone; scipy is only an oracle for the tests.
 
-A fresh interpreter that cannot import scipy runs the CLI commands, and
-the two numpy replacements of former scipy calls are checked against
-scipy: the Gaussian smoothing of the structure-tensor oracle in
-``tests/oracles.py`` and the generalized eigenproblem of
-``learn.kernel_fda``.
+No package module names scipy, a fresh interpreter that cannot import
+scipy runs the CLI commands, and the two numpy replacements of former
+scipy calls are checked against scipy: the Gaussian smoothing of the
+structure-tensor oracle in ``tests/oracles.py`` and the generalized
+eigenproblem of ``learn.kernel_fda``.
 """
 
 import os
@@ -17,10 +17,10 @@ import pytest
 import scipy.linalg
 from scipy.ndimage import correlate1d, gaussian_filter
 
-from manikernels.kernels import KernelSpec, gram_matrix, sample_spd
+from manikernels.kernels import KernelSpec, gram_matrix
 from manikernels.learn import kernel_fda
 
-from oracles import gaussian_smooth, structure_tensor_field, write_pgm
+from oracles import gaussian_smooth, sample_spd, structure_tensor_field, write_pgm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,6 +62,13 @@ loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, f"the commands loaded {loaded}"
 print("numpy-only")
 """
+
+
+def test_no_package_module_names_scipy():
+    # so no command can reach scipy, on its success path or an error path
+    modules = sorted((SRC / "manikernels").glob("*.py"))
+    assert modules
+    assert [path.name for path in modules if "scipy" in path.read_text()] == []
 
 
 def test_cli_runs_without_scipy(tmp_path):

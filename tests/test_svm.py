@@ -26,7 +26,7 @@ from manikernels.learn import (
     multiclass_svm_train,
     principal_gram,
     svm_decision,
-    svm_objectives,
+    svm_dual_objective,
     svm_train,
     svm_train_batch,
 )
@@ -157,7 +157,8 @@ def test_kkt_and_duality_gap_seeded_problems():
         c_val = [0.5, 1.0, 10.0][seed % 3]
         model = svm_train(gram, y, C=c_val, kkt_tol=1e-9)
         assert model.kkt_violation <= 1e-3
-        dual, primal = svm_objectives(model, gram, y)
+        dual, primal = oracles.svm_objectives(model, gram, y)
+        assert svm_dual_objective(model, gram) == dual
         gap = primal - dual
         assert -1e-9 <= gap <= 1e-6 * m
 
@@ -501,8 +502,8 @@ def test_mkl_single_kernel_reduces_to_svm():
     plain = svm_train(gram, y, C=2.0)
     np.testing.assert_allclose(mkl.svm.dual_coefs, plain.dual_coefs)
     assert mkl.svm.bias == plain.bias
-    dual_mkl, _ = svm_objectives(mkl.svm, gram, y)
-    dual_plain, _ = svm_objectives(plain, gram, y)
+    dual_mkl, _ = oracles.svm_objectives(mkl.svm, gram, y)
+    dual_plain, _ = oracles.svm_objectives(plain, gram, y)
     assert abs(dual_mkl - dual_plain) <= 1e-12
 
 
@@ -512,7 +513,7 @@ def test_mkl_identical_kernels_objective_matches_single():
     gram = gram_matrix(gauss_spec(0.5), pts)
     mkl = mkl_train([gram, gram], y, C=2.0)
     plain = svm_train(gram, y, C=2.0)
-    dual_plain, _ = svm_objectives(plain, gram, y)
+    dual_plain, _ = oracles.svm_objectives(plain, gram, y)
     assert abs(mkl.objective_trace[-1] - dual_plain) <= 1e-6
     assert mkl.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -523,6 +524,13 @@ def mkl_gamma_grid_problem():
     points, labels = synth_spd_blobs(2, 20, 3, seed=2)
     grams = [gram_matrix(KernelSpec("spd", "log-euclidean", gamma), points) for gamma in (0.1, 1.0, 10.0)]
     return grams, np.where(labels == 1, 1.0, -1.0)
+
+
+def test_mkl_objective_is_the_dual_of_its_svm_on_the_combined_gram():
+    grams, y = mkl_gamma_grid_problem()
+    for cap in (0, 3):
+        mkl = mkl_train(grams, y, C=10.0, max_outer_iter=cap, tol=0.0)
+        assert mkl.objective_trace[-1] == svm_dual_objective(mkl.svm, combine_kernels(grams, mkl.weights))
 
 
 def test_mkl_stops_at_max_outer():
