@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    has_suffix,
     load_dataset,
     load_matrix_csv,
     parse_errors,
@@ -77,7 +78,6 @@ from .learn import (
     mkl_train,
     multiclass_svm_predict,
     multiclass_svm_train,
-    svm_decision,
     svm_train_batch,
 )
 from .matrixops import require_symmetric
@@ -186,7 +186,7 @@ def _cmd_gram(args) -> None:
     if args.audit:
         gram.audit()
     prov = _provenance(args)
-    if args.out.endswith(".json"):
+    if has_suffix(args.out, ".json"):
         gram_to_json(gram, args.out, provenance=prov)
     else:
         gram_to_csv(gram, args.out, extra_header=_provenance_lines(prov))
@@ -285,7 +285,7 @@ def _cv_select(d2, labels, spec, mode, args):
             cols = gram.entries[np.ix_(train, test)]
             for c_index in range(len(cs)):
                 model = MulticlassSvmModel(models=[next(models) for _ in range(n_problems)], **fields)
-                correct[c_index] += int(np.sum(multiclass_svm_predict(model, cols) == labels[test]))
+                correct[c_index] += int(np.sum(multiclass_svm_predict(model, cols)[0] == labels[test]))
         for c_index, c_val in enumerate(cs):
             if best is None or correct[c_index] / total > best[0]:
                 best = (correct[c_index] / total, gram, c_val)
@@ -369,10 +369,11 @@ def _cmd_svm_predict(args) -> None:
         raise MalformedFileError(f"{args.model}: a pair index is past the training set's end")
     cols = cross_gram(spec, train_points, test_points)
     header = _provenance_lines(_provenance(args))
-    columns = [np.arange(len(test_points)), multiclass_svm_predict(model, cols).astype(float)]
+    labels, dec = multiclass_svm_predict(model, cols)
+    columns = [np.arange(len(test_points)), labels.astype(float)]
     if model.mode == "binary":
         # a binary prediction file also holds the decision values
-        columns.insert(1, svm_decision(model.models[0], cols))
+        columns.insert(1, dec[0])
         header.append("columns=index,decision,label")
     else:
         header.append("columns=index,label")
@@ -461,7 +462,7 @@ def _cmd_subspace(args) -> None:
         raise BadParamError(f"--r must be at least 1, got {args.r}")
     mat = load_matrix_csv(args.input)
     basis = subspace_from_vectors(mat, args.r)
-    if args.out.endswith(".json"):
+    if has_suffix(args.out, ".json"):
         save_dataset(args.out, "grassmann", [basis], provenance=_provenance(args))
     else:
         save_matrix_csv(

@@ -211,6 +211,11 @@ def load_matrix_csv(path) -> np.ndarray:
     return mat
 
 
+def has_suffix(path, suffix: str) -> bool:
+    """Whether ``path`` ends in the lower-case ``suffix``, in any case."""
+    return str(path).lower().endswith(suffix)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------

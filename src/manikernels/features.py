@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .data import load_matrix_csv, parse_errors
+from .data import has_suffix, load_matrix_csv, parse_errors
 from .errors import (
     BadParamError,
     BadShapeError,
@@ -249,7 +249,6 @@ def read_pgm(path) -> np.ndarray:
 
 def read_image(path) -> np.ndarray:
     """PGM by extension, otherwise a CSV matrix of pixel values."""
-    text = str(path)
-    if text.lower().endswith(".pgm"):
+    if has_suffix(path, ".pgm"):
         return read_pgm(path)
     return load_matrix_csv(path)

@@ -89,7 +89,7 @@ def _power_features(points, alpha):
     if alpha == 0:
         raise BadParamError("alpha must be nonzero")
     # numpy gives inf where Python floats raise on an overflowing square
-    # or a division by 0.0; the drivers reject a non-finite scale
+    # or a division by 0.0; the distance driver rejects a non-finite scale
     return _flat(spd_power(points, alpha)), float(1.0 / np.float64(alpha) ** 2)
 
 
@@ -97,7 +97,7 @@ def _power_features(points, alpha):
 #: (features, scale)) or ("row", x, ys -> d^2 from x to each of ys). An
 #: embedding whose features are not flat vectors adds the function that
 #: gives ||phi(x_i) - phi(y_j)||^2 from two stacks of them. A row entry may
-#: add per-point terms, points -> one value per point, that a driver
+#: add per-point terms, points -> one value per point, that the driver
 #: computes once per stack; its row function then takes each point with its
 #: term, (x, term_x, ys, terms_ys). Entries look their functions up at call
 #: time, so a wrapped module function (a tracer's span, a test double) runs.
@@ -170,24 +170,6 @@ def _manifold_points(manifold: str, points) -> np.ndarray:
     return pts
 
 
-def _row_args(manifold: str, terms, pts: np.ndarray) -> list:
-    """A stack checked once per row-function driver call (SPD points
-    against the floor, Grassmann bases for orthonormal columns; an
-    embedding checks the points it maps itself), and the row function's
-    per-point terms of it (the root-Stein log-determinants)."""
-    pts = make_spd(pts) if manifold == "spd" else gr.require_orthonormal(pts)
-    return [pts, *(term(pts) for term in terms)]
-
-
-def _scaled(d2: np.ndarray, scale: float) -> np.ndarray:
-    """``d2 * scale`` of an embedding, unless the scale or a squared
-    distance is not finite (features that overflowed)."""
-    d2 = d2 * scale
-    if not (np.isfinite(scale) and np.isfinite(d2).all()):
-        raise NumericalError(f"embedding gives non-finite squared distances (scale {scale!r})")
-    return d2
-
-
 def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """||fx_i - fy_j||^2 from inner products, clamped at 0."""
     sq_x = np.einsum("ij,ij->i", fx, fx)
@@ -197,58 +179,52 @@ def _feature_sq_distances(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return d2
 
 
-def squared_distance_matrix(
-    manifold: str,
-    metric: str,
-    points,
-    alpha: float = DEFAULT_POWER_ALPHA,
-) -> np.ndarray:
-    """Symmetric matrix of pairwise squared distances with exact-zero diagonal.
-
-    An embedding maps every point once and takes all pairs in one pass;
-    a non-finite scale or squared distance raises NumericalError. A row
-    function fills the upper triangle one row at a time, each point
-    against the stack of later points, and the triangle is mirrored.
-    """
+def _sq_distances(manifold: str, metric: str, xs, ys, alpha: float) -> np.ndarray:
+    """d^2(x_i, y_j) from the registry entry. With ``ys`` None, the exactly
+    symmetric triangle of ``xs``: an embedding's matrix is symmetrized with
+    a zero diagonal, and a row function takes each point against the later
+    points only and mirrors the upper rows."""
     kind, fn, *more = _lookup(manifold, metric)
-    pts = _manifold_points(manifold, points)
+    triangle = ys is None
+    stacks = [_manifold_points(manifold, pts) for pts in ([xs] if triangle else [xs, ys])]
+    if stacks[0].shape[1:] != stacks[-1].shape[1:]:
+        raise DimMismatchError(f"point shapes differ: {stacks[0].shape[1:]} vs {stacks[-1].shape[1:]}")
     if kind == "embed":
         (sq_distances,) = more or [_feature_sq_distances]
-        with np.errstate(all="ignore"):  # _scaled reports an overflow
-            feats, scale = fn(pts, alpha)
-            d2 = sq_distances(feats, feats)
-            d2 = (d2 + d2.T) / 2.0
-            np.fill_diagonal(d2, 0.0)
-            return _scaled(d2, scale)
-    args = _row_args(manifold, more, pts)
-    m = len(pts)
-    d2 = np.zeros((m, m))
-    for i in range(m - 1):
-        d2[i, i + 1 :] = fn(*(a[i] for a in args), *(a[i + 1 :] for a in args))
-    return d2 + d2.T
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            feats = [fn(pts, alpha) for pts in stacks]
+            scale = feats[0][1]
+            d2 = sq_distances(feats[0][0], feats[-1][0])
+            if triangle:
+                d2 = (d2 + d2.T) / 2.0
+                np.fill_diagonal(d2, 0.0)
+            d2 = d2 * scale
+            if not (np.isfinite(scale) and np.isfinite(d2).all()):
+                raise NumericalError(f"embedding gives non-finite squared distances (scale {scale!r})")
+            return d2
+    # each stack is checked once (SPD points against the floor, Grassmann bases
+    # for orthonormal columns) and given its per-point terms (root-Stein's log-dets)
+    check = make_spd if manifold == "spd" else gr.require_orthonormal
+    args = [[pts, *(term(pts) for term in more)] for pts in map(check, stacks)]
+    d2 = np.zeros((len(stacks[0]), len(stacks[-1])))
+    for i in range(len(d2) - triangle):
+        start = i + 1 if triangle else 0
+        d2[i, start:] = fn(*(a[i] for a in args[0]), *(a[start:] for a in args[-1]))
+    return d2 + d2.T if triangle else d2
+
+
+def squared_distance_matrix(
+    manifold: str, metric: str, points, alpha: float = DEFAULT_POWER_ALPHA
+) -> np.ndarray:
+    """Symmetric matrix of pairwise squared distances with exact-zero diagonal."""
+    return _sq_distances(manifold, metric, points, None, alpha)
 
 
 def cross_squared_distances(
-    manifold: str,
-    metric: str,
-    xs,
-    ys,
-    alpha: float = DEFAULT_POWER_ALPHA,
+    manifold: str, metric: str, xs, ys, alpha: float = DEFAULT_POWER_ALPHA
 ) -> np.ndarray:
     """Rectangular matrix of squared distances d^2(x_i, y_j)."""
-    kind, fn, *more = _lookup(manifold, metric)
-    xs = _manifold_points(manifold, xs)
-    ys = _manifold_points(manifold, ys)
-    if xs.shape[1:] != ys.shape[1:]:
-        raise DimMismatchError(f"point shapes differ: {xs.shape[1:]} vs {ys.shape[1:]}")
-    if kind == "embed":
-        (sq_distances,) = more or [_feature_sq_distances]
-        with np.errstate(all="ignore"):  # _scaled reports an overflow
-            fx, scale = fn(xs, alpha)
-            fy, _ = fn(ys, alpha)
-            return _scaled(sq_distances(fx, fy), scale)
-    x_args, y_args = _row_args(manifold, more, xs), _row_args(manifold, more, ys)
-    return np.stack([fn(*(a[i] for a in x_args), *y_args) for i in range(len(xs))])
+    return _sq_distances(manifold, metric, xs, ys, alpha)
 
 
 def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -720,27 +720,29 @@ def multiclass_svm_train(
     return MulticlassSvmModel(models=models, **fields)
 
 
-def multiclass_svm_predict(model: MulticlassSvmModel, kernel_columns) -> np.ndarray:
-    """Predicted class ids: the larger class where a binary decision is
-    >= 0, the largest one-vs-all decision, or the most one-vs-one votes,
-    summed decisions breaking ties; other ties go to the lowest class id."""
+def multiclass_svm_predict(model: MulticlassSvmModel, kernel_columns) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted class ids, and the decision rows of the binary models:
+    the larger class where a binary decision is >= 0, the largest
+    one-vs-all decision, or the most one-vs-one votes, summed decisions
+    breaking ties; other ties go to the lowest class id."""
     cols = np.asarray(kernel_columns, dtype=float)
+    rows = model.pair_indices if model.mode == "one-vs-one" else [slice(None)] * len(model.models)
+    dec = np.array([svm_decision(mdl, cols[idx]) for mdl, idx in zip(model.models, rows)])
     if model.mode == "binary":
-        return model.classes[(svm_decision(model.models[0], cols) >= 0).astype(int)]
+        return model.classes[(dec[0] >= 0).astype(int)], dec
     if model.mode == "one-vs-all":
-        return model.classes[np.argmax([svm_decision(mdl, cols) for mdl in model.models], axis=0)]
+        return model.classes[np.argmax(dec, axis=0)], dec
     votes = np.zeros((len(model.classes), cols.shape[1]))
     sums = np.zeros_like(votes)
     pos = {c: i for i, c in enumerate(model.classes)}
-    for mdl, idx, (cls_a, cls_b) in zip(model.models, model.pair_indices, model.pairs):
-        dec = svm_decision(mdl, cols[idx, :])
-        votes[pos[cls_a]] += dec >= 0
-        votes[pos[cls_b]] += dec < 0
-        sums[pos[cls_a]] += dec
-        sums[pos[cls_b]] -= dec
+    for row, (cls_a, cls_b) in zip(dec, model.pairs):
+        votes[pos[cls_a]] += row >= 0
+        votes[pos[cls_b]] += row < 0
+        sums[pos[cls_a]] += row
+        sums[pos[cls_b]] -= row
     # fold summed decisions in as a strictly-smaller tie-break term
     scale = 1.0 / (4.0 * (1.0 + np.max(np.abs(sums))))
-    return model.classes[np.argmax(votes + sums * scale, axis=0)]
+    return model.classes[np.argmax(votes + sums * scale, axis=0)], dec
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Provides the validated SPD point constructor and the two SPD metrics
 that are not embeddings, as row functions from one point to a stack of
-points that the distance drivers checked with :func:`make_spd` (the
-root-Stein row also takes each point's log-determinant, which the
-drivers compute once per stack):
+points that the distance driver of :mod:`~manikernels.kernels` checked
+with :func:`make_spd` (the root-Stein row also takes each point's
+log-determinant, which the driver computes once per stack):
 
 * ``affine-invariant``   ||log(S1^{-1/2} S2 S1^{-1/2})||_F
 * ``root-stein``         [log det((S1+S2)/2) - (1/2) log det(S1 S2)]^{1/2}

@@ -659,7 +659,7 @@ def cv_select_per_problem(d2, labels, spec, mode, args):
                         model = multiclass_svm_train(
                             sub, y[train], c_val, mode=args.mode, kkt_tol=args.kkt_tol
                         )
-                        pred = multiclass_svm_predict(model, cols)
+                        pred, _ = multiclass_svm_predict(model, cols)
                     correct[c_index] += int(np.sum(pred == y[test]))
         except NotPsdError:
             continue

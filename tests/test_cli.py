@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from dataclasses import fields, is_dataclass
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import manikernels.cli as cli
+import manikernels.learn as learn
 from manikernels.cli import _model_from_payload, run
 from manikernels.data import load_dataset, load_matrix_csv, save_dataset, save_json, synth_spd_blobs
 from manikernels.features import candidate_grid
@@ -503,6 +505,30 @@ def test_multiclass_svm_predict_round_trip(tmp_path):
     np.testing.assert_array_equal(rows[:, 1].astype(int), truth)
 
 
+@pytest.mark.parametrize("clusters, mode, n_models", [(2, "one-vs-all", 1), (4, "one-vs-all", 4), (4, "one-vs-one", 6)])
+def test_svm_predict_computes_each_decision_once(tmp_path, monkeypatch, clusters, mode, n_models):
+    # two classes train one binary model, whose file also holds the decisions
+    data, model, preds = tmp_path / "data.json", tmp_path / "model.json", tmp_path / "preds.csv"
+    run_ok(["synth", "--kind", "spd-blobs", "--clusters", str(clusters), "--per-cluster", "4",
+            "--dim", "3", "--seed", "1", "--out", str(data)])
+    run_ok(["svm-train", "--input", str(data), "--gamma", "0.5", "--C", "10", "--mode", mode,
+            "--out", str(model)])
+    real = learn.svm_decision
+    calls = []
+
+    def counting(mdl, cols):
+        calls.append(mdl)
+        return real(mdl, cols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("manikernels") and getattr(module, "svm_decision", None) is real:
+            monkeypatch.setattr(module, "svm_decision", counting)
+    run_ok(["svm-predict", "--model", str(model), "--train", str(data), "--test", str(data),
+            "--out", str(preds)])
+    assert len(calls) == n_models
+    assert len({id(mdl) for mdl in calls}) == n_models
+
+
 def test_mkl_train_multiple_inputs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -761,6 +787,27 @@ def test_subspace_cli(tmp_path):
     ds = load_dataset(tmp_path / "basis.json")
     assert ds["kind"] == "grassmann"
     np.testing.assert_array_equal(ds["items"], [basis])
+
+
+def test_file_formats_follow_the_suffix_in_any_case(tmp_path):
+    # gram and subspace write JSON, and covdesc reads PGM, whatever the case
+    # of the suffix; the output path stays out of the file
+    data, vectors = tmp_path / "blobs.json", tmp_path / "vectors.csv"
+    make_blobs_file(data)
+    np.savetxt(vectors, np.random.default_rng(13).standard_normal((8, 5)), delimiter=",")
+    for argv in (["gram", "--input", str(data), "--gamma", "0.5"],
+                 ["subspace", "--input", str(vectors), "--r", "2"]):
+        for name in ("out.json", "out.JSON"):
+            run_ok([*argv, "--out", str(tmp_path / name)])
+        lower, upper = ((tmp_path / name).read_bytes() for name in ("out.json", "out.JSON"))
+        assert upper == lower and json.loads(upper)
+    raster = np.random.default_rng(14).uniform(0, 255, size=(24, 16))
+    for name in ("w.pgm", "w.PGM"):
+        write_pgm(tmp_path / name, raster)
+        run_ok(["covdesc", "--inputs", str(tmp_path / name), "--features", "texture",
+                "--out", str(tmp_path / f"{name}.json")])
+    lower, upper = (load_dataset(tmp_path / f"{name}.json")["items"] for name in ("w.pgm", "w.PGM"))
+    np.testing.assert_array_equal(upper, lower)
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -171,6 +171,17 @@ def test_squared_distance_matrix_matches_pairwise():
                 assert abs(rect[i, j] - expect) <= 1e-12 * expect, (metric, i, j)
 
 
+@pytest.mark.parametrize("manifold, metric", [key for key, (kind, *_) in METRICS.items() if kind == "row"])
+def test_row_triangle_equals_the_rectangle_bit_for_bit(manifold, metric):
+    # a row function's triangle evaluates the same pairs as the rectangle
+    # of the stack with itself; an embedding's two shapes differ by roundoff
+    points = sample_points(np.random.default_rng(17), manifold, 30)
+    d2 = squared_distance_matrix(manifold, metric, points)
+    rect = cross_squared_distances(manifold, metric, points, points)
+    upper = np.triu_indices(30, 1)
+    assert np.array_equal(d2[upper], rect[upper])
+
+
 def test_the_embeddings_are_the_metrics_pd_for_every_gamma():
     # an embedding gives a CND d^2, so exp(-gamma d^2) is PD for every gamma;
     # every such metric of the oracle's table is computed as one

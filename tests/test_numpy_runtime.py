@@ -1,12 +1,14 @@
 """The runtime needs numpy alone; scipy is only an oracle for the tests.
 
 No package module names scipy, a fresh interpreter that cannot import
-scipy runs the CLI commands, and the two numpy replacements of former
-scipy calls are checked against scipy: the Gaussian smoothing of the
-structure-tensor oracle in ``tests/oracles.py`` and the generalized
-eigenproblem of ``learn.kernel_fda``.
+scipy runs every CLI command and writes standard JSON (no NaN or
+Infinity), and the two numpy replacements of former scipy calls are
+checked against scipy: the Gaussian smoothing of the structure-tensor
+oracle in ``tests/oracles.py`` and the generalized eigenproblem of
+``learn.kernel_fda``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -53,8 +55,20 @@ commands = [
     ["kpca", "--input", data, "--gamma", "0.5", "--l", "2", "--out", f"{work}/kpca.csv"],
     ["kfda", "--input", data, "--gamma", "0.5", "--out", f"{work}/kfda.csv"],
     ["svm-train", "--input", data, "--gamma", "0.5", "--C", "10", "--out", f"{work}/model.json"],
+    ["svm-predict", "--model", f"{work}/model.json", "--train", data, "--test", data,
+     "--out", f"{work}/predict.csv"],
+    ["synth", "--kind", "spd-blobs", "--clusters", "2", "--per-cluster", "6", "--dim", "3",
+     "--seed", "2", "--out", f"{work}/pair.json"],
+    ["mkl-train", "--inputs", f"{work}/pair.json", "--gamma-grid", "0.1,1,10", "--C", "10",
+     "--out", f"{work}/mkl.json"],
+    ["definiteness", "--manifold", "grassmann", "--metric", "arc-length", "--dim", "5",
+     "--subspace-dim", "2", "--m", "20", "--trials", "50", "--seed", "7", "--out", f"{work}/witness.json"],
+    ["subspace", "--input", f"{work}/gram.csv", "--r", "2", "--out", f"{work}/subspace.json"],
     ["covdesc", "--inputs", image, "--features", "texture", "--out", f"{work}/covdesc.json"],
 ]
+subcommands = [action.choices for action in manikernels.cli.build_parser()._actions if action.dest == "command"]
+missing = set(subcommands[0]) - {argv[0] for argv in commands}
+assert not missing, f"no run of {sorted(missing)}"
 for argv in commands:
     code = manikernels.cli.run(argv)
     assert code == 0, f"exit {code} for {argv[0]}"
@@ -81,8 +95,18 @@ def test_cli_runs_without_scipy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "numpy-only"
-    for name in ("gram.csv", "cluster.csv", "kpca.csv", "kfda.csv", "model.json", "covdesc.json"):
+    for name in ("gram.csv", "cluster.csv", "kpca.csv", "kfda.csv", "predict.csv"):
         assert (tmp_path / name).stat().st_size > 0
+    # every JSON file is standard JSON: no NaN or Infinity
+    names = sorted(path.name for path in tmp_path.glob("*.json"))
+    assert names == sorted(["blobs.json", "model.json", "pair.json", "mkl.json", "witness.json",
+                            "subspace.json", "covdesc.json"])
+    for name in names:
+        json.loads((tmp_path / name).read_text(), parse_constant=reject_constant)
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,7 @@ def test_multiclass_two_classes_matches_binary():
     labels = np.where(y > 0, 1, 0)
     multi = multiclass_svm_train(gram, labels, C=5.0)
     binary = svm_train(gram, y, C=5.0)
-    pred_multi = multiclass_svm_predict(multi, gram.entries)
+    pred_multi, _ = multiclass_svm_predict(multi, gram.entries)
     pred_binary = np.where(svm_decision(binary, gram.entries) >= 0, 1, 0)
     np.testing.assert_array_equal(pred_multi, pred_binary)
 
@@ -457,9 +457,11 @@ def test_binary_reduction_is_svm_train_on_the_plus_minus_one_coding():
     model = multiclass_svm_train(gram, labels, C=10.0, mode="binary")
     assert model.classes.tolist() == [3, 7] and len(model.models) == 1
     assert_bitwise(model.models[0], svm_train(gram, np.where(labels == 7, 1.0, -1.0), C=10.0))
-    # a decision of 0 or above is the larger class
+    # a decision of 0 or above is the larger class, and the decision row is returned
     dec = svm_decision(model.models[0], gram.entries)
-    np.testing.assert_array_equal(multiclass_svm_predict(model, gram.entries), np.where(dec >= 0, 7, 3))
+    pred, rows = multiclass_svm_predict(model, gram.entries)
+    np.testing.assert_array_equal(pred, np.where(dec >= 0, 7, 3))
+    np.testing.assert_array_equal(rows, [dec])
     with pytest.raises(BadParamError, match="exactly two label values"):
         multiclass_svm_train(gram, np.arange(len(labels)) % 3, C=10.0, mode="binary")
     # a binary model is two distinct classes and one SVM
@@ -480,8 +482,9 @@ def test_multiclass_three_spd_clusters(mode):
     test_pts = [points[i] for i in test]
     gram = gram_matrix(spec, train_pts)
     model = multiclass_svm_train(gram, labels[train], C=10.0, mode=mode)
-    pred = multiclass_svm_predict(model, cross_gram(spec, train_pts, test_pts))
+    pred, dec = multiclass_svm_predict(model, cross_gram(spec, train_pts, test_pts))
     np.testing.assert_array_equal(pred, labels[test])
+    assert dec.shape == (len(model.models), len(test))
 
 
 def test_multiclass_one_class_error():
